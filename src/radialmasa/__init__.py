@@ -4,8 +4,8 @@ Four layers:
 
 * ``words`` / ``algebra`` -- exact rational arithmetic in the group algebra
   of a free group, the brute-force oracle for every identity here;
-* ``identities`` -- closed forms for the sandwich-component identities and
-  their exhaustive exact verification sweeps;
+* ``identities`` -- the sandwich components, closed forms for their
+  identities, and the one exhaustive exact verification sweep;
 * ``spectral`` -- the radial polynomials, the Kesten spectral measure,
   quadrature against it, and the geometric-sine closed sum;
 * ``density`` -- the left-right density on the spectral square, by truncated
@@ -20,12 +20,10 @@ from .algebra import (
     GroupAlgebraElement,
     InversionEigenvector,
     chi,
-    chi_norm_sq_exact,
     chi_support_size,
     inner_product,
     multiply,
     radial_moment_exact,
-    sandwich_project,
 )
 from .density import (
     DensityPoint,
@@ -48,9 +46,6 @@ from .identities import (
     run_identity_sweep,
     sandwich_inner_closed,
     standard_test_vectors,
-    verify_pairing_cases,
-    verify_sandwich_expansion,
-    verify_sandwich_inner,
 )
 from .spectral import (
     AngleCoordinate,

@@ -35,7 +35,10 @@ def active_cap(cap: int | None = None) -> int:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_CAP
 
 
@@ -226,7 +229,7 @@ def inner_product(x: GroupAlgebraElement, y: GroupAlgebraElement) -> int | Fract
 
 
 def chi_support_size(n: int, rank: int) -> int:
-    """Number of reduced words of length n."""
+    """Number of reduced words of length n, which is also the squared norm of chi(n)."""
     if n == 0:
         return 1
     return 2 * rank * (2 * rank - 1) ** (n - 1)
@@ -241,13 +244,6 @@ def chi(n: int, rank: int, cap: int | None = None) -> GroupAlgebraElement:
     if size > limit:
         raise ResourceCapError(f"chi({n}) has {size} terms, cap is {limit}")
     return GroupAlgebraElement(rank, {w: 1 for w in words_of_length(n, rank)})
-
-
-def chi_norm_sq_exact(n: int, rank: int) -> int:
-    """Squared two-norm of the length-n word sum: 2N(2N-1)**(n-1) for n >= 1."""
-    if n == 0:
-        return 1
-    return 2 * rank * (2 * rank - 1) ** (n - 1)
 
 
 def radial_moment_exact(k: int, rank: int, cap: int | None = None) -> int | Fraction:
@@ -269,24 +265,6 @@ def radial_moment_exact(k: int, rank: int, cap: int | None = None) -> int | Frac
     right = left if k == 2 * half else multiply(left, c1, cap)
     # chi_1 powers are self-adjoint, so trace(right*left) = <right, left>
     return inner_product(right, left)
-
-
-def sandwich_project(
-    v: GroupAlgebraElement, r: int, s: int, cap: int | None = None
-) -> GroupAlgebraElement:
-    """Multiply a length-one vector by radial sums on both sides, keep the top length.
-
-    Returns the words-of-length-(r+s+1) component of chi_r * v * chi_s, and the
-    zero element when either index is negative.  Only length-one v is accepted:
-    the top length r+s+1 is tied to that case.
-    """
-    if v.support_lengths() not in ({1}, set()):
-        raise ValueError("sandwich_project requires a vector supported on length-1 words")
-    if r < 0 or s < 0:
-        return GroupAlgebraElement.zero(v.rank)
-    left = multiply(chi(r, v.rank, cap), v, cap)
-    full = multiply(left, chi(s, v.rank, cap), cap)
-    return full.project_length(r + s + 1)
 
 
 class InversionEigenvector:

@@ -1,15 +1,16 @@
 """Command-line front end for the verification sweeps and density exports.
 
 Subcommands
-    verify    exact identity sweeps in the group algebra
+    verify    the exact identity sweep in the group algebra
     density   evaluate the left-right density on a grid (CSV or JSON)
     pairing   three-way pairing checks (exact / case formula / quadrature)
     scan      near-zero census of the density
     moments   quadrature moments against exact walk counts
 
 Exit codes: 0 when every declared check passes, 1 when a mathematical
-identity or tolerance fails, 2 on resource-cap or convergence failures
-(and on invalid configuration).
+identity or tolerance fails, 2 on resource-cap or convergence failures,
+invalid configuration, or output that cannot be written.  Each failure
+prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
 from . import density as density_mod
 from . import identities
-from .algebra import radial_moment_exact
+from .algebra import active_cap, radial_moment_exact
 from .errors import QuadratureError, ResourceCapError
 from .identities import fraction_str
 from .spectral import SpectralParams, quad_lambda
@@ -56,7 +58,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     output_path: str | None = None
     format: str = "json"
-    jobs: int = 1
     cap: int | None = None
     max_total: int = 6
     max_moment: int = 10
@@ -75,8 +76,6 @@ class RunConfig:
             raise ValueError("scan needs a grid of at least 16")
         if self.truncation < 2:
             raise ValueError("truncation must be at least 2")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.method not in ("closed", "series", "both"):
@@ -84,8 +83,10 @@ class RunConfig:
         if self.max_total < 0 or self.max_moment < 0:
             raise ValueError("sweep bounds must be nonnegative")
         for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
+        # parsed again where it is used; the report keeps config.cap as given
+        active_cap(self.cap)
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command].get(name, 1e-8))
@@ -134,7 +135,7 @@ def json_report(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
+def csv_text(header: list[str], rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -147,23 +148,9 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _sweep_worker(args: tuple) -> list[identities.CheckReport]:
-    task, cap = args
-    return identities.run_sweep_task(task, cap)
-
-
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     t0 = time.perf_counter()
-    tasks = identities.sweep_tasks(cfg.rank, cfg.max_total)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            blocks = list(pool.map(_sweep_worker, [(t, cfg.cap) for t in tasks]))
-        reports = [r for block in blocks for r in block]
-    else:
-        cache = identities._SandwichCache(cfg.rank, cfg.cap)
-        reports = []
-        for task in tasks:
-            reports.extend(identities.run_sweep_task(task, cfg.cap, _cache=cache))
+    reports = identities.run_identity_sweep(cfg.rank, cfg.max_total, cfg.cap)
     if cfg.inject_error and reports:
         reports[0].rhs = reports[0].rhs + " (perturbed)"
         reports[0].passed = False
@@ -182,7 +169,8 @@ def cmd_density(cfg: RunConfig) -> tuple[dict | str, bool]:
     params = SpectralParams(cfg.rank)
     pts = density_mod.interior_grid(cfg.grid_n, params)
     tt, ss = np.broadcast_arrays(pts[:, None], pts[None, :])
-    rows: list[list] = []
+    t_col, s_col = tt.ravel().tolist(), ss.ravel().tolist()
+    rows: list[tuple] = []
     methods = ("closed", "series") if cfg.method == "both" else (cfg.method,)
     tail_tol = cfg.tol("tail")
     worst_tail = 0.0
@@ -190,25 +178,17 @@ def cmd_density(cfg: RunConfig) -> tuple[dict | str, bool]:
         if method == "closed":
             values, guarded = density_mod.density_closed_grid(tt, ss, params)
             guard_tail = density_mod.series_tail_bound(density_mod.GUARD_SERIES_ORDER, params)
-            for i in range(cfg.grid_n):
-                for j in range(cfg.grid_n):
-                    used_series = bool(guarded[i, j])
-                    tail = guard_tail if used_series else 0.0
-                    worst_tail = max(worst_tail, tail)
-                    rows.append([
-                        repr(float(tt[i, j])), repr(float(ss[i, j])),
-                        repr(float(values[i, j])), repr(tail),
-                        "series" if used_series else "closed",
-                    ])
+            if guarded.any():
+                worst_tail = max(worst_tail, guard_tail)
+            flags = guarded.ravel().tolist()
+            tails = [guard_tail if g else 0.0 for g in flags]
+            # shared literals: one string object per label, not one per row
+            labels = ["series" if g else "closed" for g in flags]
         else:
             values, tail = density_mod.density_series_grid(tt, ss, cfg.truncation, params)
             worst_tail = max(worst_tail, tail)
-            for i in range(cfg.grid_n):
-                for j in range(cfg.grid_n):
-                    rows.append([
-                        repr(float(tt[i, j])), repr(float(ss[i, j])),
-                        repr(float(values[i, j])), repr(tail), "series",
-                    ])
+            tails, labels = repeat(tail), repeat("series")
+        rows.extend(zip(t_col, s_col, values.ravel().tolist(), tails, labels))
     if worst_tail > tail_tol:
         raise QuadratureError(
             f"series tail bound {worst_tail} exceeds requested tolerance {tail_tol}; "
@@ -216,12 +196,12 @@ def cmd_density(cfg: RunConfig) -> tuple[dict | str, bool]:
         )
     header = ["t", "s", "f", "tail_bound", "method"]
     if cfg.format == "csv":
+        # the csv writer renders floats with repr, so every value round-trips
         return csv_text(header, rows), True
     payload = {
         "command": "density",
         "config": cfg.public_dict(),
-        "rows": [dict(zip(header, [float(r[0]), float(r[1]), float(r[2]), float(r[3]), r[4]]))
-                 for r in rows],
+        "rows": [dict(zip(header, row)) for row in rows],
     }
     return payload, True
 
@@ -324,8 +304,15 @@ def _parse_scan_tols(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, without the usage text."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radialmasa",
         description="Exact and numerical checks for the radial subalgebra toolkit.",
     )
@@ -339,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (default: stdout)")
     common.add_argument("--format", type=str, default=None, choices=("csv", "json"))
     common.add_argument("--config", type=str, default=None, help="JSON file with option overrides")
-    common.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps")
     common.add_argument("--cap", type=int, default=None,
                         help="term-pair cap (overrides $RADIAL_MASA_CAP)")
 
@@ -396,8 +382,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             else:
                 raise ValueError(f"unknown config key {key!r}")
 
-    for key in ("rank", "grid_n", "truncation", "output_path", "format", "jobs",
-                "cap", "max_total", "max_moment", "method"):
+    for key in ("rank", "grid_n", "truncation", "output_path", "format", "cap",
+                "max_total", "max_moment", "method"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -425,10 +411,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceCapError, QuadratureError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, str):
-        emit(cfg, result)
-    else:
-        emit(cfg, json_report(result))
+    content = result if isinstance(result, str) else json_report(result)
+    try:
+        emit(cfg, content)
+    except OSError as exc:
+        target = cfg.output_path or "standard output"
+        print(f"output error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 

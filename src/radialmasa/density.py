@@ -43,14 +43,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (
-    InversionEigenvector,
-    chi,
-    inner_product,
-    multiply,
-)
+from .algebra import inner_product
 from .errors import QuadratureError
-from .identities import fraction_str, pairing_closed
+from .identities import _SandwichCache, fraction_str, pairing_closed, standard_test_vectors
 from .spectral import SpectralParams, lambda_rule, trig_sum
 
 # |sin(theta)*sin(phi)| below this makes the closed form ill-conditioned;
@@ -252,14 +247,10 @@ def density_closed(t: float, s: float, params: SpectralParams) -> DensityPoint:
 # ----------------------------------------------------------------------
 
 
-def _minus_test_vector(rank: int) -> InversionEigenvector:
-    return InversionEigenvector.from_letter_coeffs(rank, {1: 1, -1: -1}, -1)
-
-
 def pairing_exact(j: int, k: int, rank: int, cap: int | None = None) -> Fraction:
     """<chi_j v chi_k, v> / |v|^2 computed in the group algebra (sign -1 vector)."""
-    v = _minus_test_vector(rank)
-    prod = multiply(multiply(chi(j, rank, cap), v.element, cap), chi(k, rank, cap), cap)
+    v = standard_test_vectors(rank)[-1][0]
+    prod = _SandwichCache(rank, cap).triple_product(v, j, k)
     return Fraction(inner_product(prod, v.element)) / Fraction(v.norm_sq())
 
 

@@ -11,7 +11,9 @@ computation against a closed form, with exact rational equality:
 * ``pairing_cases``: <chi_n v chi_m, v> is given by a six-case formula.
 
 The brute force side is always the oracle; the closed forms never feed
-back into it.
+back into it.  ``run_identity_sweep`` is the one driver: it runs one block
+of checks per test vector (or ordered pair of them) for each family, and
+every block draws its sandwich components from one shared cache.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def sandwich_expansion_indices(sign: int, n: int, m: int) -> list[tuple[int, int
 
 
 class _SandwichCache:
-    """Caches chi_n and sandwich components for the sweeps."""
+    """chi_n and sandwich components for one sweep; carries its rank and cap."""
 
     def __init__(self, rank: int, cap: int | None = None):
         self.rank = rank
@@ -166,98 +168,27 @@ class _SandwichCache:
             self._chi[n] = chi(n, self.rank, self.cap)
         return self._chi[n]
 
+    def triple_product(self, v: InversionEigenvector, n: int, m: int) -> GroupAlgebraElement:
+        """chi_n v chi_m, exactly."""
+        left = multiply(self.chi(n), v.element, self.cap)
+        return multiply(left, self.chi(m), self.cap)
+
     def component(self, v: InversionEigenvector, key: int, r: int, s: int) -> GroupAlgebraElement:
+        """v_{r,s} = q_{r+s+1}(chi_r v chi_s), zero when an index is negative.
+
+        ``key`` names ``v`` in the cache.
+        """
         if r < 0 or s < 0:
             return GroupAlgebraElement.zero(self.rank)
         k = (key, r, s)
         if k not in self._components:
-            left = multiply(self.chi(r), v.element, self.cap)
-            full = multiply(left, self.chi(s), self.cap)
-            self._components[k] = full.project_length(r + s + 1)
+            self._components[k] = self.triple_product(v, r, s).project_length(r + s + 1)
         return self._components[k]
-
-    def triple_product(self, v: InversionEigenvector, n: int, m: int) -> GroupAlgebraElement:
-        left = multiply(self.chi(n), v.element, self.cap)
-        return multiply(left, self.chi(m), self.cap)
-
-
-def verify_sandwich_inner(
-    v: InversionEigenvector,
-    v2: InversionEigenvector,
-    n: int,
-    m: int,
-    n2: int,
-    m2: int,
-    cap: int | None = None,
-    _cache: _SandwichCache | None = None,
-) -> CheckReport:
-    """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form."""
-    t0 = time.perf_counter()
-    cache = _cache or _SandwichCache(v.element.rank, cap)
-    lhs = inner_product(cache.component(v, 0, n, m), cache.component(v2, 1, n2, m2))
-    rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
-    return CheckReport(
-        lemma="sandwich_inner",
-        params={"rank": v.element.rank, "sign": v.sign, "sign2": v2.sign,
-                "n": n, "m": m, "n2": n2, "m2": m2},
-        lhs=fraction_str(lhs),
-        rhs=fraction_str(rhs),
-        passed=lhs == rhs,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-
-
-def verify_sandwich_expansion(
-    v: InversionEigenvector,
-    n: int,
-    m: int,
-    cap: int | None = None,
-    _cache: _SandwichCache | None = None,
-) -> CheckReport:
-    """Brute-force chi_n v chi_m against its expansion over sandwich components."""
-    t0 = time.perf_counter()
-    rank = v.element.rank
-    cache = _cache or _SandwichCache(rank, cap)
-    lhs = cache.triple_product(v, n, m)
-    rhs = GroupAlgebraElement.zero(rank)
-    for coeff, r, s in sandwich_expansion_indices(v.sign, n, m):
-        rhs = rhs + cache.component(v, 0, r, s).scale(coeff)
-    return CheckReport(
-        lemma="sandwich_expansion",
-        params={"rank": rank, "sign": v.sign, "n": n, "m": m},
-        lhs=_element_digest(lhs),
-        rhs=_element_digest(rhs),
-        passed=lhs == rhs,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-
-
-def verify_pairing_cases(
-    v: InversionEigenvector,
-    n: int,
-    m: int,
-    cap: int | None = None,
-    _cache: _SandwichCache | None = None,
-) -> CheckReport:
-    """Brute-force <chi_n v chi_m, v> against the six-case closed form."""
-    t0 = time.perf_counter()
-    cache = _cache or _SandwichCache(v.element.rank, cap)
-    lhs = inner_product(cache.triple_product(v, n, m), v.element)
-    rhs = pairing_closed(v.sign, n, m, v.norm_sq())
-    return CheckReport(
-        lemma="pairing_cases",
-        params={"rank": v.element.rank, "sign": v.sign, "n": n, "m": m},
-        lhs=fraction_str(lhs),
-        rhs=fraction_str(rhs),
-        passed=lhs == rhs,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
 
 
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
-
 
 def degree_pairs(max_total: int) -> list[tuple[int, int]]:
     """All (n, m) with n, m >= 0 and n + m <= max_total."""
@@ -270,16 +201,11 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
 
 
 def inner_block(
-    rank: int,
-    max_total: int,
-    vec_i: int,
-    vec_j: int,
-    cap: int | None = None,
-    _cache: _SandwichCache | None = None,
+    cache: _SandwichCache, max_total: int, vec_i: int, vec_j: int
 ) -> list[CheckReport]:
-    """Inner-product checks for one ordered pair of test vectors; an
-    independent unit of work for the sweep."""
-    cache = _cache or _SandwichCache(rank, cap)
+    """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form for one ordered
+    pair of test vectors and every pair of degree pairs."""
+    rank = cache.rank
     vectors = all_test_vectors(rank)
     v, v2 = vectors[vec_i], vectors[vec_j]
     pairs = degree_pairs(max_total)
@@ -302,15 +228,10 @@ def inner_block(
     return reports
 
 
-def expansion_block(
-    rank: int,
-    max_total: int,
-    vec_i: int,
-    cap: int | None = None,
-    _cache: _SandwichCache | None = None,
-) -> list[CheckReport]:
-    """Expansion checks for one test vector."""
-    cache = _cache or _SandwichCache(rank, cap)
+def expansion_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[CheckReport]:
+    """Brute-force chi_n v chi_m against its expansion over sandwich components,
+    for one test vector."""
+    rank = cache.rank
     v = all_test_vectors(rank)[vec_i]
     reports = []
     for n, m in degree_pairs(max_total):
@@ -332,15 +253,10 @@ def expansion_block(
     return reports
 
 
-def pairing_block(
-    rank: int,
-    max_total: int,
-    vec_i: int,
-    cap: int | None = None,
-    _cache: _SandwichCache | None = None,
-) -> list[CheckReport]:
-    """Six-case pairing checks for one test vector."""
-    cache = _cache or _SandwichCache(rank, cap)
+def pairing_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[CheckReport]:
+    """Brute-force <chi_n v chi_m, v> against the six-case closed form, for one
+    test vector."""
+    rank = cache.rank
     v = all_test_vectors(rank)[vec_i]
     reports = []
     for n, m in degree_pairs(max_total):
@@ -360,91 +276,30 @@ def pairing_block(
     return reports
 
 
-def sweep_tasks(rank: int, max_total: int = 6, families: tuple[str, ...] = (
-        "sandwich_inner", "sandwich_expansion", "pairing_cases")) -> list[tuple]:
-    """Independent task descriptors covering a full sweep; each one is a
-    pure function call suitable for a worker pool."""
-    n_vec = len(all_test_vectors(rank))
-    tasks: list[tuple] = []
-    if "sandwich_inner" in families:
-        for i in range(n_vec):
-            for j in range(n_vec):
-                tasks.append(("sandwich_inner", rank, max_total, i, j))
-    if "sandwich_expansion" in families:
-        for i in range(n_vec):
-            tasks.append(("sandwich_expansion", rank, max_total, i))
-    if "pairing_cases" in families:
-        for i in range(n_vec):
-            tasks.append(("pairing_cases", rank, max_total, i))
-    return tasks
-
-
-def run_sweep_task(task: tuple, cap: int | None = None,
-                   _cache: _SandwichCache | None = None) -> list[CheckReport]:
-    kind = task[0]
-    if kind == "sandwich_inner":
-        _, rank, max_total, i, j = task
-        return inner_block(rank, max_total, i, j, cap, _cache)
-    if kind == "sandwich_expansion":
-        _, rank, max_total, i = task
-        return expansion_block(rank, max_total, i, cap, _cache)
-    if kind == "pairing_cases":
-        _, rank, max_total, i = task
-        return pairing_block(rank, max_total, i, cap, _cache)
-    raise ValueError(f"unknown task kind {kind!r}")
-
-
-def sweep_sandwich_inner(
-    rank: int, max_total: int = 6, cap: int | None = None
-) -> list[CheckReport]:
-    """All inner-product checks over vector pairs and degree pairs."""
-    cache = _SandwichCache(rank, cap)
-    n_vec = len(all_test_vectors(rank))
-    reports = []
-    for i in range(n_vec):
-        for j in range(n_vec):
-            reports.extend(inner_block(rank, max_total, i, j, cap, _cache=cache))
-    return reports
-
-
-def sweep_sandwich_expansion(
-    rank: int, max_total: int = 6, cap: int | None = None
-) -> list[CheckReport]:
-    cache = _SandwichCache(rank, cap)
-    reports = []
-    for i in range(len(all_test_vectors(rank))):
-        reports.extend(expansion_block(rank, max_total, i, cap, _cache=cache))
-    return reports
-
-
-def sweep_pairing_cases(
-    rank: int, max_total: int = 6, cap: int | None = None
-) -> list[CheckReport]:
-    cache = _SandwichCache(rank, cap)
-    reports = []
-    for i in range(len(all_test_vectors(rank))):
-        reports.extend(pairing_block(rank, max_total, i, cap, _cache=cache))
-    return reports
-
-
 def run_identity_sweep(
     rank: int,
     max_total: int = 6,
     cap: int | None = None,
     families: tuple[str, ...] = ("sandwich_inner", "sandwich_expansion", "pairing_cases"),
-    perturb: bool = False,
 ) -> list[CheckReport]:
-    """Run the requested check families; ``perturb`` flips one expected value
-    so harnesses can prove they detect failures."""
+    """Every check of the requested families, over all test vectors and all
+    degree pairs with n + m <= max_total.
+
+    One cache serves the whole sweep.  The order is fixed: inner products for
+    every ordered pair of vectors, then expansions for every vector, then
+    pairings for every vector.
+    """
+    cache = _SandwichCache(rank, cap)
+    n_vec = len(all_test_vectors(rank))
     reports: list[CheckReport] = []
     if "sandwich_inner" in families:
-        reports.extend(sweep_sandwich_inner(rank, max_total, cap))
+        for i in range(n_vec):
+            for j in range(n_vec):
+                reports.extend(inner_block(cache, max_total, i, j))
     if "sandwich_expansion" in families:
-        reports.extend(sweep_sandwich_expansion(rank, max_total, cap))
+        for i in range(n_vec):
+            reports.extend(expansion_block(cache, max_total, i))
     if "pairing_cases" in families:
-        reports.extend(sweep_pairing_cases(rank, max_total, cap))
-    if perturb and reports:
-        victim = reports[0]
-        victim.rhs = victim.rhs + " (perturbed)"
-        victim.passed = False
+        for i in range(n_vec):
+            reports.extend(pairing_block(cache, max_total, i))
     return reports

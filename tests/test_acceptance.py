@@ -13,7 +13,7 @@ import numpy as np
 from radialmasa.algebra import (
     GroupAlgebraElement,
     chi,
-    chi_norm_sq_exact,
+    chi_support_size,
     inner_product,
     multiply,
     radial_moment_exact,
@@ -26,11 +26,7 @@ from radialmasa.density import (
     pairing_sweep,
     zero_scan,
 )
-from radialmasa.identities import (
-    sweep_pairing_cases,
-    sweep_sandwich_expansion,
-    sweep_sandwich_inner,
-)
+from radialmasa.identities import run_identity_sweep
 from radialmasa.spectral import (
     SpectralParams,
     chi_eval_recurrence,
@@ -87,11 +83,14 @@ def test_criterion_2_exact_norms():
 def test_criterion_3_sandwich_inner_and_expansion():
     def check():
         for rank in RANKS:
-            inner = sweep_sandwich_inner(rank, max_total=6)
+            reports = run_identity_sweep(
+                rank, max_total=6, families=("sandwich_inner", "sandwich_expansion")
+            )
+            inner = [r for r in reports if r.lemma == "sandwich_inner"]
             assert inner and all(r.passed for r in inner), [
                 r.params for r in inner if not r.passed
             ][:3]
-            expansion = sweep_sandwich_expansion(rank, max_total=6)
+            expansion = [r for r in reports if r.lemma == "sandwich_expansion"]
             assert expansion and all(r.passed for r in expansion), [
                 r.params for r in expansion if not r.passed
             ][:3]
@@ -102,7 +101,7 @@ def test_criterion_3_sandwich_inner_and_expansion():
 def test_criterion_4_pairing_case_formula():
     def check():
         for rank in RANKS:
-            reports = sweep_pairing_cases(rank, max_total=6)
+            reports = run_identity_sweep(rank, max_total=6, families=("pairing_cases",))
             assert reports and all(r.passed for r in reports), [
                 r.params for r in reports if not r.passed
             ][:3]
@@ -129,7 +128,7 @@ def test_criterion_5_spectral_oracle():
                         params,
                         tol=1e-10,
                     )
-                    expected = chi_norm_sq_exact(n, rank) if n == m else 0.0
+                    expected = chi_support_size(n, rank) if n == m else 0.0
                     assert abs(gram - expected) <= 1e-8, (rank, n, m)
 
     run_criterion(5, "quadrature moments and Gram matrix", 30.0, check)

@@ -8,14 +8,13 @@ from radialmasa.algebra import (
     GroupAlgebraElement,
     InversionEigenvector,
     chi,
-    chi_norm_sq_exact,
     chi_support_size,
     inner_product,
     multiply,
     radial_moment_exact,
-    sandwich_project,
 )
 from radialmasa.errors import RankMismatchError, ResourceCapError
+from radialmasa.identities import _SandwichCache
 from radialmasa.words import EMPTY, words_of_length
 
 
@@ -134,7 +133,7 @@ def test_chi_orthogonality_exact():
         cs = {n: chi(n, rank) for n in range(7)}
         for n in range(1, 7):
             for m in range(1, 7):
-                expected = chi_norm_sq_exact(n, rank) if n == m else 0
+                expected = chi_support_size(n, rank) if n == m else 0
                 assert inner_product(cs[n], cs[m]) == expected
 
 
@@ -182,7 +181,7 @@ def test_project_length_sandwich_norm():
     v = beta_minus()
     full = multiply(multiply(chi(2, 2), v.element), chi(1, 2))
     comp = full.project_length(4)
-    assert comp == sandwich_project(v.element, 2, 1)
+    assert comp == _SandwichCache(2).component(v, 0, 2, 1)
     assert inner_product(comp, comp) == 27 * v.norm_sq()
 
 
@@ -191,26 +190,29 @@ def test_project_length_sandwich_norm():
 
 def test_sandwich_identity_component():
     v = beta_minus()
-    assert sandwich_project(v.element, 0, 0) == v.element
+    assert _SandwichCache(2).component(v, 0, 0, 0) == v.element
 
 
 def test_sandwich_negative_indices_vanish():
     v = beta_minus()
+    cache = _SandwichCache(2)
     for r, s in [(-1, 3), (3, -1), (-2, -2), (-1, 0)]:
-        assert sandwich_project(v.element, r, s).is_zero()
+        assert cache.component(v, 0, r, s).is_zero()
 
 
 def test_sandwich_rejects_inhomogeneous():
+    # components are built only from InversionEigenvector, which admits length-one support only
     x = element(2, {(1,): 1, (1, 2): 1})
     with pytest.raises(ValueError):
-        sandwich_project(x, 1, 1)
+        _SandwichCache(2).component(InversionEigenvector(x, -1), 0, 1, 1)
 
 
 def test_sandwich_shifted_inner_product():
     # <v_{1,2}, v_{2,1}> = (2N-1)^3 * (2N-1)^-1 * |v|^2 for the sign -1 vector
     v = beta_minus()
-    a = sandwich_project(v.element, 1, 2)
-    b = sandwich_project(v.element, 2, 1)
+    cache = _SandwichCache(2)
+    a = cache.component(v, 0, 1, 2)
+    b = cache.component(v, 0, 2, 1)
     assert inner_product(a, b) == Fraction(27, 3) * 2
 
 

@@ -60,6 +60,44 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg_file)]) == 2
 
 
+def one_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+def test_env_cap_not_integer_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RADIAL_MASA_CAP", "abc")
+    assert main(["verify", "--rank", "2", "--max-total", "1"]) == 2
+    assert "RADIAL_MASA_CAP" in one_stderr_line(capsys)
+    # a valid value is checked but not stored: the report keeps the flag's value
+    monkeypatch.setenv("RADIAL_MASA_CAP", "1000")
+    code, payload = run_json(tmp_path, ["verify", "--rank", "2", "--max-total", "1"])
+    assert code == 0
+    assert payload["config"]["cap"] is None
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_tolerance_must_be_finite_and_positive(value, capsys):
+    assert main(["moments", "--rank", "2", "--max-moment", "2", "--tol", f"moment={value}"]) == 2
+    assert "moment" in one_stderr_line(capsys)
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["moments", "--rank", "2", "--max-moment", "2", "--out", str(out)]) == 2
+    one_stderr_line(capsys)
+    assert not out.parent.exists()
+
+
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--rank", "2", "--max-total", "1", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "--jobs" in one_stderr_line(capsys)
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -88,21 +126,6 @@ def test_verify_cap_exhaustion(tmp_path, capsys):
 def test_verify_env_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("RADIAL_MASA_CAP", "100")
     assert main(["verify", "--rank", "2", "--max-total", "4"]) == 2
-
-
-def test_verify_parallel_matches_serial(tmp_path):
-    code1, serial = run_json(
-        tmp_path, ["verify", "--rank", "2", "--max-total", "2"], "serial.json"
-    )
-    code2, parallel = run_json(
-        tmp_path, ["verify", "--rank", "2", "--max-total", "2", "--jobs", "2"],
-        "parallel.json",
-    )
-    assert code1 == code2 == 0
-    a, b = strip_timing(serial), strip_timing(parallel)
-    a["config"].pop("jobs"), a["config"].pop("output_path")
-    b["config"].pop("jobs"), b["config"].pop("output_path")
-    assert a == b
 
 
 def test_verify_deterministic(tmp_path):

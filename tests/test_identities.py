@@ -1,26 +1,37 @@
 import json
 from fractions import Fraction
 
-from radialmasa.algebra import chi, inner_product, multiply, sandwich_project
+from radialmasa.algebra import chi, inner_product, multiply
+from radialmasa.cli import main
 from radialmasa.identities import (
     CheckReport,
+    _SandwichCache,
     degree_pairs,
+    expansion_block,
     fraction_str,
+    inner_block,
+    pairing_block,
     pairing_closed,
     run_identity_sweep,
     sandwich_expansion_indices,
     sandwich_inner_closed,
     standard_test_vectors,
-    sweep_tasks,
-    run_sweep_task,
-    verify_pairing_cases,
-    verify_sandwich_expansion,
-    verify_sandwich_inner,
 )
 
 
 def vec(rank, sign, idx=0):
     return standard_test_vectors(rank)[sign][idx]
+
+
+def vec_index(sign, idx=0):
+    # the sweep numbers the two sign -1 vectors first, then the sign +1 ones
+    return (0 if sign == -1 else 2) + idx
+
+
+def row(reports, **params):
+    """The one report of a block whose params include ``params``."""
+    (match,) = [r for r in reports if params.items() <= r.params.items()]
+    return match
 
 
 def test_standard_vectors_satisfy_hypotheses():
@@ -45,23 +56,24 @@ def test_minus_vectors_independent():
 
 def test_inner_closed_known_value():
     v = vec(2, -1)
+    cache = _SandwichCache(2)
     # brute force first: oracle value computed in the group algebra
-    lhs = inner_product(sandwich_project(v.element, 1, 1), sandwich_project(v.element, 2, 0))
+    lhs = inner_product(cache.component(v, 0, 1, 1), cache.component(v, 0, 2, 0))
     assert lhs == 6
     assert sandwich_inner_closed(v, v, 1, 1, 2, 0) == 6
 
 
 def test_inner_closed_sign_mismatch_is_zero():
-    vm = vec(2, -1)
-    vp = vec(2, 1)
-    report = verify_sandwich_inner(vm, vp, 1, 1, 1, 1)
+    block = inner_block(_SandwichCache(2), 2, vec_index(-1), vec_index(1))
+    report = row(block, n=1, m=1, n2=1, m2=1)
+    assert (report.params["sign"], report.params["sign2"]) == (-1, 1)
     assert report.passed
     assert report.lhs == "0/1"
 
 
 def test_inner_closed_degree_mismatch_is_zero():
-    v = vec(2, -1)
-    report = verify_sandwich_inner(v, v, 2, 1, 1, 1)
+    block = inner_block(_SandwichCache(2), 3, vec_index(-1), vec_index(-1))
+    report = row(block, n=2, m=1, n2=1, m2=1)
     assert report.passed
     assert report.lhs == "0/1"
 
@@ -69,12 +81,12 @@ def test_inner_closed_degree_mismatch_is_zero():
 def test_inner_alternates_for_plus_sign():
     # sign +1 makes the geometric factor alternate: 3**(n+m) * (-3)**-|n-n2|
     v = vec(2, 1)
-    brute = inner_product(
-        sandwich_project(v.element, 1, 0), sandwich_project(v.element, 0, 1)
-    )
+    cache = _SandwichCache(2)
+    brute = inner_product(cache.component(v, 0, 1, 0), cache.component(v, 0, 0, 1))
     assert brute == -v.norm_sq()
     assert sandwich_inner_closed(v, v, 1, 0, 0, 1) == brute
-    report = verify_sandwich_inner(v, v, 1, 0, 0, 1)
+    block = inner_block(cache, 1, vec_index(1), vec_index(1))
+    report = row(block, n=1, m=0, n2=0, m2=1)
     assert report.passed
 
 
@@ -82,8 +94,7 @@ def test_inner_alternates_for_plus_sign():
 
 
 def test_expansion_trivial_case():
-    v = vec(2, -1)
-    report = verify_sandwich_expansion(v, 0, 0)
+    report = row(expansion_block(_SandwichCache(2), 0, vec_index(-1)), n=0, m=0)
     assert report.passed
 
 
@@ -96,9 +107,9 @@ def test_expansion_indices_one_one():
 def test_expansion_direct_small_cases():
     for rank in (2, 3):
         for sign in (-1, 1):
-            v = vec(rank, sign)
+            block = expansion_block(_SandwichCache(rank), 5, vec_index(sign))
             for n, m in [(1, 1), (3, 2), (0, 4)]:
-                report = verify_sandwich_expansion(v, n, m)
+                report = row(block, n=n, m=m)
                 assert report.passed, report.params
 
 
@@ -121,9 +132,9 @@ def test_pairing_case_values():
 def test_pairing_brute_force_matches():
     for rank in (2, 3):
         for sign in (-1, 1):
-            v = vec(rank, sign)
+            block = pairing_block(_SandwichCache(rank), 4, vec_index(sign))
             for n, m in [(0, 0), (1, 1), (2, 0), (2, 2), (2, 1), (3, 1), (4, 0)]:
-                report = verify_pairing_cases(v, n, m)
+                report = row(block, n=n, m=m)
                 assert report.passed, report.params
 
 
@@ -152,18 +163,13 @@ def test_small_sweep_all_pass():
     assert all(r.passed for r in reports)
 
 
-def test_sweep_tasks_cover_sweep():
-    tasks = sweep_tasks(2, 3)
-    from_tasks = [r for task in tasks for r in run_sweep_task(task)]
-    direct = run_identity_sweep(2, max_total=3)
-    assert len(from_tasks) == len(direct)
-    key = lambda r: (r.lemma, json.dumps(r.params, sort_keys=True))
-    assert sorted(map(key, from_tasks)) == sorted(map(key, direct))
-
-
-def test_perturbed_sweep_fails():
-    reports = run_identity_sweep(2, max_total=2, perturb=True)
-    assert any(not r.passed for r in reports)
+def test_verify_report_matches_sweep(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--rank", "2", "--max-total", "3", "--out", str(out)]) == 0
+    untimed = lambda check: {k: v for k, v in check.items() if k != "elapsed_ms"}
+    reported = [untimed(c) for c in json.loads(out.read_text())["checks"]]
+    direct = [untimed(r.to_json_dict()) for r in run_identity_sweep(2, max_total=3)]
+    assert reported == direct
 
 
 def test_report_serialization():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from radialmasa.algebra import chi_norm_sq_exact, radial_moment_exact
+from radialmasa.algebra import chi_support_size, radial_moment_exact
 from radialmasa.errors import QuadratureError
 from radialmasa.spectral import (
     AngleCoordinate,
@@ -263,7 +263,7 @@ def test_gram_matrix():
                     params,
                     tol=1e-10,
                 )
-                expected = chi_norm_sq_exact(n, params.rank) if n == m else 0
+                expected = chi_support_size(n, params.rank) if n == m else 0
                 assert abs(val - expected) <= 1e-8, (n, m, params.rank)
 
 

@@ -4,14 +4,20 @@ Elements are finitely supported maps from reduced words to exact rational
 coefficients.  Coefficients are Python ints or ``fractions.Fraction``
 (ints whenever the value is integral, which keeps the hot loops fast);
 floats are rejected so every identity can be checked with equality.
+
+``GradedVector`` holds the same data by word length, one exact coefficient
+array per length, so that inner products become array dot products.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
+
+import numpy as np
 
 from .errors import RankMismatchError, ResourceCapError
 from .words import (
@@ -51,6 +57,15 @@ def _as_exact(value) -> int | Fraction:
     return frac.numerator if frac.denominator == 1 else frac
 
 
+def _nonzero(terms: Mapping[Word, int | Fraction]) -> dict[Word, int | Fraction]:
+    """Drop zeros and turn integral Fractions into ints; the values are already exact."""
+    return {
+        w: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for w, c in terms.items()
+        if c
+    }
+
+
 class GroupAlgebraElement:
     """A finitely supported rational combination of reduced words.
 
@@ -75,6 +90,17 @@ class GroupAlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupAlgebraElement is immutable")
+
+    @classmethod
+    def _trusted(cls, rank: int, terms: Mapping[Word, int | Fraction]) -> "GroupAlgebraElement":
+        """Build from coefficients that are already exact, skipping ``_as_exact``.
+
+        For the results of the arithmetic below, whose inputs were validated.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rank", rank)
+        object.__setattr__(obj, "terms", _nonzero(terms))
+        return obj
 
     # -- constructors -------------------------------------------------
 
@@ -141,7 +167,7 @@ class GroupAlgebraElement:
         acc = dict(self.terms)
         for word, coeff in other.terms.items():
             acc[word] = acc.get(word, 0) + coeff
-        return GroupAlgebraElement(self.rank, acc)
+        return GroupAlgebraElement._trusted(self.rank, acc)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if not isinstance(other, GroupAlgebraElement):
@@ -150,16 +176,18 @@ class GroupAlgebraElement:
         acc = dict(self.terms)
         for word, coeff in other.terms.items():
             acc[word] = acc.get(word, 0) - coeff
-        return GroupAlgebraElement(self.rank, acc)
+        return GroupAlgebraElement._trusted(self.rank, acc)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.rank, {w: -c for w, c in self.terms.items()})
+        return GroupAlgebraElement._trusted(self.rank, {w: -c for w, c in self.terms.items()})
 
     def scale(self, scalar: Rational) -> "GroupAlgebraElement":
         exact = _as_exact(scalar)
         if not exact:
             return GroupAlgebraElement.zero(self.rank)
-        return GroupAlgebraElement(self.rank, {w: c * exact for w, c in self.terms.items()})
+        return GroupAlgebraElement._trusted(
+            self.rank, {w: c * exact for w, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
@@ -173,7 +201,9 @@ class GroupAlgebraElement:
 
     def adjoint(self) -> "GroupAlgebraElement":
         """Each word inverted; rational coefficients are their own conjugates."""
-        return GroupAlgebraElement(self.rank, {word_inverse(w): c for w, c in self.terms.items()})
+        return GroupAlgebraElement._trusted(
+            self.rank, {word_inverse(w): c for w, c in self.terms.items()}
+        )
 
     def trace(self) -> int | Fraction:
         """Coefficient of the empty word."""
@@ -187,7 +217,7 @@ class GroupAlgebraElement:
 
     def project_length(self, length: int) -> "GroupAlgebraElement":
         """Keep exactly the terms whose word length equals ``length``."""
-        return GroupAlgebraElement(
+        return GroupAlgebraElement._trusted(
             self.rank, {w: c for w, c in self.terms.items() if len(w) == length}
         )
 
@@ -210,7 +240,7 @@ def multiply(
             w = word_concat(wx, wy)
             prev = get(w)
             acc[w] = cx * cy if prev is None else prev + cx * cy
-    return GroupAlgebraElement(x.rank, acc)
+    return GroupAlgebraElement._trusted(x.rank, acc)
 
 
 def inner_product(x: GroupAlgebraElement, y: GroupAlgebraElement) -> int | Fraction:
@@ -243,7 +273,169 @@ def chi(n: int, rank: int, cap: int | None = None) -> GroupAlgebraElement:
     limit = active_cap(cap)
     if size > limit:
         raise ResourceCapError(f"chi({n}) has {size} terms, cap is {limit}")
-    return GroupAlgebraElement(rank, {w: 1 for w in words_of_length(n, rank)})
+    return GroupAlgebraElement._trusted(rank, {w: 1 for w in words_of_length(n, rank)})
+
+
+# ----------------------------------------------------------------------
+# graded coefficient vectors
+# ----------------------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def _exact_array(values: list) -> np.ndarray:
+    """int64 when every value is an int that fits, else an object array of the values."""
+    if set(map(type, values)) <= {int} and max(map(abs, values), default=0) <= INT64_MAX:
+        return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _word_positions(digits: np.ndarray, rank: int) -> np.ndarray:
+    """Position in ``words_of_length`` order of each word, given one row of
+    letter digits per word.
+
+    A letter's digit is its index in the alphabet a1, a1^-1, a2, a2^-1, ...,
+    so ``d ^ 1`` is the digit of its inverse.  Every letter after the first
+    skips the inverse of the letter before it, so a word of length L reads as
+    a number with a leading digit below 2N and L - 1 digits in base 2N - 1.
+    """
+    base = 2 * rank - 1
+    pos = np.zeros(len(digits), dtype=np.int64)
+    for col in range(digits.shape[1]):
+        d = digits[:, col]
+        if col:
+            d = d - (d > (digits[:, col - 1] ^ 1))
+        pos = pos * base + d
+    return pos
+
+
+def _exact_dot(a: np.ndarray, a_bound: int | None, b: np.ndarray, b_bound: int | None):
+    # |sum a_i b_i| <= max|a| max|b| len, and so is every partial sum
+    if a_bound is not None and b_bound is not None and a_bound * b_bound * len(a) <= INT64_MAX:
+        return int(np.dot(a, b))
+    return np.dot(a.astype(object), b.astype(object))
+
+
+class GradedVector:
+    """An element stored by word length, for exact inner products by array.
+
+    For each occupied length L, ``parts[L]`` is one coefficient array of
+    ``chi_support_size(L, rank)`` entries indexed by word position, in
+    ``words_of_length`` order.  A part is int64 when its entries fit and an
+    object array of ints and Fractions otherwise; ``bounds[L]`` is the largest
+    entry magnitude of an int64 part and None for an object part.  Sums and
+    dot products run in int64 only when these bounds prove that nothing can
+    overflow, and in Python arithmetic otherwise, so every result is exact and
+    no float is involved.  No part is all zero.
+    """
+
+    __slots__ = ("rank", "parts", "bounds")
+
+    def __init__(self, rank: int, parts: Mapping[int, np.ndarray] | None = None):
+        self.rank = rank
+        self.parts: dict[int, np.ndarray] = {}
+        self.bounds: dict[int, int | None] = {}
+        for length, part in (parts or {}).items():
+            if part.dtype != np.int64 and part.dtype != object:
+                raise TypeError(f"parts must be int64 or exact object arrays, got {part.dtype}")
+            if part.dtype == object:
+                if np.count_nonzero(part):
+                    self.parts[length], self.bounds[length] = part, None
+            else:
+                bound = int(np.abs(part).max())
+                if bound:
+                    self.parts[length], self.bounds[length] = part, bound
+
+    @classmethod
+    def from_element(cls, x: GroupAlgebraElement, cap: int | None = None) -> "GradedVector":
+        """The graded form of ``x``.  A part longer than the cap raises
+        ResourceCapError, as a product with that many word pairs would."""
+        limit = active_cap(cap)
+        words = list(x.terms)
+        lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        letters = np.fromiter(chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum()))
+        digits = 2 * (np.abs(letters) - 1) + (letters < 0)
+        starts = np.cumsum(lengths) - lengths
+        coeffs = _exact_array(list(x.terms.values()))
+        parts = {}
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
+            size = chi_support_size(length, x.rank)
+            if size > limit:
+                raise ResourceCapError(
+                    f"a length-{length} vector has {size} entries, cap is {limit}"
+                )
+            rows = np.flatnonzero(lengths == length)
+            word_digits = digits[starts[rows, None] + np.arange(length)]
+            part = np.zeros(size, dtype=coeffs.dtype)
+            part[_word_positions(word_digits, x.rank)] = coeffs[rows]
+            parts[length] = part
+        return cls(x.rank, parts)
+
+    @classmethod
+    def combination(
+        cls, rank: int, terms: Iterable[tuple[Rational, "GradedVector"]]
+    ) -> "GradedVector":
+        """The sum of ``coeff * x`` over ``terms``, exactly."""
+        by_length: dict[int, list] = {}
+        for coeff, x in terms:
+            if x.rank != rank:
+                raise RankMismatchError(f"rank mismatch: {rank} vs {x.rank}")
+            coeff = _as_exact(coeff)
+            if coeff:
+                for length, part in x.parts.items():
+                    by_length.setdefault(length, []).append((coeff, part, x.bounds[length]))
+        parts = {}
+        for length, items in by_length.items():
+            fits = all(type(c) is int and b is not None for c, _, b in items) and (
+                sum(abs(c) * b for c, _, b in items) <= INT64_MAX
+            )
+            acc = np.zeros(chi_support_size(length, rank), dtype=np.int64 if fits else object)
+            for coeff, part, _ in items:
+                acc += coeff * (part if fits else part.astype(object))
+            parts[length] = acc
+        return cls(rank, parts)
+
+    def project_length(self, length: int) -> "GradedVector":
+        """The part of word length ``length``, sharing its array."""
+        out = GradedVector(self.rank)
+        if length in self.parts:
+            out.parts[length] = self.parts[length]
+            out.bounds[length] = self.bounds[length]
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def __len__(self) -> int:
+        """Number of nonzero coefficients, as for ``GroupAlgebraElement``."""
+        return sum(np.count_nonzero(part) for part in self.parts.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedVector):
+            return NotImplemented
+        return (
+            self.rank == other.rank
+            and self.parts.keys() == other.parts.keys()
+            and all(np.array_equal(part, other.parts[n]) for n, part in self.parts.items())
+        )
+
+    def inner(self, other: "GradedVector") -> int | Fraction:
+        """The same pairing as ``inner_product``: words of different lengths
+        never meet, so only the parts of a shared length contribute."""
+        if self.rank != other.rank:
+            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
+        total = 0
+        for length, part in self.parts.items():
+            if length in other.parts:
+                total += _exact_dot(
+                    part, self.bounds[length], other.parts[length], other.bounds[length]
+                )
+        return total
+
+    def norm_sq(self) -> int | Fraction:
+        return self.inner(self)
 
 
 def radial_moment_exact(k: int, rank: int, cap: int | None = None) -> int | Fraction:

@@ -46,6 +46,25 @@ DEFAULT_TOLERANCES = {
     "moments": {"moment": 1e-8},
 }
 
+# Every option that a flag or a --config file can set, with the type of its
+# value.  Both sources go through this table: the scalar flags parse with
+# these types and config-file values must have them.  scan_tols is a list of
+# numbers (flag: T1,T2,...) and tolerances a map of name to number (flag:
+# NAME=VALUE, repeated).
+OPTION_TYPES = {
+    "rank": int,
+    "grid_n": int,
+    "truncation": int,
+    "max_total": int,
+    "max_moment": int,
+    "cap": int,
+    "output_path": str,
+    "format": str,
+    "method": str,
+    "scan_tols": list,
+    "tolerances": dict,
+}
+
 
 @dataclass
 class RunConfig:
@@ -74,6 +93,8 @@ class RunConfig:
             raise ValueError("grid must be positive")
         if self.command == "scan" and self.grid_n < 16:
             raise ValueError("scan needs a grid of at least 16")
+        if self.command == "scan" and not self.scan_tols:
+            raise ValueError("scan needs at least one threshold in scan_tols")
         if self.truncation < 2:
             raise ValueError("truncation must be at least 2")
         if self.format not in ("csv", "json"):
@@ -82,7 +103,13 @@ class RunConfig:
             raise ValueError(f"method must be closed, series or both, got {self.method!r}")
         if self.max_total < 0 or self.max_moment < 0:
             raise ValueError("sweep bounds must be nonnegative")
+        known = DEFAULT_TOLERANCES[self.command]
         for name, value in self.tolerances.items():
+            if name not in known:
+                raise ValueError(
+                    f"unknown tolerance {name!r} for {self.command} "
+                    f"(known: {', '.join(sorted(known)) or 'none'})"
+                )
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         # parsed again where it is used; the report keeps config.cap as given
@@ -316,37 +343,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radialmasa",
         description="Exact and numerical checks for the radial subalgebra toolkit.",
     )
+
+    def option(p, flag, dest, **kwargs):
+        p.add_argument(flag, dest=dest, type=OPTION_TYPES[dest], default=None, **kwargs)
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank", type=int, default=None, help="number of free generators (>= 2)")
-    common.add_argument("--grid", type=int, default=None, dest="grid_n", help="grid points per axis")
-    common.add_argument("--truncation", type=int, default=None, help="series truncation order")
+    option(common, "--rank", "rank", help="number of free generators (>= 2)")
+    option(common, "--grid", "grid_n", help="grid points per axis")
+    option(common, "--truncation", "truncation", help="series truncation order")
     common.add_argument("--tol", type=_parse_tol, action="append", default=None,
-                        metavar="NAME=VALUE", help="named tolerance (repeatable)")
-    common.add_argument("--out", type=str, default=None, dest="output_path",
-                        help="output path (default: stdout)")
-    common.add_argument("--format", type=str, default=None, choices=("csv", "json"))
+                        dest="tolerances", metavar="NAME=VALUE",
+                        help="named tolerance (repeatable)")
+    option(common, "--out", "output_path", help="output path (default: stdout)")
+    option(common, "--format", "format", choices=("csv", "json"))
     common.add_argument("--config", type=str, default=None, help="JSON file with option overrides")
-    common.add_argument("--cap", type=int, default=None,
-                        help="term-pair cap (overrides $RADIAL_MASA_CAP)")
+    option(common, "--cap", "cap", help="term-pair cap (overrides $RADIAL_MASA_CAP)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="exact identity sweeps in the group algebra")
-    p_verify.add_argument("--max-total", type=int, default=None, dest="max_total",
-                          help="largest n+m in the sweeps")
+    option(p_verify, "--max-total", "max_total", help="largest n+m in the sweeps")
     p_verify.add_argument("--inject-error", action="store_true", dest="inject_error",
                           help="test mode: corrupt one check to confirm failures are caught")
 
     p_density = sub.add_parser("density", parents=[common],
                                help="evaluate the left-right density on a grid")
-    p_density.add_argument("--method", type=str, default=None,
-                           choices=("closed", "series", "both"))
+    option(p_density, "--method", "method", choices=("closed", "series", "both"))
 
     p_pairing = sub.add_parser("pairing", parents=[common],
                                help="exact / case / quadrature pairing agreement")
-    p_pairing.add_argument("--max-total", type=int, default=None, dest="max_total",
-                           help="largest j+k in the pairing sweep")
+    option(p_pairing, "--max-total", "max_total", help="largest j+k in the pairing sweep")
 
     p_scan = sub.add_parser("scan", parents=[common], help="near-zero census of the density")
     p_scan.add_argument("--scan-tols", type=_parse_scan_tols, default=None, dest="scan_tols",
@@ -354,10 +381,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_moments = sub.add_parser("moments", parents=[common],
                                help="quadrature moments against exact walk counts")
-    p_moments.add_argument("--max-moment", type=int, default=None, dest="max_moment",
-                           help="largest moment order")
+    option(p_moments, "--max-moment", "max_moment", help="largest moment order")
 
     return parser
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _file_value(key: str, value):
+    """A --config file value, checked against its type in OPTION_TYPES."""
+    kind = OPTION_TYPES[key]
+    if kind is list:
+        if not isinstance(value, list):
+            raise ValueError(f"config key {key!r} must be a list of numbers, got {value!r}")
+        return tuple(_number(f"config key {key!r} entry", v) for v in value)
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must map names to numbers, got {value!r}")
+        return {name: _number(f"tolerance {name!r}", v) for name, v in value.items()}
+    if value is None and getattr(RunConfig, key) is None:
+        return None
+    # type(), not isinstance(): JSON true and false are bools, and bool is an int
+    if type(value) is not kind:
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _set_option(cfg: RunConfig, key: str, value) -> None:
+    if key == "tolerances":
+        cfg.tolerances.update(value)  # a map from the file, name=value pairs from flags
+    else:
+        setattr(cfg, key, value)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -373,24 +431,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_opts, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in file_opts.items():
-            if key == "tolerances":
-                cfg.tolerances.update({str(k): float(v) for k, v in value.items()})
-            elif key == "scan_tols":
-                cfg.scan_tols = tuple(float(v) for v in value)
-            elif key in {f.name for f in fields(RunConfig)}:
-                setattr(cfg, key, value)
-            else:
+            if key not in OPTION_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
+            _set_option(cfg, key, _file_value(key, value))
 
-    for key in ("rank", "grid_n", "truncation", "output_path", "format", "cap",
-                "max_total", "max_moment", "method"):
+    for key in OPTION_TYPES:
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "scan_tols", None) is not None:
-        cfg.scan_tols = args.scan_tols
-    if getattr(args, "tol", None):
-        cfg.tolerances.update(dict(args.tol))
+            _set_option(cfg, key, value)
     if getattr(args, "inject_error", False):
         cfg.inject_error = True
 

@@ -247,10 +247,15 @@ def density_closed(t: float, s: float, params: SpectralParams) -> DensityPoint:
 # ----------------------------------------------------------------------
 
 
-def pairing_exact(j: int, k: int, rank: int, cap: int | None = None) -> Fraction:
-    """<chi_j v chi_k, v> / |v|^2 computed in the group algebra (sign -1 vector)."""
+def pairing_exact(
+    j: int, k: int, rank: int, cap: int | None = None, _cache: _SandwichCache | None = None
+) -> Fraction:
+    """<chi_j v chi_k, v> / |v|^2 computed in the group algebra (sign -1 vector).
+
+    A sweep passes one ``_cache`` to every call so each chi_n is built once.
+    """
     v = standard_test_vectors(rank)[-1][0]
-    prod = _SandwichCache(rank, cap).triple_product(v, j, k)
+    prod = (_cache or _SandwichCache(rank, cap)).triple_product(v, j, k)
     return Fraction(inner_product(prod, v.element)) / Fraction(v.norm_sq())
 
 
@@ -295,10 +300,11 @@ def pairing_check(
     tol: float = 1e-6,
     cap: int | None = None,
     _quad: _DensityQuadrature | None = None,
+    _cache: _SandwichCache | None = None,
 ) -> PairingReport:
     """Compare the three routes to the pairing value; exact equality on the
     algebraic side, tolerance on the quadrature side."""
-    value_exact = pairing_exact(j, k, params.rank, cap)
+    value_exact = pairing_exact(j, k, params.rank, cap, _cache)
     value_case = pairing_closed(-1, j, k, Fraction(1))
     quad = _quad or _DensityQuadrature(params)
     value_quad = quad.chi_pair_integral(j, k, tol / 2.0)
@@ -312,12 +318,16 @@ def pairing_check(
 def pairing_sweep(
     params: SpectralParams, max_total: int = 6, tol: float = 1e-6, cap: int | None = None
 ) -> list[PairingReport]:
-    """All pairing checks with j + k <= max_total, sharing one quadrature."""
+    """All pairing checks with j + k <= max_total, sharing one quadrature and
+    one sandwich cache."""
     quad = _DensityQuadrature(params)
+    cache = _SandwichCache(params.rank, cap)
     reports = []
     for total in range(max_total + 1):
         for j in range(total + 1):
-            reports.append(pairing_check(j, total - j, params, tol, cap, _quad=quad))
+            reports.append(
+                pairing_check(j, total - j, params, tol, cap, _quad=quad, _cache=cache)
+            )
     return reports
 
 

@@ -13,7 +13,18 @@ computation against a closed form, with exact rational equality:
 The brute force side is always the oracle; the closed forms never feed
 back into it.  ``run_identity_sweep`` is the one driver: it runs one block
 of checks per test vector (or ordered pair of them) for each family, and
-every block draws its sandwich components from one shared cache.
+every block draws from one shared cache.
+
+The cache multiplies out each triple product chi_r v chi_s once per sweep,
+in the group algebra, and keeps it as a ``GradedVector``: one exact
+coefficient array per word length, indexed by word position.  The component
+v_{r,s} is the top-length array of its triple, an inner product is a dot of
+same-length arrays (words of different lengths are orthogonal), and the
+expansion check compares two graded vectors length by length.  This changes
+only how the brute-force values are stored and summed, not where they come
+from: every coefficient is still the one the word-by-word product gives,
+held as an int or a Fraction (int64 only where a bound rules out overflow),
+so the oracle is still the group algebra and equality is still exact.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from itertools import product
 from numbers import Rational
 
 from .algebra import (
+    GradedVector,
     GroupAlgebraElement,
     InversionEigenvector,
     chi,
@@ -61,7 +73,7 @@ class CheckReport:
         }
 
 
-def _element_digest(x: GroupAlgebraElement) -> str:
+def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:
     # Stable summary for element-valued sides; equal elements get equal digests.
     return f"{len(x)} terms, norm_sq={fraction_str(x.norm_sq())}"
 
@@ -155,13 +167,20 @@ def sandwich_expansion_indices(sign: int, n: int, m: int) -> list[tuple[int, int
 
 
 class _SandwichCache:
-    """chi_n and sandwich components for one sweep; carries its rank and cap."""
+    """chi_n and the triple products chi_r v chi_s of one sweep; carries its rank and cap.
+
+    Each triple is multiplied out once and kept as a ``GradedVector`` under
+    ``(key, r, s)``, where ``key`` names ``v``.  Its top length r + s + 1 is
+    the component v_{r,s}; its lower lengths serve the expansion and pairing
+    checks.
+    """
 
     def __init__(self, rank: int, cap: int | None = None):
         self.rank = rank
         self.cap = cap
         self._chi: dict[int, GroupAlgebraElement] = {}
-        self._components: dict[tuple[int, int, int], GroupAlgebraElement] = {}
+        # (key, r, s) -> chi_r v chi_s, whose top length is the component v_{r,s}
+        self._components: dict[tuple[int, int, int], GradedVector] = {}
 
     def chi(self, n: int) -> GroupAlgebraElement:
         if n not in self._chi:
@@ -169,21 +188,24 @@ class _SandwichCache:
         return self._chi[n]
 
     def triple_product(self, v: InversionEigenvector, n: int, m: int) -> GroupAlgebraElement:
-        """chi_n v chi_m, exactly."""
+        """chi_n v chi_m, exactly, built afresh on every call."""
         left = multiply(self.chi(n), v.element, self.cap)
         return multiply(left, self.chi(m), self.cap)
 
-    def component(self, v: InversionEigenvector, key: int, r: int, s: int) -> GroupAlgebraElement:
-        """v_{r,s} = q_{r+s+1}(chi_r v chi_s), zero when an index is negative.
-
-        ``key`` names ``v`` in the cache.
-        """
-        if r < 0 or s < 0:
-            return GroupAlgebraElement.zero(self.rank)
-        k = (key, r, s)
+    def triple(self, v: InversionEigenvector, key: int, n: int, m: int) -> GradedVector:
+        """chi_n v chi_m by length, built once per ``(key, n, m)``."""
+        k = (key, n, m)
         if k not in self._components:
-            self._components[k] = self.triple_product(v, r, s).project_length(r + s + 1)
+            self._components[k] = GradedVector.from_element(
+                self.triple_product(v, n, m), self.cap
+            )
         return self._components[k]
+
+    def component(self, v: InversionEigenvector, key: int, r: int, s: int) -> GradedVector:
+        """v_{r,s} = q_{r+s+1}(chi_r v chi_s), zero when an index is negative."""
+        if r < 0 or s < 0:
+            return GradedVector(self.rank)
+        return self.triple(v, key, r, s).project_length(r + s + 1)
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +231,12 @@ def inner_block(
     vectors = all_test_vectors(rank)
     v, v2 = vectors[vec_i], vectors[vec_j]
     pairs = degree_pairs(max_total)
+    left = {(n, m): cache.component(v, vec_i, n, m) for n, m in pairs}
+    right = {(n, m): cache.component(v2, vec_j, n, m) for n, m in pairs}
     reports = []
     for (n, m), (n2, m2) in product(pairs, repeat=2):
         t0 = time.perf_counter()
-        lhs = inner_product(cache.component(v, vec_i, n, m), cache.component(v2, vec_j, n2, m2))
+        lhs = left[n, m].inner(right[n2, m2])
         rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
         reports.append(
             CheckReport(
@@ -236,10 +260,12 @@ def expansion_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[C
     reports = []
     for n, m in degree_pairs(max_total):
         t0 = time.perf_counter()
-        lhs = cache.triple_product(v, n, m)
-        rhs = GroupAlgebraElement.zero(rank)
-        for coeff, r, s in sandwich_expansion_indices(v.sign, n, m):
-            rhs = rhs + cache.component(v, vec_i, r, s).scale(coeff)
+        lhs = cache.triple(v, vec_i, n, m)
+        rhs = GradedVector.combination(
+            rank,
+            [(coeff, cache.component(v, vec_i, r, s))
+             for coeff, r, s in sandwich_expansion_indices(v.sign, n, m)],
+        )
         reports.append(
             CheckReport(
                 lemma="sandwich_expansion",
@@ -258,10 +284,11 @@ def pairing_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[Che
     test vector."""
     rank = cache.rank
     v = all_test_vectors(rank)[vec_i]
+    v_graded = GradedVector.from_element(v.element)
     reports = []
     for n, m in degree_pairs(max_total):
         t0 = time.perf_counter()
-        lhs = inner_product(cache.triple_product(v, n, m), v.element)
+        lhs = cache.triple(v, vec_i, n, m).inner(v_graded)
         rhs = pairing_closed(v.sign, n, m, v.norm_sq())
         reports.append(
             CheckReport(

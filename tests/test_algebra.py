@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialmasa.algebra import (
+    INT64_MAX,
+    GradedVector,
     GroupAlgebraElement,
     InversionEigenvector,
     chi,
@@ -14,7 +16,7 @@ from radialmasa.algebra import (
     radial_moment_exact,
 )
 from radialmasa.errors import RankMismatchError, ResourceCapError
-from radialmasa.identities import _SandwichCache
+from radialmasa.identities import _SandwichCache, _element_digest
 from radialmasa.words import EMPTY, words_of_length
 
 
@@ -54,6 +56,11 @@ def test_rank_mismatch():
         multiply(chi(1, 2), chi(1, 3))
     with pytest.raises(RankMismatchError):
         inner_product(chi(1, 2), chi(1, 3))
+    g2, g3 = GradedVector.from_element(chi(1, 2)), GradedVector.from_element(chi(1, 3))
+    with pytest.raises(RankMismatchError):
+        g2.inner(g3)
+    with pytest.raises(RankMismatchError):
+        GradedVector.combination(2, [(1, g2), (1, g3)])
 
 
 def test_floats_rejected():
@@ -181,7 +188,7 @@ def test_project_length_sandwich_norm():
     v = beta_minus()
     full = multiply(multiply(chi(2, 2), v.element), chi(1, 2))
     comp = full.project_length(4)
-    assert comp == _SandwichCache(2).component(v, 0, 2, 1)
+    assert GradedVector.from_element(comp) == _SandwichCache(2).component(v, 0, 2, 1)
     assert inner_product(comp, comp) == 27 * v.norm_sq()
 
 
@@ -190,7 +197,7 @@ def test_project_length_sandwich_norm():
 
 def test_sandwich_identity_component():
     v = beta_minus()
-    assert _SandwichCache(2).component(v, 0, 0, 0) == v.element
+    assert _SandwichCache(2).component(v, 0, 0, 0) == GradedVector.from_element(v.element)
 
 
 def test_sandwich_negative_indices_vanish():
@@ -213,7 +220,69 @@ def test_sandwich_shifted_inner_product():
     cache = _SandwichCache(2)
     a = cache.component(v, 0, 1, 2)
     b = cache.component(v, 0, 2, 1)
-    assert inner_product(a, b) == Fraction(27, 3) * 2
+    assert a.inner(b) == Fraction(27, 3) * 2
+
+
+# ---------------------------------------------------------------- graded vectors
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_graded_positions_follow_words_of_length(rank):
+    for length in range(5):
+        words = list(words_of_length(length, rank))
+        g = GradedVector.from_element(element(rank, {w: i + 1 for i, w in enumerate(words)}))
+        assert list(g.parts) == [length]
+        assert g.parts[length].tolist() == list(range(1, len(words) + 1))
+
+
+# small ints take the int64 path; the others need the exact fallback: ints past
+# int64, ints whose products overflow int64, and Fractions
+exact_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**62, -(2**62), INT64_MAX, -INT64_MAX, -(2**63), 2**63]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+def exact_elements(rank=2, max_len=4):
+    word_pool = [w for n in range(max_len + 1) for w in words_of_length(n, rank)]
+    return st.dictionaries(st.sampled_from(word_pool), exact_coeffs, max_size=8).map(
+        lambda terms: GroupAlgebraElement(rank, terms)
+    )
+
+
+@given(exact_elements(), exact_elements(), exact_coeffs, exact_coeffs)
+@settings(max_examples=300, deadline=None)
+def test_graded_matches_element(x, y, a, b):
+    gx, gy = GradedVector.from_element(x), GradedVector.from_element(y)
+    assert gx.inner(gy) == inner_product(x, y)
+    assert gx.norm_sq() == x.norm_sq()
+    assert (gx == gy) == (x == y)
+    assert _element_digest(gx) == _element_digest(x)
+    assert gx.is_zero() == x.is_zero()
+    combined = GradedVector.combination(2, [(a, gx), (b, gy)])
+    assert combined == GradedVector.from_element(x.scale(a) + y.scale(b))
+    # element arithmetic skips _as_exact but still stores integral values as ints
+    terms = (x.scale(a) + y.scale(b)).terms.values()
+    assert all(type(c) is int or c.denominator != 1 for c in terms)
+    assert GradedVector.combination(2, [(1, gx), (1, gy), (-1, gy)]) == gx
+    for length in range(5):
+        assert gx.project_length(length) == GradedVector.from_element(x.project_length(length))
+
+
+def test_graded_dot_falls_back_before_int64_overflow():
+    # each entry fits int64, but the dot product does not
+    x = element(2, {w: 2**62 for w in words_of_length(2, 2)})
+    g = GradedVector.from_element(x)
+    assert g.bounds == {2: 2**62}
+    assert g.norm_sq() == inner_product(x, x) == 12 * 2**124
+
+
+def test_graded_vector_cap():
+    with pytest.raises(ResourceCapError):
+        GradedVector.from_element(chi(2, 2), cap=11)
+    assert len(GradedVector.from_element(chi(2, 2), cap=12)) == 12
 
 
 # ---------------------------------------------------------------- test vectors

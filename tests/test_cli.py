@@ -78,6 +78,30 @@ def test_env_cap_not_integer_rejected(tmp_path, monkeypatch, capsys):
     assert payload["config"]["cap"] is None
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"rank": "3"}, "rank"),
+        ({"rank": True}, "rank"),
+        ({"tolerances": [1]}, "tolerances"),
+        ({"tolerances": {"moment": "1e-8"}}, "moment"),
+        ({"scan_tols": 0.1}, "scan_tols"),
+        ({"tolerances": {"momnet": 1e-8}}, "momnet"),
+        ({"command": "density"}, "command"),
+    ],
+)
+def test_config_file_types_checked(tmp_path, capsys, options, named):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(options))
+    assert main(["moments", "--rank", "2", "--max-moment", "2", "--config", str(cfg_file)]) == 2
+    assert named in one_stderr_line(capsys)
+
+
+def test_unknown_tolerance_name_rejected(capsys):
+    assert main(["moments", "--rank", "2", "--max-moment", "2", "--tol", "momnet=1e-30"]) == 2
+    assert "momnet" in one_stderr_line(capsys)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_tolerance_must_be_finite_and_positive(value, capsys):
     assert main(["moments", "--rank", "2", "--max-moment", "2", "--tol", f"moment={value}"]) == 2
@@ -121,6 +145,12 @@ def test_verify_injected_error_caught(tmp_path):
 def test_verify_cap_exhaustion(tmp_path, capsys):
     code = main(["verify", "--rank", "2", "--max-total", "4", "--cap", "100"])
     assert code == 2
+
+
+def test_verify_tiny_cap(capsys):
+    # the first product fits a cap of 3; its length-one vector, of 2N = 4 entries, does not
+    assert main(["verify", "--rank", "2", "--max-total", "1", "--cap", "3"]) == 2
+    assert "length-1 vector has 4 entries, cap is 3" in one_stderr_line(capsys)
 
 
 def test_verify_env_cap(tmp_path, monkeypatch):
@@ -227,12 +257,12 @@ def test_scan_tiny_grid_rejected(capsys):
     assert main(["scan", "--rank", "2", "--grid", "8"]) == 2
 
 
-def test_scan_empty_tols(tmp_path):
-    code, payload = run_json(tmp_path, ["scan", "--rank", "2", "--grid", "32",
-                                        "--scan-tols", ""])
-    assert code == 0
-    assert payload["report"]["fractions"] == {}
-    assert payload["report"]["min_abs"] > 0
+def test_scan_empty_tols_rejected(tmp_path, capsys):
+    # no gate passes with an empty check list
+    out = tmp_path / "out.json"
+    assert main(["scan", "--rank", "2", "--grid", "32", "--scan-tols", "", "--out", str(out)]) == 2
+    assert "scan_tols" in one_stderr_line(capsys)
+    assert not out.exists()
 
 
 def test_moments_command(tmp_path):

@@ -19,6 +19,7 @@ from radialmasa.density import (
     series_tail_bound,
     zero_scan,
 )
+from radialmasa import identities
 from radialmasa.identities import pairing_closed
 from radialmasa.spectral import SpectralParams
 
@@ -171,6 +172,14 @@ def test_pairing_exact_values():
     assert pairing_exact(0, 2, 2) == -1
     assert pairing_exact(3, 3, 2) == 2
     assert pairing_exact(1, 3, 2) == -1
+
+
+def test_pairing_sweep_builds_each_chi_once(monkeypatch):
+    real = identities.chi
+    calls = []
+    monkeypatch.setattr(identities, "chi", lambda *args: calls.append(args[0]) or real(*args))
+    pairing_sweep(P2, max_total=4)
+    assert sorted(calls) == [0, 1, 2, 3, 4]
 
 
 def test_pairing_check_triple_agreement():

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 from radialmasa.algebra import chi, inner_product, multiply
+from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
     CheckReport,
     _SandwichCache,
+    all_test_vectors,
     degree_pairs,
     expansion_block,
     fraction_str,
@@ -58,7 +60,7 @@ def test_inner_closed_known_value():
     v = vec(2, -1)
     cache = _SandwichCache(2)
     # brute force first: oracle value computed in the group algebra
-    lhs = inner_product(cache.component(v, 0, 1, 1), cache.component(v, 0, 2, 0))
+    lhs = cache.component(v, 0, 1, 1).inner(cache.component(v, 0, 2, 0))
     assert lhs == 6
     assert sandwich_inner_closed(v, v, 1, 1, 2, 0) == 6
 
@@ -82,7 +84,7 @@ def test_inner_alternates_for_plus_sign():
     # sign +1 makes the geometric factor alternate: 3**(n+m) * (-3)**-|n-n2|
     v = vec(2, 1)
     cache = _SandwichCache(2)
-    brute = inner_product(cache.component(v, 0, 1, 0), cache.component(v, 0, 0, 1))
+    brute = cache.component(v, 0, 1, 0).inner(cache.component(v, 0, 0, 1))
     assert brute == -v.norm_sq()
     assert sandwich_inner_closed(v, v, 1, 0, 0, 1) == brute
     block = inner_block(cache, 1, vec_index(1), vec_index(1))
@@ -161,6 +163,15 @@ def test_small_sweep_all_pass():
     reports = run_identity_sweep(2, max_total=3)
     assert reports
     assert all(r.passed for r in reports)
+
+
+def test_sweep_multiplies_each_triple_once(monkeypatch):
+    # chi_n v chi_m is two products, made once per (vector, n, m) for the whole sweep
+    real = identities.multiply
+    calls = []
+    monkeypatch.setattr(identities, "multiply", lambda *args: calls.append(args) or real(*args))
+    run_identity_sweep(2, max_total=3)
+    assert len(calls) == 2 * len(all_test_vectors(2)) * len(degree_pairs(3))
 
 
 def test_verify_report_matches_sweep(tmp_path):

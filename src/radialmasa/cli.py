@@ -16,8 +16,6 @@ prints one line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -25,7 +23,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -162,12 +159,75 @@ def json_report(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def csv_text(header: list[str], rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+# One density row per format, in the bytes csv.writer (lineterminator "\r\n")
+# and json.dumps(indent=2, sort_keys=True) give it: literal text around the
+# column numbers 0-4 of t, s, f, tail_bound and method, already spelled.  Each
+# JSON row ends in the list separator; the last row's is cut.
+DENSITY_ROW = {
+    "csv": (0, ",", 1, ",", 2, ",", 3, ",", 4, "\r\n"),
+    "json": ('    {\n      "f": ', 2, ',\n      "method": "', 4, '",\n      "s": ', 1,
+             ',\n      "t": ', 0, ',\n      "tail_bound": ', 3, "\n    },\n"),
+}
+
+# json spells the non-finite floats its own way; csv keeps repr's nan and inf
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values, fmt: str) -> list[str]:
+    """Each value as the format's encoder spells it: repr, json's non-finite names."""
+    values = np.asarray(values, dtype=float).ravel()
+    texts = list(map(repr, values.tolist()))
+    if fmt == "json" and not np.isfinite(values).all():
+        texts = [JSON_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _fill_rows(template: tuple, columns: list[list[str]]) -> list[str]:
+    """The pieces of every row of the columns laid out by ``template``, in order.
+
+    Columns and literals are interleaved by slice assignment, so no per-row
+    string is built; joining the pieces gives the rows.
+    """
+    n = len(columns[0])
+    pieces = [""] * (len(template) * n)
+    for k, part in enumerate(template):
+        pieces[k::len(template)] = columns[part] if isinstance(part, int) else [part] * n
+    return pieces
+
+
+def density_text(fmt: str, head: dict, pts, blocks, guard_tail: float) -> str:
+    """The density export as CSV or JSON text, built from column arrays.
+
+    ``blocks`` holds one ``(values, guarded, tail, label)`` per method, where
+    ``values`` is the len(pts) x len(pts) grid f(pts[i], pts[j]) and the rows
+    run over i, then j.  A row takes the block's ``tail`` and ``label``, except
+    where ``guarded`` (None for no guard) marks a series fallback, which takes
+    ``guard_tail`` and "series".  The text is byte for byte what ``csv.writer``
+    writes for the rows t, s, f, tail_bound, method, or what ``json_report``
+    writes for ``head`` with those rows as dicts under "rows"; each coordinate,
+    value and tail is spelled once.
+    """
+    axis = _float_texts(pts, fmt)
+    t_col = [t for t in axis for _ in axis]
+    s_col = axis * len(axis)
+    guard_tail_text = _float_texts([guard_tail], fmt)[0]
+    if fmt == "csv":
+        pieces = ["t,s,f,tail_bound,method\r\n"]
+    else:
+        # "rows" sorts after "command" and "config", so it closes the object
+        head_text = json.dumps(head, indent=2, sort_keys=True).removesuffix("\n}")
+        pieces = [head_text + ',\n  "rows": [\n']
+    for values, guarded, tail, label in blocks:
+        tails = _float_texts([tail], fmt) * len(t_col)
+        labels = [label] * len(t_col)
+        if guarded is not None:
+            for i in np.flatnonzero(guarded).tolist():
+                tails[i], labels[i] = guard_tail_text, "series"
+        columns = [t_col, s_col, _float_texts(values, fmt), tails, labels]
+        pieces.extend(_fill_rows(DENSITY_ROW[fmt], columns))
+    if fmt == "json":
+        pieces[-1] = pieces[-1].removesuffix(",\n") + "\n  ]\n}\n"
+    return "".join(pieces)
 
 
 # ----------------------------------------------------------------------
@@ -192,45 +252,33 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, failed == 0
 
 
-def cmd_density(cfg: RunConfig) -> tuple[dict | str, bool]:
+def cmd_density(cfg: RunConfig) -> tuple[str, bool]:
     params = SpectralParams(cfg.rank)
     pts = density_mod.interior_grid(cfg.grid_n, params)
-    tt, ss = np.broadcast_arrays(pts[:, None], pts[None, :])
-    t_col, s_col = tt.ravel().tolist(), ss.ravel().tolist()
-    rows: list[tuple] = []
+    # axes, not broadcast grids: the series then builds len(pts)-point chi tables
+    tt, ss = pts[:, None], pts[None, :]
     methods = ("closed", "series") if cfg.method == "both" else (cfg.method,)
     tail_tol = cfg.tol("tail")
+    guard_tail = density_mod.series_tail_bound(density_mod.GUARD_SERIES_ORDER, params)
     worst_tail = 0.0
+    blocks = []
     for method in methods:
         if method == "closed":
             values, guarded = density_mod.density_closed_grid(tt, ss, params)
-            guard_tail = density_mod.series_tail_bound(density_mod.GUARD_SERIES_ORDER, params)
             if guarded.any():
                 worst_tail = max(worst_tail, guard_tail)
-            flags = guarded.ravel().tolist()
-            tails = [guard_tail if g else 0.0 for g in flags]
-            # shared literals: one string object per label, not one per row
-            labels = ["series" if g else "closed" for g in flags]
+            blocks.append((values, guarded, 0.0, "closed"))
         else:
             values, tail = density_mod.density_series_grid(tt, ss, cfg.truncation, params)
             worst_tail = max(worst_tail, tail)
-            tails, labels = repeat(tail), repeat("series")
-        rows.extend(zip(t_col, s_col, values.ravel().tolist(), tails, labels))
+            blocks.append((values, None, tail, "series"))
     if worst_tail > tail_tol:
         raise QuadratureError(
             f"series tail bound {worst_tail} exceeds requested tolerance {tail_tol}; "
             "raise the truncation order"
         )
-    header = ["t", "s", "f", "tail_bound", "method"]
-    if cfg.format == "csv":
-        # the csv writer renders floats with repr, so every value round-trips
-        return csv_text(header, rows), True
-    payload = {
-        "command": "density",
-        "config": cfg.public_dict(),
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    return payload, True
+    head = {"command": "density", "config": cfg.public_dict()}
+    return density_text(cfg.format, head, pts, blocks, guard_tail), True
 
 
 def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import inner_product
+from .algebra import inner_product, multiply
 from .errors import QuadratureError
 from .identities import _SandwichCache, fraction_str, pairing_closed, standard_test_vectors
 from .spectral import SpectralParams, lambda_rule, trig_sum
@@ -138,7 +138,11 @@ def _normalized_chi_table(t: np.ndarray, max_n: int, params: SpectralParams) -> 
 def density_series_grid(
     t, s, truncation: int, params: SpectralParams
 ) -> tuple[np.ndarray, float]:
-    """Truncated series on broadcastable arrays; returns (values, tail_bound)."""
+    """Truncated series on broadcastable arrays; returns (values, tail_bound).
+
+    On a grid, pass the axes ``t[:, None], s[None, :]``: each chi table then
+    holds one axis, and the values are the same bits as on broadcast grids.
+    """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     gt = _normalized_chi_table(t, truncation + 1, params)
@@ -202,9 +206,7 @@ def _closed_form_values(theta: np.ndarray, phi: np.ndarray, params: SpectralPara
     return head + (2.0 * diag - cross - cross_m) / (sin_t * sin_p)
 
 
-def density_closed_grid(
-    t, s, params: SpectralParams, guard: float = CLOSED_FORM_GUARD
-) -> tuple[np.ndarray, np.ndarray]:
+def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
     """Closed form on broadcastable arrays, with series fallback inside the guard band.
 
     Returns (values, method_mask) where method_mask is True where the
@@ -216,7 +218,7 @@ def density_closed_grid(
     t, s = np.broadcast_arrays(t, s)
     theta = np.arccos(np.clip(t / a, -1.0, 1.0))
     phi = np.arccos(np.clip(s / a, -1.0, 1.0))
-    guarded = np.abs(np.sin(theta) * np.sin(phi)) < guard
+    guarded = np.abs(np.sin(theta) * np.sin(phi)) < CLOSED_FORM_GUARD
     values = np.empty(t.shape, dtype=float)
     safe = ~guarded
     if np.any(safe):
@@ -252,11 +254,15 @@ def pairing_exact(
 ) -> Fraction:
     """<chi_j v chi_k, v> / |v|^2 computed in the group algebra (sign -1 vector).
 
-    A sweep passes one ``_cache`` to every call so each chi_n is built once.
+    chi_j is self-adjoint, so the pairing is <v chi_k, chi_j v>: two products
+    of |chi| x |v| word pairs, not the whole triple product.  A sweep passes
+    one ``_cache`` to every call so each chi_n is built once.
     """
     v = standard_test_vectors(rank)[-1][0]
-    prod = (_cache or _SandwichCache(rank, cap)).triple_product(v, j, k)
-    return Fraction(inner_product(prod, v.element)) / Fraction(v.norm_sq())
+    cache = _cache or _SandwichCache(rank, cap)
+    right = multiply(v.element, cache.chi(k), cache.cap)
+    left = multiply(cache.chi(j), v.element, cache.cap)
+    return Fraction(inner_product(right, left)) / Fraction(v.norm_sq())
 
 
 class _DensityQuadrature:

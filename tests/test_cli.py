@@ -1,11 +1,22 @@
 import csv
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from radialmasa.cli import RunConfig, atomic_write_text, main
+from radialmasa import density
+from radialmasa.cli import (
+    RunConfig,
+    atomic_write_text,
+    build_parser,
+    density_text,
+    main,
+    resolve_config,
+)
+from radialmasa.spectral import SpectralParams
 
 
 def strip_timing(obj):
@@ -225,6 +236,99 @@ def test_density_both_methods(tmp_path):
     assert len(rows) == 18
     methods = {row["method"] for row in rows}
     assert methods == {"closed", "series"}
+
+
+# The encoders the density export used before it was built from columns, kept
+# here as the oracle for its bytes: one tuple per point, then csv.writer or
+# json.dumps over one dict per row.
+
+HEADER = ["t", "s", "f", "tail_bound", "method"]
+
+
+def encode_rows(fmt, config, rows):
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(HEADER)
+        writer.writerows(rows)
+        return buf.getvalue()
+    payload = {"command": "density", "config": config,
+               "rows": [dict(zip(HEADER, row)) for row in rows]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def row_encoder_output(argv):
+    cfg = resolve_config(build_parser().parse_args(argv))
+    params = SpectralParams(cfg.rank)
+    pts = density.interior_grid(cfg.grid_n, params)
+    tt, ss = np.broadcast_arrays(pts[:, None], pts[None, :])
+    rows = []
+    for method in ("closed", "series") if cfg.method == "both" else (cfg.method,):
+        if method == "closed":
+            values, guarded = density.density_closed_grid(tt, ss, params)
+            guard_tail = density.series_tail_bound(density.GUARD_SERIES_ORDER, params)
+            flags = guarded.ravel().tolist()
+            tails = [guard_tail if g else 0.0 for g in flags]
+            labels = ["series" if g else "closed" for g in flags]
+        else:
+            values, tail = density.density_series_grid(tt, ss, cfg.truncation, params)
+            tails, labels = [tail] * values.size, ["series"] * values.size
+        rows.extend(zip(tt.ravel().tolist(), ss.ravel().tolist(), values.ravel().tolist(),
+                        tails, labels))
+    return encode_rows(cfg.format, cfg.public_dict(), rows)
+
+
+def assert_density_bytes(argv, tmp_path, capsys):
+    """The export equals the row encoders' output on stdout and through --out."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == row_encoder_output(argv)
+    out_argv = argv + ["--out", str(tmp_path / "density.out")]
+    assert main(out_argv) == 0
+    assert (tmp_path / "density.out").read_bytes() == row_encoder_output(out_argv).encode()
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("grid", [1, 2, 7, 33])
+def test_density_bytes_match_row_encoders(rank, grid, tmp_path, capsys):
+    for method in ("closed", "series", "both"):
+        for fmt in ("csv", "json"):
+            argv = ["density", "--rank", str(rank), "--grid", str(grid),
+                    "--method", method, "--format", fmt]
+            assert_density_bytes(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_bytes_with_guard_rows(fmt, tmp_path, capsys, monkeypatch):
+    # a wide guard band puts series fallback rows among closed rows in one block
+    monkeypatch.setattr(density, "CLOSED_FORM_GUARD", 0.5)
+    pts = density.interior_grid(7, SpectralParams(3))
+    _, guarded = density.density_closed_grid(pts[:, None], pts[None, :], SpectralParams(3))
+    assert 0 < guarded.sum() < guarded.size
+    argv = ["density", "--rank", "3", "--grid", "7", "--method", "both", "--format", fmt]
+    assert_density_bytes(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_text_spells_special_floats(fmt):
+    pts = np.array([-0.0, 1.5, float("nan")])
+    values = np.array([[float("nan"), float("inf"), -float("inf")],
+                       [-0.0, 0.0, 1e-300],
+                       [2.5, -1e300, float("nan")]])
+    guarded = np.zeros((3, 3), dtype=bool)
+    guarded[0, 1] = guarded[2, 2] = True
+    head = {"command": "density", "config": {"rank": 2}}
+    text = density_text(fmt, head, pts,
+                         [(values, guarded, -0.0, "closed"), (values, None, float("inf"), "series")],
+                         float("nan"))
+    rows = []
+    for block_tail, block_label, mask in ((-0.0, "closed", guarded), (float("inf"), "series", None)):
+        for i in range(3):
+            for j in range(3):
+                fallback = mask is not None and mask[i, j]
+                rows.append((float(pts[i]), float(pts[j]), float(values[i, j]),
+                             float("nan") if fallback else block_tail,
+                             "series" if fallback else block_label))
+    assert text == encode_rows(fmt, head["config"], rows)
 
 
 def test_density_tail_tolerance_violation(tmp_path, capsys):

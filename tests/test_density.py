@@ -20,6 +20,7 @@ from radialmasa.density import (
     zero_scan,
 )
 from radialmasa import identities
+from radialmasa.algebra import inner_product
 from radialmasa.identities import pairing_closed
 from radialmasa.spectral import SpectralParams
 
@@ -68,6 +69,18 @@ def test_series_symmetric_exactly():
     v1, _ = density_series_grid(ts, ss, 40, P2)
     v2, _ = density_series_grid(ss, ts, 40, P2)
     assert np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_series_on_axes_equals_full_grid(rank):
+    params = SpectralParams(rank)
+    pts = interior_grid(33, params)
+    tt, ss = np.broadcast_arrays(pts[:, None], pts[None, :])
+    for truncation in (2, 60):
+        on_axes, tail = density_series_grid(pts[:, None], pts[None, :], truncation, params)
+        on_grid, grid_tail = density_series_grid(tt, ss, truncation, params)
+        assert np.array_equal(on_axes, on_grid)
+        assert tail == grid_tail
 
 
 def test_series_center_value():
@@ -172,6 +185,16 @@ def test_pairing_exact_values():
     assert pairing_exact(0, 2, 2) == -1
     assert pairing_exact(3, 3, 2) == 2
     assert pairing_exact(1, 3, 2) == -1
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pairing_exact_matches_triple_product(rank):
+    # the two half products against the whole chi_j v chi_k paired with v
+    cache = identities._SandwichCache(rank)
+    v = identities.standard_test_vectors(rank)[-1][0]
+    for j, k in identities.degree_pairs(4):
+        whole = Fraction(inner_product(cache.triple_product(v, j, k), v.element))
+        assert pairing_exact(j, k, rank, _cache=cache) == whole / Fraction(v.norm_sq())
 
 
 def test_pairing_sweep_builds_each_chi_once(monkeypatch):

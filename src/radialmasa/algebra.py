@@ -6,13 +6,15 @@ coefficients.  Coefficients are Python ints or ``fractions.Fraction``
 floats are rejected so every identity can be checked with equality.
 
 ``GradedVector`` holds the same data by word length, one exact coefficient
-array per length, so that inner products become array dot products.
+array per length, so that inner products become array dot products and a
+right product by one letter becomes a gather and scatter of positions.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from numbers import Rational
 from collections.abc import Iterable, Mapping
@@ -311,6 +313,34 @@ def _word_positions(digits: np.ndarray, rank: int) -> np.ndarray:
     return pos
 
 
+def _letter_digit(letter):
+    """Index of a signed letter (or of each in an array of them) in the
+    alphabet a1, a1^-1, a2, a2^-1, ..."""
+    return 2 * (abs(letter) - 1) + (letter < 0)
+
+
+@cache
+def _last_digits(rank: int, length: int) -> np.ndarray:
+    """Digit of the last letter of each word of length ``length`` >= 1, by position.
+
+    A word of length two or more at position p is its prefix at p // (2N - 1)
+    followed by the digit p % (2N - 1), which skipped the inverse of the
+    prefix's last letter; undoing that skip needs the prefix's last digit,
+    hence one table per length, each built from the one before.  Tables are
+    read-only and kept for the process; each is as long as a part of its
+    length, which the cap already bounds.
+    """
+    if length == 1:
+        out = np.arange(2 * rank, dtype=np.int64)
+    else:
+        base = 2 * rank - 1
+        skipped = np.repeat(_last_digits(rank, length - 1) ^ 1, base)
+        adj = np.tile(np.arange(base, dtype=np.int64), len(skipped) // base)
+        out = adj + (adj >= skipped)
+    out.setflags(write=False)
+    return out
+
+
 def _exact_dot(a: np.ndarray, a_bound: int | None, b: np.ndarray, b_bound: int | None):
     # |sum a_i b_i| <= max|a| max|b| len, and so is every partial sum
     if a_bound is not None and b_bound is not None and a_bound * b_bound * len(a) <= INT64_MAX:
@@ -356,7 +386,7 @@ class GradedVector:
         words = list(x.terms)
         lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
         letters = np.fromiter(chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum()))
-        digits = 2 * (np.abs(letters) - 1) + (letters < 0)
+        digits = _letter_digit(letters)
         starts = np.cumsum(lengths) - lengths
         coeffs = _exact_array(list(x.terms.values()))
         parts = {}
@@ -396,6 +426,71 @@ class GradedVector:
                 acc += coeff * (part if fits else part.astype(object))
             parts[length] = acc
         return cls(rank, parts)
+
+    def times_letter(self, letter: int, cap: int | None = None) -> "GradedVector":
+        """``x * a`` for the signed letter ``a``, by gather and scatter.
+
+        A word ending in a^-1 drops to its prefix, at position p // (2N - 1)
+        (the empty word when it has length one); every other word grows by
+        a, at p * (2N - 1) plus a's digit with the inverse of the word's last
+        letter skipped.  Both maps are injective and the words that grow end
+        in a while the prefixes do not, so coefficients only move: nothing
+        is summed and nothing can overflow.  A part longer than the cap
+        raises ResourceCapError, as in ``from_element``.
+        """
+        base = 2 * self.rank - 1
+        digit = _letter_digit(letter)
+        limit = active_cap(cap)
+        moved: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for length, part in self.parts.items():
+            if length == 0:
+                moved.setdefault(1, []).append((np.array([digit]), part))
+                continue
+            last = _last_digits(self.rank, length)
+            drop = last == digit ^ 1
+            grow = ~drop
+            prefixes = np.flatnonzero(drop) // base if length > 1 else np.zeros(1, np.int64)
+            moved.setdefault(length - 1, []).append((prefixes, part[drop]))
+            kept = last[grow] ^ 1
+            moved.setdefault(length + 1, []).append(
+                (np.flatnonzero(grow) * base + digit - (digit > kept), part[grow])
+            )
+        parts = {}
+        for length, pieces in moved.items():
+            size = chi_support_size(length, self.rank)
+            if size > limit:
+                raise ResourceCapError(
+                    f"a length-{length} vector has {size} entries, cap is {limit}"
+                )
+            exact = all(values.dtype == np.int64 for _, values in pieces)
+            out = np.zeros(size, dtype=np.int64 if exact else object)
+            for positions, values in pieces:
+                out[positions] = values
+            parts[length] = out
+        return GradedVector(self.rank, parts)
+
+    def times_chi(self, top: int, cap: int | None = None) -> list["GradedVector"]:
+        """``[x chi_0, x chi_1, ..., x chi_top]`` in one pass of letter steps.
+
+        ``ends[a]`` holds x times the sum of the words of length m that end
+        in a.  A word of length m + 1 ending in a is a word of length m not
+        ending in a^-1, followed by a, so the next ``ends[a]`` is
+        ``(x chi_m - ends[a^-1]) * a``, and x chi_{m+1} is the sum of them.
+        Every coefficient is still a sum of word products, and every sum
+        goes through ``combination``.
+        """
+        rank = self.rank
+        letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        out = [self]
+        ends = {a: GradedVector(rank) for a in letters}
+        for _ in range(top):
+            x_m = out[-1]
+            ends = {
+                a: GradedVector.combination(rank, [(1, x_m), (-1, ends[-a])]).times_letter(a, cap)
+                for a in letters
+            }
+            out.append(GradedVector.combination(rank, [(1, end) for end in ends.values()]))
+        return out
 
     def project_length(self, length: int) -> "GradedVector":
         """The part of word length ``length``, sharing its array."""

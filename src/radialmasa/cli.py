@@ -9,8 +9,8 @@ Subcommands
 
 Exit codes: 0 when every declared check passes, 1 when a mathematical
 identity or tolerance fails, 2 on resource-cap or convergence failures,
-invalid configuration, or output that cannot be written.  Each failure
-prints one line on stderr.
+running out of memory, invalid configuration, or output that cannot be
+written.  Each failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -504,10 +504,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         result, passed = COMMANDS[cfg.command](cfg)
+        content = result if isinstance(result, str) else json_report(result)
     except (ResourceCapError, QuadratureError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
-    content = result if isinstance(result, str) else json_report(result)
+    except MemoryError as exc:
+        print(f"aborted: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     try:
         emit(cfg, content)
     except OSError as exc:

@@ -15,15 +15,19 @@ back into it.  ``run_identity_sweep`` is the one driver: it runs one block
 of checks per test vector (or ordered pair of them) for each family, and
 every block draws from one shared cache.
 
-The cache multiplies out each triple product chi_r v chi_s once per sweep,
-in the group algebra, and keeps it as a ``GradedVector``: one exact
-coefficient array per word length, indexed by word position.  The component
-v_{r,s} is the top-length array of its triple, an inner product is a dot of
-same-length arrays (words of different lengths are orthogonal), and the
-expansion check compares two graded vectors length by length.  This changes
-only how the brute-force values are stored and summed, not where they come
-from: every coefficient is still the one the word-by-word product gives,
-held as an int or a Fraction (int64 only where a bound rules out overflow),
+The cache keeps each triple product chi_r v chi_s as a ``GradedVector``:
+one exact coefficient array per word length, indexed by word position.  It
+multiplies chi_n v out once per sweep, word by word, and reads every
+chi_n v chi_m off one pass of right products by single letters, each a
+gather and scatter of positions (``GradedVector.times_chi``).  The
+component v_{r,s} is the top-length array of its triple, an inner product
+is a dot of same-length arrays (words of different lengths are orthogonal),
+and the expansion check compares two graded vectors length by length.
+This changes only how the brute-force values are built and stored, not
+what they are: x chi_m is the sum of x u over the reduced words u of length
+m, and each u is applied one letter at a time, so every coefficient is
+still a sum of word products, held as an int or a Fraction (int64 only
+where a bound rules out overflow).  No recurrence among the chi_n is used,
 so the oracle is still the group algebra and equality is still exact.
 """
 
@@ -167,17 +171,18 @@ def sandwich_expansion_indices(sign: int, n: int, m: int) -> list[tuple[int, int
 
 
 class _SandwichCache:
-    """chi_n and the triple products chi_r v chi_s of one sweep; carries its rank and cap.
+    """chi_n and the triple products chi_r v chi_s of one sweep; carries its
+    rank, its cap and the largest r + s the sweep asks for.
 
-    Each triple is multiplied out once and kept as a ``GradedVector`` under
-    ``(key, r, s)``, where ``key`` names ``v``.  Its top length r + s + 1 is
-    the component v_{r,s}; its lower lengths serve the expansion and pairing
-    checks.
+    Each triple is kept as a ``GradedVector`` under ``(key, r, s)``, where
+    ``key`` names ``v``.  Its top length r + s + 1 is the component v_{r,s};
+    its lower lengths serve the expansion and pairing checks.
     """
 
-    def __init__(self, rank: int, cap: int | None = None):
+    def __init__(self, rank: int, cap: int | None = None, max_total: int = 0):
         self.rank = rank
         self.cap = cap
+        self.max_total = max_total
         self._chi: dict[int, GroupAlgebraElement] = {}
         # (key, r, s) -> chi_r v chi_s, whose top length is the component v_{r,s}
         self._components: dict[tuple[int, int, int], GradedVector] = {}
@@ -187,18 +192,19 @@ class _SandwichCache:
             self._chi[n] = chi(n, self.rank, self.cap)
         return self._chi[n]
 
-    def triple_product(self, v: InversionEigenvector, n: int, m: int) -> GroupAlgebraElement:
-        """chi_n v chi_m, exactly, built afresh on every call."""
-        left = multiply(self.chi(n), v.element, self.cap)
-        return multiply(left, self.chi(m), self.cap)
-
     def triple(self, v: InversionEigenvector, key: int, n: int, m: int) -> GradedVector:
-        """chi_n v chi_m by length, built once per ``(key, n, m)``."""
+        """chi_n v chi_m by length.
+
+        The first request for ``(key, n)`` multiplies chi_n v out in the group
+        algebra and reads chi_n v chi_j off one pass of letter steps, for
+        every j up to max(max_total - n, m).  A later request past that range
+        runs the pass again.
+        """
         k = (key, n, m)
         if k not in self._components:
-            self._components[k] = GradedVector.from_element(
-                self.triple_product(v, n, m), self.cap
-            )
+            left = GradedVector.from_element(multiply(self.chi(n), v.element, self.cap), self.cap)
+            for j, product in enumerate(left.times_chi(max(self.max_total - n, m), self.cap)):
+                self._components[key, n, j] = product
         return self._components[k]
 
     def component(self, v: InversionEigenvector, key: int, r: int, s: int) -> GradedVector:
@@ -316,7 +322,7 @@ def run_identity_sweep(
     every ordered pair of vectors, then expansions for every vector, then
     pairings for every vector.
     """
-    cache = _SandwichCache(rank, cap)
+    cache = _SandwichCache(rank, cap, max_total)
     n_vec = len(all_test_vectors(rank))
     reports: list[CheckReport] = []
     if "sandwich_inner" in families:

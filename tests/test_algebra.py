@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radialmasa.algebra import (
@@ -283,6 +283,45 @@ def test_graded_vector_cap():
     with pytest.raises(ResourceCapError):
         GradedVector.from_element(chi(2, 2), cap=11)
     assert len(GradedVector.from_element(chi(2, 2), cap=12)) == 12
+
+
+def letters(rank):
+    return [s * g for g in range(1, rank + 1) for s in (1, -1)]
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda rank: st.tuples(st.just(rank), exact_elements(rank, max_len=3), exact_coeffs)
+    ),
+    st.integers(0, 3),
+)
+# x chi_1 has 2**63 at the empty word; x chi_3 sums entries near 2**63
+@example((2, element(2, {(1,): 2**62, (2,): 2**62}), 0), 1)
+@example((3, element(3, {(1, 2): INT64_MAX, (-3,): -INT64_MAX}), 2**62), 3)
+@settings(max_examples=200, deadline=None)
+def test_graded_letter_steps_match_element(case, top):
+    # the letter step and the chi pass against the dict product, word by word
+    rank, x, empty = case
+    x = x + element(rank, {EMPTY: empty})
+    g = GradedVector.from_element(x)
+    for a in letters(rank):
+        assert g.times_letter(a) == GradedVector.from_element(
+            multiply(x, GroupAlgebraElement.from_word((a,), rank))
+        )
+    dict_products = [multiply(x, chi(m, rank)) for m in range(top + 1)]
+    assert g.times_chi(top) == [GradedVector.from_element(p) for p in dict_products]
+
+
+def test_graded_letter_steps_cap():
+    # a length-2 part grows to length 3, whose 36 entries must fit the cap
+    g = GradedVector.from_element(element(2, {(1, 2): 1, EMPTY: 1}))
+    with pytest.raises(ResourceCapError):
+        g.times_letter(1, cap=35)
+    with pytest.raises(ResourceCapError):
+        g.times_chi(2, cap=35)
+    grown = element(2, {(1, 2, 1): 1, (1,): 1})
+    assert g.times_letter(1, cap=36) == GradedVector.from_element(grown)
+    assert len(g.times_chi(1, cap=36)) == 2
 
 
 # ---------------------------------------------------------------- test vectors

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +180,42 @@ def test_verify_deterministic(tmp_path):
     assert strip_timing(first) == strip_timing(second)
 
 
+BENCHMARK_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", [k for k in BENCHMARK_DIGESTS if k.startswith("verify ")])
+def test_verify_matches_benchmark_digest(tmp_path, key):
+    # the benchmark's exactness gate: lemma, params, lhs and rhs of every check,
+    # hashed as perfbench/run.py hashes them, against the recorded digest
+    code, report = run_json(tmp_path, key.split())
+    assert code == 0
+    rows = [[c["lemma"], c["params"], c["lhs"], c["rhs"]] for c in report["checks"]]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert len(rows) == BENCHMARK_DIGESTS[key]["checks"]
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_DIGESTS[key]["sha256"]
+
+
 # ---------------------------------------------------------------- density
+
+
+@pytest.mark.parametrize(
+    "exc, shown",
+    [
+        (MemoryError("Unable to allocate 2.98 GiB for an array"),
+         "Unable to allocate 2.98 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_density_out_of_memory(monkeypatch, capsys, exc, shown):
+    # a grid too large to allocate exits 2 with one line, not a traceback
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(density, "density_closed_grid", exhausted)
+    assert main(["density", "--rank", "3", "--grid", "20000"]) == 2
+    assert one_stderr_line(capsys) == f"aborted: MemoryError: {shown}\n"
 
 
 def test_density_csv(tmp_path):

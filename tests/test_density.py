@@ -20,7 +20,7 @@ from radialmasa.density import (
     zero_scan,
 )
 from radialmasa import identities
-from radialmasa.algebra import inner_product
+from radialmasa.algebra import chi, inner_product, multiply
 from radialmasa.identities import pairing_closed
 from radialmasa.spectral import SpectralParams
 
@@ -193,7 +193,8 @@ def test_pairing_exact_matches_triple_product(rank):
     cache = identities._SandwichCache(rank)
     v = identities.standard_test_vectors(rank)[-1][0]
     for j, k in identities.degree_pairs(4):
-        whole = Fraction(inner_product(cache.triple_product(v, j, k), v.element))
+        triple = multiply(multiply(chi(j, rank), v.element), chi(k, rank))
+        whole = Fraction(inner_product(triple, v.element))
         assert pairing_exact(j, k, rank, _cache=cache) == whole / Fraction(v.norm_sq())
 
 

@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
+from itertools import product
 
-from radialmasa.algebra import chi, inner_product, multiply
+import pytest
+
+from radialmasa.algebra import GradedVector, chi, inner_product, multiply
 from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
@@ -165,13 +168,52 @@ def test_small_sweep_all_pass():
     assert all(r.passed for r in reports)
 
 
+def record_sweep_caches(monkeypatch):
+    """Make run_identity_sweep keep its caches, each logging writes to ``_components``."""
+    caches, writes = [], []
+
+    class CountingDict(dict):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    class RecordingCache(_SandwichCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._components = CountingDict()
+            caches.append(self)
+
+    monkeypatch.setattr(identities, "_SandwichCache", RecordingCache)
+    return caches, writes
+
+
 def test_sweep_multiplies_each_triple_once(monkeypatch):
-    # chi_n v chi_m is two products, made once per (vector, n, m) for the whole sweep
+    # chi_n v is one dict product per (vector, n), and each chi_n v chi_m is built once
     real = identities.multiply
     calls = []
     monkeypatch.setattr(identities, "multiply", lambda *args: calls.append(args) or real(*args))
+    caches, writes = record_sweep_caches(monkeypatch)
     run_identity_sweep(2, max_total=3)
-    assert len(calls) == 2 * len(all_test_vectors(2)) * len(degree_pairs(3))
+    vectors = [v.element for v in all_test_vectors(2)]
+    lefts = [(min(x.support_lengths()), vectors.index(v)) for x, v, _ in calls]
+    assert sorted(lefts) == sorted(product(range(4), range(len(vectors))))
+    assert len(caches) == 1
+    assert sorted(writes) == sorted(
+        (key, n, m) for key in range(len(vectors)) for n, m in degree_pairs(3)
+    )
+
+
+@pytest.mark.parametrize("rank, max_total", [(2, 6), (3, 5), (4, 4)])
+def test_sweep_triples_match_dict_product(monkeypatch, rank, max_total):
+    # every triple the sweep reads equals chi_n v chi_m multiplied out word by word
+    caches, _ = record_sweep_caches(monkeypatch)
+    assert all(r.passed for r in run_identity_sweep(rank, max_total))
+    (cache,) = caches
+    vectors = all_test_vectors(rank)
+    assert len(cache._components) == len(vectors) * len(degree_pairs(max_total))
+    for (key, n, m), triple in cache._components.items():
+        whole = multiply(multiply(chi(n, rank), vectors[key].element), chi(m, rank))
+        assert triple == GradedVector.from_element(whole)
 
 
 def test_verify_report_matches_sweep(tmp_path):

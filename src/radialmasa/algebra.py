@@ -6,8 +6,9 @@ coefficients.  Coefficients are Python ints or ``fractions.Fraction``
 floats are rejected so every identity can be checked with equality.
 
 ``GradedVector`` holds the same data by word length, one exact coefficient
-array per length, so that inner products become array dot products and a
-right product by one letter becomes a gather and scatter of positions.
+array per length, so that inner products become array dot products, a
+right product by one letter becomes a gather and scatter of positions, and
+the adjoint becomes one gather per length.
 """
 
 from __future__ import annotations
@@ -341,6 +342,32 @@ def _last_digits(rank: int, length: int) -> np.ndarray:
     return out
 
 
+@cache
+def _inverse_positions(rank: int, length: int) -> np.ndarray:
+    """Position of the inverse of each word of length ``length``, by position.
+
+    The inverse of w = u a is a^-1 u^-1: its leading digit is that of a^-1,
+    and its second letter, the leading letter of u^-1 (digit f), skips the
+    inverse of a^-1, which is a; the rest reads as in u^-1.  So each table is
+    built from the one before and the last-digit table, and, like those, is
+    read-only and kept for the process.  Inversion is an involution, so the
+    table is its own inverse permutation.
+    """
+    if length == 0:
+        out = np.zeros(1, dtype=np.int64)
+    elif length == 1:
+        out = np.arange(2 * rank, dtype=np.int64) ^ 1
+    else:
+        base = 2 * rank - 1
+        d = _last_digits(rank, length)
+        f, r = np.divmod(
+            np.repeat(_inverse_positions(rank, length - 1), base), base ** (length - 2)
+        )
+        out = ((d ^ 1) * base + f - (f > d)) * base ** (length - 2) + r
+    out.setflags(write=False)
+    return out
+
+
 def _exact_dot(a: np.ndarray, a_bound: int | None, b: np.ndarray, b_bound: int | None):
     # |sum a_i b_i| <= max|a| max|b| len, and so is every partial sum
     if a_bound is not None and b_bound is not None and a_bound * b_bound * len(a) <= INT64_MAX:
@@ -490,6 +517,15 @@ class GradedVector:
                 for a in letters
             }
             out.append(GradedVector.combination(rank, [(1, end) for end in ends.values()]))
+        return out
+
+    def adjoint(self) -> "GradedVector":
+        """Each word inverted, as ``GroupAlgebraElement.adjoint``: a gather of
+        every part through the inverse-position table, so coefficients only move
+        and every bound holds as it was."""
+        out = GradedVector(self.rank)
+        out.parts = {n: part[_inverse_positions(self.rank, n)] for n, part in self.parts.items()}
+        out.bounds = dict(self.bounds)
         return out
 
     def project_length(self, length: int) -> "GradedVector":

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import identities
-from .algebra import active_cap, radial_moment_exact
+from .algebra import CAP_ENV_VAR, active_cap, radial_moment_exact
 from .errors import QuadratureError, ResourceCapError
 from .identities import fraction_str
 from .spectral import SpectralParams, quad_lambda
@@ -110,7 +110,10 @@ class RunConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         # parsed again where it is used; the report keeps config.cap as given
-        active_cap(self.cap)
+        cap = active_cap(self.cap)
+        if cap < 1:
+            source = "cap" if self.cap is not None else CAP_ENV_VAR
+            raise ValueError(f"{source} must be at least 1, got {cap}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command].get(name, 1e-8))

@@ -43,7 +43,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import inner_product, multiply
 from .errors import QuadratureError
 from .identities import _SandwichCache, fraction_str, pairing_closed, standard_test_vectors
 from .spectral import SpectralParams, lambda_rule, trig_sum
@@ -254,15 +253,15 @@ def pairing_exact(
 ) -> Fraction:
     """<chi_j v chi_k, v> / |v|^2 computed in the group algebra (sign -1 vector).
 
-    chi_j is self-adjoint, so the pairing is <v chi_k, chi_j v>: two products
-    of |chi| x |v| word pairs, not the whole triple product.  A sweep passes
-    one ``_cache`` to every call so each chi_n is built once.
+    chi_j is self-adjoint, so the pairing is <v chi_k, chi_j v>: the cache's
+    v chi_k, read off its letter-step pass over v, against its chi_j v, the
+    adjoint of v chi_j times the sign.  A sweep passes one ``_cache``, built
+    for its largest j + k, to every call, so one pass serves every check.
     """
     v = standard_test_vectors(rank)[-1][0]
     cache = _cache or _SandwichCache(rank, cap)
-    right = multiply(v.element, cache.chi(k), cache.cap)
-    left = multiply(cache.chi(j), v.element, cache.cap)
-    return Fraction(inner_product(right, left)) / Fraction(v.norm_sq())
+    value = cache.triple(v, 0, 0, k).inner(cache.left(v, 0, j))
+    return Fraction(value) / Fraction(v.norm_sq())
 
 
 class _DensityQuadrature:
@@ -327,7 +326,7 @@ def pairing_sweep(
     """All pairing checks with j + k <= max_total, sharing one quadrature and
     one sandwich cache."""
     quad = _DensityQuadrature(params)
-    cache = _SandwichCache(params.rank, cap)
+    cache = _SandwichCache(params.rank, cap, max_total)
     reports = []
     for total in range(max_total + 1):
         for j in range(total + 1):

@@ -17,18 +17,21 @@ every block draws from one shared cache.
 
 The cache keeps each triple product chi_r v chi_s as a ``GradedVector``:
 one exact coefficient array per word length, indexed by word position.  It
-multiplies chi_n v out once per sweep, word by word, and reads every
-chi_n v chi_m off one pass of right products by single letters, each a
-gather and scatter of positions (``GradedVector.times_chi``).  The
-component v_{r,s} is the top-length array of its triple, an inner product
-is a dot of same-length arrays (words of different lengths are orthogonal),
-and the expansion check compares two graded vectors length by length.
-This changes only how the brute-force values are built and stored, not
-what they are: x chi_m is the sum of x u over the reduced words u of length
-m, and each u is applied one letter at a time, so every coefficient is
-still a sum of word products, held as an int or a Fraction (int64 only
-where a bound rules out overflow).  No recurrence among the chi_n is used,
-so the oracle is still the group algebra and equality is still exact.
+reads every v chi_m off one pass of right products by single letters, each
+a gather and scatter of positions (``GradedVector.times_chi``), and gets
+chi_n v from v chi_n by inverting every word: chi_n is self-adjoint and
+v* = sign v, so chi_n v = sign (v chi_n)*, a permutation of positions
+(``GradedVector.adjoint``).  One more pass over chi_n v gives every
+chi_n v chi_m.  The component v_{r,s} is the top-length array of its
+triple, an inner product is a dot of same-length arrays (words of different
+lengths are orthogonal), and the expansion check compares two graded
+vectors length by length.  This changes only how the brute-force values
+are built and stored, not what they are: x chi_m is the sum of x u over the
+reduced words u of length m, each u applied one letter at a time, and the
+adjoint only moves coefficients, so every coefficient is still a sum of
+word products, held as an int or a Fraction (int64 only where a bound
+rules out overflow).  No recurrence among the chi_n is used, so the oracle
+is still the group algebra and equality is still exact.
 """
 
 from __future__ import annotations
@@ -39,14 +42,7 @@ from fractions import Fraction
 from itertools import product
 from numbers import Rational
 
-from .algebra import (
-    GradedVector,
-    GroupAlgebraElement,
-    InversionEigenvector,
-    chi,
-    inner_product,
-    multiply,
-)
+from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, inner_product
 
 
 def fraction_str(value: Rational) -> str:
@@ -171,8 +167,8 @@ def sandwich_expansion_indices(sign: int, n: int, m: int) -> list[tuple[int, int
 
 
 class _SandwichCache:
-    """chi_n and the triple products chi_r v chi_s of one sweep; carries its
-    rank, its cap and the largest r + s the sweep asks for.
+    """The triple products chi_r v chi_s of one sweep; carries its rank, its
+    cap and the largest r + s the sweep asks for.
 
     Each triple is kept as a ``GradedVector`` under ``(key, r, s)``, where
     ``key`` names ``v``.  Its top length r + s + 1 is the component v_{r,s};
@@ -183,26 +179,26 @@ class _SandwichCache:
         self.rank = rank
         self.cap = cap
         self.max_total = max_total
-        self._chi: dict[int, GroupAlgebraElement] = {}
         # (key, r, s) -> chi_r v chi_s, whose top length is the component v_{r,s}
         self._components: dict[tuple[int, int, int], GradedVector] = {}
 
-    def chi(self, n: int) -> GroupAlgebraElement:
-        if n not in self._chi:
-            self._chi[n] = chi(n, self.rank, self.cap)
-        return self._chi[n]
+    def left(self, v: InversionEigenvector, key: int, n: int) -> GradedVector:
+        """chi_n v by length: v itself for n = 0, else the adjoint of v chi_n
+        times the sign, since chi_n is self-adjoint and v* = sign v."""
+        if n == 0:
+            return GradedVector.from_element(v.element, self.cap)
+        return GradedVector.combination(self.rank, [(v.sign, self.triple(v, key, 0, n).adjoint())])
 
     def triple(self, v: InversionEigenvector, key: int, n: int, m: int) -> GradedVector:
         """chi_n v chi_m by length.
 
-        The first request for ``(key, n)`` multiplies chi_n v out in the group
-        algebra and reads chi_n v chi_j off one pass of letter steps, for
-        every j up to max(max_total - n, m).  A later request past that range
-        runs the pass again.
+        The first request for ``(key, n)`` reads chi_n v chi_j off one pass of
+        letter steps over chi_n v, for every j up to max(max_total - n, m).  A
+        later request past that range runs the pass again.
         """
         k = (key, n, m)
         if k not in self._components:
-            left = GradedVector.from_element(multiply(self.chi(n), v.element, self.cap), self.cap)
+            left = self.left(v, key, n)
             for j, product in enumerate(left.times_chi(max(self.max_total - n, m), self.cap)):
                 self._components[key, n, j] = product
         return self._components[k]

@@ -300,7 +300,7 @@ def letters(rank):
 @example((3, element(3, {(1, 2): INT64_MAX, (-3,): -INT64_MAX}), 2**62), 3)
 @settings(max_examples=200, deadline=None)
 def test_graded_letter_steps_match_element(case, top):
-    # the letter step and the chi pass against the dict product, word by word
+    # the letter step, the chi pass and the adjoint against the dict algebra, word by word
     rank, x, empty = case
     x = x + element(rank, {EMPTY: empty})
     g = GradedVector.from_element(x)
@@ -309,7 +309,12 @@ def test_graded_letter_steps_match_element(case, top):
             multiply(x, GroupAlgebraElement.from_word((a,), rank))
         )
     dict_products = [multiply(x, chi(m, rank)) for m in range(top + 1)]
-    assert g.times_chi(top) == [GradedVector.from_element(p) for p in dict_products]
+    passed = g.times_chi(top)
+    assert passed == [GradedVector.from_element(p) for p in dict_products]
+    # parts up to length 6: x has words of length up to 3, times chi_3
+    for graded, p in zip(passed, dict_products):
+        assert graded.adjoint() == GradedVector.from_element(p.adjoint())
+        assert graded.adjoint().adjoint() == graded
 
 
 def test_graded_letter_steps_cap():

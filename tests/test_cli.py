@@ -46,6 +46,10 @@ def test_config_validation():
         RunConfig(command="density", format="xml").validate()
     with pytest.raises(ValueError):
         RunConfig(command="scan", grid_n=0).validate()
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            RunConfig(command="verify", cap=cap).validate()
+    RunConfig(command="verify", cap=1).validate()
     RunConfig(command="verify").validate()
 
 
@@ -81,9 +85,10 @@ def one_stderr_line(capsys):
 
 
 def test_env_cap_not_integer_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RADIAL_MASA_CAP", "abc")
-    assert main(["verify", "--rank", "2", "--max-total", "1"]) == 2
-    assert "RADIAL_MASA_CAP" in one_stderr_line(capsys)
+    for value in ("abc", "-1", "0"):
+        monkeypatch.setenv("RADIAL_MASA_CAP", value)
+        assert main(["verify", "--rank", "2", "--max-total", "1"]) == 2
+        assert one_stderr_line(capsys).startswith("configuration error: RADIAL_MASA_CAP")
     # a valid value is checked but not stored: the report keeps the flag's value
     monkeypatch.setenv("RADIAL_MASA_CAP", "1000")
     code, payload = run_json(tmp_path, ["verify", "--rank", "2", "--max-total", "1"])
@@ -101,6 +106,7 @@ def test_env_cap_not_integer_rejected(tmp_path, monkeypatch, capsys):
         ({"scan_tols": 0.1}, "scan_tols"),
         ({"tolerances": {"momnet": 1e-8}}, "momnet"),
         ({"command": "density"}, "command"),
+        ({"cap": 0}, "cap must be at least 1"),
     ],
 )
 def test_config_file_types_checked(tmp_path, capsys, options, named):
@@ -161,9 +167,22 @@ def test_verify_cap_exhaustion(tmp_path, capsys):
 
 
 def test_verify_tiny_cap(capsys):
-    # the first product fits a cap of 3; its length-one vector, of 2N = 4 entries, does not
+    # the graded form of v, a length-one part of 2N = 4 entries, does not fit a cap of 3
     assert main(["verify", "--rank", "2", "--max-total", "1", "--cap", "3"]) == 2
     assert "length-1 vector has 4 entries, cap is 3" in one_stderr_line(capsys)
+    # a cap below 1 is invalid configuration, not a cap hit at run time
+    for cap in ("0", "-3"):
+        assert main(["verify", "--rank", "2", "--max-total", "1", "--cap", cap]) == 2
+        line = one_stderr_line(capsys)
+        assert line == f"configuration error: cap must be at least 1, got {cap}\n"
+
+
+def test_pairing_cap_bounds_arrays(capsys):
+    # the pass over v reaches length max_total + 1: 4 * 3**6 = 2916 entries at rank 2
+    argv = ["pairing", "--rank", "2", "--max-total", "6", "--cap"]
+    assert main(argv + ["2915"]) == 2
+    assert "a length-7 vector has 2916 entries, cap is 2915" in one_stderr_line(capsys)
+    assert main(argv + ["2916"]) == 0
 
 
 def test_verify_env_cap(tmp_path, monkeypatch):
@@ -185,15 +204,27 @@ BENCHMARK_DIGESTS = json.loads(
 )
 
 
-@pytest.mark.parametrize("key", [k for k in BENCHMARK_DIGESTS if k.startswith("verify ")])
-def test_verify_matches_benchmark_digest(tmp_path, key):
-    # the benchmark's exactness gate: lemma, params, lhs and rhs of every check,
-    # hashed as perfbench/run.py hashes them, against the recorded digest
+# the exact columns of each report, as perfbench/run.py hashes them
+BENCHMARK_ROWS = {
+    "verify": lambda report: [[c["lemma"], c["params"], c["lhs"], c["rhs"]]
+                              for c in report["checks"]],
+    "pairing": lambda report: [[c["j"], c["k"], c["value_exact"], c["value_case"]]
+                               for c in report["checks"]],
+}
+
+
+@pytest.mark.parametrize("key", list(BENCHMARK_DIGESTS))
+def test_report_matches_benchmark_digest(tmp_path, key):
+    # the benchmark's exactness gate: the exact columns of every check, hashed
+    # as perfbench/run.py hashes them, against the recorded digest
     code, report = run_json(tmp_path, key.split())
     assert code == 0
-    rows = [[c["lemma"], c["params"], c["lhs"], c["rhs"]] for c in report["checks"]]
+    command = key.split()[0]
+    rows = BENCHMARK_ROWS[command](report)
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    assert len(rows) == BENCHMARK_DIGESTS[key]["checks"]
+    # a pairing report counts its normalization as one more check
+    total = len(rows) + (command == "pairing")
+    assert report["summary"]["total"] == total == BENCHMARK_DIGESTS[key]["checks"]
     assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_DIGESTS[key]["sha256"]
 
 

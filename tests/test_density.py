@@ -20,7 +20,7 @@ from radialmasa.density import (
     zero_scan,
 )
 from radialmasa import identities
-from radialmasa.algebra import chi, inner_product, multiply
+from radialmasa.algebra import GradedVector, chi, inner_product, multiply
 from radialmasa.identities import pairing_closed
 from radialmasa.spectral import SpectralParams
 
@@ -198,12 +198,15 @@ def test_pairing_exact_matches_triple_product(rank):
         assert pairing_exact(j, k, rank, _cache=cache) == whole / Fraction(v.norm_sq())
 
 
-def test_pairing_sweep_builds_each_chi_once(monkeypatch):
-    real = identities.chi
+def test_pairing_sweep_runs_one_letter_pass(monkeypatch):
+    # every v chi_k and chi_j v of the sweep comes from one times_chi pass over v
+    real = GradedVector.times_chi
     calls = []
-    monkeypatch.setattr(identities, "chi", lambda *args: calls.append(args[0]) or real(*args))
+    monkeypatch.setattr(
+        GradedVector, "times_chi", lambda self, *args: calls.append(args) or real(self, *args)
+    )
     pairing_sweep(P2, max_total=4)
-    assert sorted(calls) == [0, 1, 2, 3, 4]
+    assert len(calls) == 1
 
 
 def test_pairing_check_triple_agreement():

@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -188,15 +187,22 @@ def record_sweep_caches(monkeypatch):
 
 
 def test_sweep_multiplies_each_triple_once(monkeypatch):
-    # chi_n v is one dict product per (vector, n), and each chi_n v chi_m is built once
-    real = identities.multiply
-    calls = []
-    monkeypatch.setattr(identities, "multiply", lambda *args: calls.append(args) or real(*args))
+    # one times_chi pass per (vector, n), each over chi_n v, and each chi_n v chi_m built once
+    real = GradedVector.times_chi
+    starts = []
+    monkeypatch.setattr(
+        GradedVector, "times_chi", lambda self, *args: starts.append(self) or real(self, *args)
+    )
     caches, writes = record_sweep_caches(monkeypatch)
     run_identity_sweep(2, max_total=3)
     vectors = [v.element for v in all_test_vectors(2)]
-    lefts = [(min(x.support_lengths()), vectors.index(v)) for x, v, _ in calls]
-    assert sorted(lefts) == sorted(product(range(4), range(len(vectors))))
+    lefts = {
+        (key, n): GradedVector.from_element(multiply(chi(n, 2), v))
+        for key, v in enumerate(vectors)
+        for n in range(4)
+    }
+    passes = [key_n for start in starts for key_n, left in lefts.items() if left == start]
+    assert sorted(passes) == sorted(lefts)
     assert len(caches) == 1
     assert sorted(writes) == sorted(
         (key, n, m) for key in range(len(vectors)) for n, m in degree_pairs(3)

@@ -23,6 +23,9 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -92,10 +95,15 @@ class RunConfig:
             raise ValueError("scan needs a grid of at least 16")
         if self.command == "scan" and not self.scan_tols:
             raise ValueError("scan needs at least one threshold in scan_tols")
+        for tol in self.scan_tols:
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"scan_tols entries must be finite and positive, got {tol}")
         if self.truncation < 2:
             raise ValueError("truncation must be at least 2")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.format == "csv" and self.command != "density":
+            raise ValueError(f"format csv is only for density; {self.command} writes JSON")
         if self.method not in ("closed", "series", "both"):
             raise ValueError(f"method must be closed, series or both, got {self.method!r}")
         if self.max_total < 0 or self.max_moment < 0:
@@ -119,15 +127,8 @@ class RunConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command].get(name, 1e-8))
 
     def public_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "inject_error":
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        # json writes the scan_tols tuple as a list
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "inject_error"}
 
 
 # ----------------------------------------------------------------------
@@ -154,26 +155,13 @@ def emit(cfg: RunConfig, content: str) -> None:
         atomic_write_text(cfg.output_path, content)
     else:
         sys.stdout.write(content)
-        if not content.endswith("\n"):
-            sys.stdout.write("\n")
 
-
-def json_report(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# One density row per format, in the bytes csv.writer (lineterminator "\r\n")
-# and json.dumps(indent=2, sort_keys=True) give it: literal text around the
-# column numbers 0-4 of t, s, f, tail_bound and method, already spelled.  Each
-# JSON row ends in the list separator; the last row's is cut.
-DENSITY_ROW = {
-    "csv": (0, ",", 1, ",", 2, ",", 3, ",", 4, "\r\n"),
-    "json": ('    {\n      "f": ', 2, ',\n      "method": "', 4, '",\n      "s": ', 1,
-             ',\n      "t": ', 0, ',\n      "tail_bound": ', 3, "\n    },\n"),
-}
 
 # json spells the non-finite floats its own way; csv keeps repr's nan and inf
 JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# the indent of a row in a report's top-level list
+ROW_INDENT = "    "
 
 
 def _float_texts(values, fmt: str) -> list[str]:
@@ -185,17 +173,130 @@ def _float_texts(values, fmt: str) -> list[str]:
     return texts
 
 
-def _fill_rows(template: tuple, columns: list[list[str]]) -> list[str]:
-    """The pieces of every row of the columns laid out by ``template``, in order.
+def _json_value(value, indent: str) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) spells it at ``indent``."""
+    # a JSON string holds no raw newline, so every newline starts a line
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _spell(column: list, indent: str) -> list[str]:
+    """Each value of ``column`` as ``_json_value`` spells it.
+
+    A column of one scalar type is spelled in one pass: ints by str, bools
+    before ints, floats by ``_float_texts``, each distinct string by
+    json.dumps once.
+    """
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        escaped = {text: json.dumps(text) for text in set(column)}
+        return list(map(escaped.__getitem__, column))
+    if kinds == {bool}:
+        return ["true" if value else "false" for value in column]
+    if kinds == {int}:
+        return list(map(str, column))
+    if kinds == {float}:
+        return _float_texts(column, "json")
+    return [_json_value(value, indent) for value in column]
+
+
+def _shape(value):
+    """The keys of ``value`` and of every dict in it: what its template depends on."""
+    if not (isinstance(value, dict) and value):
+        return None
+    return tuple([(key, _shape(item)) if isinstance(item, dict) else key
+                  for key, item in value.items()])
+
+
+def _layout(value, indent: str, path: tuple, parts: list) -> None:
+    """Append the text of ``value`` at ``indent`` to ``parts``: each nonempty
+    dict spelled out with its keys sorted, each other value its path of keys."""
+    if not (isinstance(value, dict) and value):
+        parts.append(path)
+        return
+    parts.append("{")
+    for n, key in enumerate(sorted(value)):
+        parts.append(f'{"," if n else ""}\n{indent}  {json.dumps(key)}: ')
+        _layout(value[key], indent + "  ", path + (key,), parts)
+    parts.append(f"\n{indent}}}")
+
+
+def _row_template(row) -> tuple:
+    """The template of a list item shaped like ``row``: literal text and the
+    paths of its columns, alternating.  Each row ends in the list separator,
+    and ``_report_text`` cuts the last row's."""
+    parts = [ROW_INDENT]
+    _layout(row, ROW_INDENT, (), parts)
+    parts.append(",\n")
+    template = []
+    for is_text, run in groupby(parts, key=lambda part: isinstance(part, str)):
+        template.extend(["".join(run)] if is_text else run)
+    return tuple(template)
+
+
+def _fill_rows(pieces: list, n: int, template: tuple, columns: dict) -> None:
+    """Append to ``pieces`` the pieces of ``n`` rows laid out by ``template``,
+    with ``columns`` mapping each of its paths to a column of texts.
 
     Columns and literals are interleaved by slice assignment, so no per-row
     string is built; joining the pieces gives the rows.
     """
-    n = len(columns[0])
-    pieces = [""] * (len(template) * n)
+    start, step = len(pieces), len(template)
+    pieces.extend(repeat("", step * n))
     for k, part in enumerate(template):
-        pieces[k::len(template)] = columns[part] if isinstance(part, int) else [part] * n
-    return pieces
+        pieces[start + k::step] = [part] * n if isinstance(part, str) else columns[part]
+
+
+def _value_rows(rows: list, pieces: list) -> None:
+    """Append the pieces of ``rows``, one template for each run of one shape."""
+    for _, run in groupby(rows, key=_shape):
+        run = list(run)
+        template = _row_template(run[0])
+        columns = {}
+        for path in template[1::2]:
+            column = run
+            for key in path:
+                column = map(itemgetter(key), column)
+            columns[path] = _spell(list(column), ROW_INDENT + "  " * len(path))
+        _fill_rows(pieces, len(run), template, columns)
+
+
+def _report_text(head: dict, lists: dict) -> str:
+    """The text json.dumps(indent=2, sort_keys=True) gives ``head`` with the
+    lists of ``lists`` added, and a newline.
+
+    Each value of ``head`` goes through json.dumps.  Each list is given as a
+    function that appends its rows to a list of pieces.
+    """
+    pieces = []
+    for key in sorted([*head, *lists]):
+        pieces.append(f'{"," if pieces else "{"}\n  {json.dumps(key)}: ')
+        if key in head:
+            pieces.append(_json_value(head[key], "  "))
+            continue
+        pieces.append("[\n")
+        start = len(pieces)
+        lists[key](pieces)
+        pieces[-1] = "[]" if len(pieces) == start else pieces[-1].removesuffix(",\n") + "\n  ]"
+    pieces.append("\n}\n" if pieces else "{}\n")
+    return "".join(pieces)
+
+
+def json_report(payload: dict) -> str:
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+
+    Each list at the top, such as a report's checks, is written from row
+    templates: one for each run of rows with the same keys, filled from
+    columns each spelled in one pass.  Every key is a string.
+    """
+    lists = {key: partial(_value_rows, value)
+             for key, value in payload.items() if isinstance(value, (list, tuple))}
+    return _report_text({key: value for key, value in payload.items() if key not in lists}, lists)
+
+
+# The density columns, and a CSV density row as csv.writer (lineterminator
+# "\r\n") writes it: the spelled columns around literal text.
+DENSITY_COLUMNS = ("t", "s", "f", "tail_bound", "method")
+DENSITY_CSV_ROW = (("t",), ",", ("s",), ",", ("f",), ",", ("tail_bound",), ",", ("method",), "\r\n")
 
 
 def density_text(fmt: str, head: dict, pts, blocks, guard_tail: float) -> str:
@@ -211,25 +312,30 @@ def density_text(fmt: str, head: dict, pts, blocks, guard_tail: float) -> str:
     value and tail is spelled once.
     """
     axis = _float_texts(pts, fmt)
-    t_col = [t for t in axis for _ in axis]
-    s_col = axis * len(axis)
-    guard_tail_text = _float_texts([guard_tail], fmt)[0]
-    if fmt == "csv":
-        pieces = ["t,s,f,tail_bound,method\r\n"]
-    else:
-        # "rows" sorts after "command" and "config", so it closes the object
-        head_text = json.dumps(head, indent=2, sort_keys=True).removesuffix("\n}")
-        pieces = [head_text + ',\n  "rows": [\n']
-    for values, guarded, tail, label in blocks:
-        tails = _float_texts([tail], fmt) * len(t_col)
-        labels = [label] * len(t_col)
-        if guarded is not None:
-            for i in np.flatnonzero(guarded).tolist():
-                tails[i], labels[i] = guard_tail_text, "series"
-        columns = [t_col, s_col, _float_texts(values, fmt), tails, labels]
-        pieces.extend(_fill_rows(DENSITY_ROW[fmt], columns))
+    n = len(axis) ** 2
+    label_text = json.dumps if fmt == "json" else str
+    guard = _float_texts([guard_tail], fmt)[0], label_text("series")
+    columns = {("t",): [t for t in axis for _ in axis], ("s",): axis * len(axis)}
     if fmt == "json":
-        pieces[-1] = pieces[-1].removesuffix(",\n") + "\n  ]\n}\n"
+        template = _row_template(dict.fromkeys(DENSITY_COLUMNS))
+    else:
+        template = DENSITY_CSV_ROW
+
+    def fill(pieces: list) -> None:
+        for values, guarded, tail, label in blocks:
+            tails = _float_texts([tail], fmt) * n
+            labels = [label_text(label)] * n
+            if guarded is not None:
+                for i in np.flatnonzero(guarded).tolist():
+                    tails[i], labels[i] = guard
+            columns.update({("f",): _float_texts(values, fmt), ("tail_bound",): tails,
+                            ("method",): labels})
+            _fill_rows(pieces, n, template, columns)
+
+    if fmt == "json":
+        return _report_text(head, {"rows": fill})
+    pieces = [",".join(DENSITY_COLUMNS) + "\r\n"]
+    fill(pieces)
     return "".join(pieces)
 
 
@@ -238,21 +344,26 @@ def density_text(fmt: str, head: dict, pts, blocks, guard_tail: float) -> str:
 # ----------------------------------------------------------------------
 
 
+def _report(cfg: RunConfig, t0: float, **body) -> dict:
+    """A command's report: its command and config, ``body``, and the time since ``t0``."""
+    return {"command": cfg.command, "config": cfg.public_dict(), **body,
+            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
+
+
+def _summary(passed: list) -> dict:
+    failed = sum(1 for p in passed if not p)
+    return {"total": len(passed), "failed": failed, "pass": failed == 0}
+
+
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     t0 = time.perf_counter()
     reports = identities.run_identity_sweep(cfg.rank, cfg.max_total, cfg.cap)
     if cfg.inject_error and reports:
         reports[0].rhs = reports[0].rhs + " (perturbed)"
         reports[0].passed = False
-    failed = sum(1 for r in reports if not r.passed)
-    payload = {
-        "command": "verify",
-        "config": cfg.public_dict(),
-        "checks": [r.to_json_dict() for r in reports],
-        "summary": {"total": len(reports), "failed": failed, "pass": failed == 0},
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    return payload, failed == 0
+    summary = _summary([r.passed for r in reports])
+    payload = _report(cfg, t0, checks=[r.to_json_dict() for r in reports], summary=summary)
+    return payload, summary["pass"]
 
 
 def cmd_density(cfg: RunConfig) -> tuple[str, bool]:
@@ -290,20 +401,12 @@ def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:
     reports = density_mod.pairing_sweep(params, cfg.max_total, cfg.tol("quad"), cfg.cap)
     norm = density_mod.density_normalization(params, cfg.tol("norm"))
     norm_ok = abs(norm - 1.0) <= cfg.tol("norm")
-    ok = norm_ok and all(r.passed for r in reports)
-    payload = {
-        "command": "pairing",
-        "config": cfg.public_dict(),
-        "checks": [r.to_json_dict() for r in reports],
-        "normalization": {"value": norm, "tol": cfg.tol("norm"), "pass": norm_ok},
-        "summary": {
-            "total": len(reports) + 1,
-            "failed": sum(1 for r in reports if not r.passed) + (0 if norm_ok else 1),
-            "pass": ok,
-        },
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    return payload, ok
+    # the normalization counts as one more check
+    summary = _summary([r.passed for r in reports] + [norm_ok])
+    payload = _report(cfg, t0, checks=[r.to_json_dict() for r in reports],
+                      normalization={"value": norm, "tol": cfg.tol("norm"), "pass": norm_ok},
+                      summary=summary)
+    return payload, summary["pass"]
 
 
 def cmd_scan(cfg: RunConfig) -> tuple[dict, bool]:
@@ -314,14 +417,8 @@ def cmd_scan(cfg: RunConfig) -> tuple[dict, bool]:
     fracs = [report.fractions[t] for t in tols]
     monotone = all(fracs[i] >= fracs[i + 1] for i in range(len(fracs) - 1))
     ok = monotone and report.max_abs >= 1.0
-    payload = {
-        "command": "scan",
-        "config": cfg.public_dict(),
-        "report": report.to_json_dict(),
-        "summary": {"monotone": monotone, "max_at_least_one": report.max_abs >= 1.0, "pass": ok},
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    return payload, ok
+    summary = {"monotone": monotone, "max_at_least_one": report.max_abs >= 1.0, "pass": ok}
+    return _report(cfg, t0, report=report.to_json_dict(), summary=summary), ok
 
 
 def cmd_moments(cfg: RunConfig) -> tuple[dict, bool]:
@@ -329,30 +426,19 @@ def cmd_moments(cfg: RunConfig) -> tuple[dict, bool]:
     params = SpectralParams(cfg.rank)
     tol = cfg.tol("moment")
     checks = []
-    ok = True
     for k in range(cfg.max_moment + 1):
         exact = radial_moment_exact(k, cfg.rank, cfg.cap)
         quad = quad_lambda(lambda t, k=k: t**k, params, tol=min(tol, 1e-10))
         err = abs(quad - float(exact))
-        passed = err <= tol
-        ok = ok and passed
         checks.append({
             "k": k,
             "exact": fraction_str(exact),
             "quad": quad,
             "abs_err": err,
-            "pass": passed,
+            "pass": err <= tol,
         })
-    payload = {
-        "command": "moments",
-        "config": cfg.public_dict(),
-        "checks": checks,
-        "summary": {"total": len(checks),
-                    "failed": sum(1 for c in checks if not c["pass"]),
-                    "pass": ok},
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-    return payload, ok
+    summary = _summary([c["pass"] for c in checks])
+    return _report(cfg, t0, checks=checks, summary=summary), summary["pass"]
 
 
 COMMANDS = {

@@ -78,6 +78,12 @@ def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:
     return f"{len(x)} terms, norm_sq={fraction_str(x.norm_sq())}"
 
 
+def _check(lemma: str, params: dict, lhs, rhs, t0: float, spell=fraction_str) -> CheckReport:
+    """The report of one check begun at ``t0``, its sides written by ``spell``."""
+    return CheckReport(lemma, params, spell(lhs), spell(rhs), lhs == rhs,
+                       (time.perf_counter() - t0) * 1000.0)
+
+
 def standard_test_vectors(rank: int) -> dict[int, list[InversionEigenvector]]:
     """Canonical test vectors per sign.
 
@@ -240,17 +246,9 @@ def inner_block(
         t0 = time.perf_counter()
         lhs = left[n, m].inner(right[n2, m2])
         rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
-        reports.append(
-            CheckReport(
-                lemma="sandwich_inner",
-                params={"rank": rank, "sign": v.sign, "sign2": v2.sign,
-                        "vec": vec_i, "vec2": vec_j, "n": n, "m": m, "n2": n2, "m2": m2},
-                lhs=fraction_str(lhs),
-                rhs=fraction_str(rhs),
-                passed=lhs == rhs,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
+        params = {"rank": rank, "sign": v.sign, "sign2": v2.sign,
+                  "vec": vec_i, "vec2": vec_j, "n": n, "m": m, "n2": n2, "m2": m2}
+        reports.append(_check("sandwich_inner", params, lhs, rhs, t0))
     return reports
 
 
@@ -268,16 +266,8 @@ def expansion_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[C
             [(coeff, cache.component(v, vec_i, r, s))
              for coeff, r, s in sandwich_expansion_indices(v.sign, n, m)],
         )
-        reports.append(
-            CheckReport(
-                lemma="sandwich_expansion",
-                params={"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m},
-                lhs=_element_digest(lhs),
-                rhs=_element_digest(rhs),
-                passed=lhs == rhs,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
+        params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
+        reports.append(_check("sandwich_expansion", params, lhs, rhs, t0, _element_digest))
     return reports
 
 
@@ -292,16 +282,8 @@ def pairing_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[Che
         t0 = time.perf_counter()
         lhs = cache.triple(v, vec_i, n, m).inner(v_graded)
         rhs = pairing_closed(v.sign, n, m, v.norm_sq())
-        reports.append(
-            CheckReport(
-                lemma="pairing_cases",
-                params={"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m},
-                lhs=fraction_str(lhs),
-                rhs=fraction_str(rhs),
-                passed=lhs == rhs,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
+        params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
+        reports.append(_check("pairing_cases", params, lhs, rhs, t0))
     return reports
 
 

@@ -11,10 +11,12 @@ import pytest
 
 from radialmasa import density
 from radialmasa.cli import (
+    COMMANDS,
     RunConfig,
     atomic_write_text,
     build_parser,
     density_text,
+    json_report,
     main,
     resolve_config,
 )
@@ -219,6 +221,9 @@ def test_report_matches_benchmark_digest(tmp_path, key):
     # as perfbench/run.py hashes them, against the recorded digest
     code, report = run_json(tmp_path, key.split())
     assert code == 0
+    # and the report's bytes are json's own for the same data
+    written = (tmp_path / "out.json").read_text()
+    assert written == json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
     command = key.split()[0]
     rows = BENCHMARK_ROWS[command](report)
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
@@ -437,6 +442,34 @@ def test_scan_empty_tols_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tols, config", [
+    ("nan", None), ("inf", None), ("0.1,-inf", None), ("0", None), (None, [-1, 0.1]),
+])
+def test_scan_meaningless_tols_rejected(tmp_path, capsys, tols, config):
+    # a threshold that is not finite and positive counts nothing
+    argv = ["scan", "--rank", "2", "--grid", "16", "--out", str(tmp_path / "out.json")]
+    if tols is not None:
+        argv += ["--scan-tols", tols]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"scan_tols": config}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert one_stderr_line(capsys).startswith("configuration error: scan_tols")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "pairing", "scan", "moments"])
+def test_csv_format_only_for_density(tmp_path, capsys, command):
+    # the JSON reports have no CSV form; the flag would be ignored
+    argv = [command, "--rank", "2", "--grid", "16", "--out", str(tmp_path / "out.json")]
+    assert main(argv + ["--format", "csv"]) == 2
+    assert one_stderr_line(capsys).startswith("configuration error: format csv")
+    (tmp_path / "cfg.json").write_text(json.dumps({"format": "csv"}))
+    assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
+    assert one_stderr_line(capsys).startswith("configuration error: format csv")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_moments_command(tmp_path):
     code, payload = run_json(tmp_path, ["moments", "--rank", "3", "--max-moment", "8"])
     assert code == 0
@@ -453,6 +486,46 @@ def test_moments_tolerance_failure(tmp_path):
     )
     assert code == 1
     assert payload["summary"]["pass"] is False
+
+
+# ---------------------------------------------------------------- report writer
+
+
+def json_oracle(payload):
+    """The encoder json_report replaces, kept as the oracle for its bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "2", "--max-total", "4"],
+    ["verify", "--rank", "3", "--max-total", "3"],
+    ["verify", "--rank", "2", "--max-total", "2", "--inject-error"],
+    ["pairing", "--rank", "2"],
+    ["scan", "--rank", "2", "--grid", "32", "--scan-tols", "0.5,1e-3"],
+    ["moments", "--rank", "3"],
+])
+def test_json_report_matches_json_dumps(argv):
+    cfg = resolve_config(build_parser().parse_args(argv))
+    payload, _ = COMMANDS[cfg.command](cfg)
+    assert json_report(payload) == json_oracle(payload)
+
+
+def test_json_report_spells_every_value_as_json_does():
+    rows = [
+        {"lemma": 'quote " and \\ backslash', "x": float("nan"), "y": float("inf"),
+         "z": -float("inf"), "w": -0.0, "params": {"flag": True, "n": 1, "none": None}},
+        {"lemma": "tab\tbell\x07 é ☃", "x": 1e-300, "y": 2.5, "z": -1e300, "w": 0.0,
+         "params": {"flag": False, "n": 2, "none": None}},
+        # a second key structure, and columns of mixed types
+        {"lemma": "x", "k": [1, [2, {}], {"b": [], "a": 1}], "params": {"n": True}},
+        {"lemma": None, "k": {}, "params": {"n": 1.5}},
+        {"lemma": "x", "k": 0, "params": {"n": "1"}},
+        {}, 7, "row", None, [1, 2.5],
+    ]
+    payload = {"checks": rows, "rows": [], "command": "t\u00e9st", "summary": {"pass": True},
+               "config": {"scan_tols": (0.1,), "tolerances": {}}, "zeta": (1, 2)}
+    assert json_report(payload) == json_oracle(payload)
+    assert json_report({}) == json_oracle({})
 
 
 # ---------------------------------------------------------------- plumbing

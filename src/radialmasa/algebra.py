@@ -574,20 +574,19 @@ def radial_moment_exact(k: int, rank: int, cap: int | None = None) -> int | Frac
     of k length-one words that reduce to the empty word.
 
     Splitting the power as trace(x*y) = <x, adjoint(y)> avoids materializing
-    the full k-th power.
+    the full k-th power.  Each half is built by ``times_chi`` steps of one
+    letter, and a part longer than the cap raises ResourceCapError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1
-    c1 = chi(1, rank, cap)
-    half = k // 2
-    left = GroupAlgebraElement.one(rank)
-    for _ in range(half):
-        left = multiply(left, c1, cap)
-    right = left if k == 2 * half else multiply(left, c1, cap)
+    left = GradedVector(rank, {0: np.ones(1, dtype=np.int64)})
+    for _ in range(k // 2):
+        left = left.times_chi(1, cap)[1]
+    right = left if k % 2 == 0 else left.times_chi(1, cap)[1]
     # chi_1 powers are self-adjoint, so trace(right*left) = <right, left>
-    return inner_product(right, left)
+    return right.inner(left)
 
 
 class InversionEigenvector:

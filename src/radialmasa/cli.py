@@ -46,24 +46,45 @@ DEFAULT_TOLERANCES = {
     "moments": {"moment": 1e-8},
 }
 
-# Every option that a flag or a --config file can set, with the type of its
-# value.  Both sources go through this table: the scalar flags parse with
-# these types and config-file values must have them.  scan_tols is a list of
-# numbers (flag: T1,T2,...) and tolerances a map of name to number (flag:
-# NAME=VALUE, repeated).
-OPTION_TYPES = {
-    "rank": int,
-    "grid_n": int,
-    "truncation": int,
-    "max_total": int,
-    "max_moment": int,
-    "cap": int,
-    "output_path": str,
-    "format": str,
-    "method": str,
-    "scan_tols": list,
-    "tolerances": dict,
+ALL_COMMANDS = tuple(DEFAULT_TOLERANCES)  # it has a key for every command
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option that a flag or a --config file can set."""
+
+    flag: str
+    type: type
+    commands: tuple
+    help: str
+    low: int | None = None
+    choices: tuple | None = None
+
+
+# Every option, declared once.  A command takes the flags of the options it
+# reads, and its --config file may set only their keys, to values of their
+# type.  scan_tols is a list of numbers (flag: T1,T2,...) and tolerances a
+# map of name to number (flag: NAME=VALUE, repeated).
+OPTIONS = {
+    "rank": Option("--rank", int, ALL_COMMANDS, "number of free generators", low=2),
+    "grid_n": Option("--grid", int, ("density", "scan"), "grid points per axis", low=1),
+    "truncation": Option("--truncation", int, ("density",), "series truncation order", low=2),
+    "max_total": Option("--max-total", int, ("verify", "pairing"), "largest n+m swept", low=0),
+    "max_moment": Option("--max-moment", int, ("moments",), "largest moment order", low=0),
+    "cap": Option("--cap", int, ("verify", "pairing", "moments"), "word-pair and array cap", low=1),
+    "output_path": Option("--out", str, ALL_COMMANDS, "output path (default: stdout)"),
+    "format": Option("--format", str, ("density",), "output format", choices=("csv", "json")),
+    "method": Option("--method", str, ("density",), "density evaluation",
+                     choices=("closed", "series", "both")),
+    "scan_tols": Option("--scan-tols", list, ("scan",), "comma-separated |f| thresholds"),
+    "tolerances": Option("--tol", dict, tuple(c for c, t in DEFAULT_TOLERANCES.items() if t),
+                         "named tolerance (repeatable)"),
 }
+
+
+def command_options(command: str) -> dict:
+    """The options ``command`` reads, by key, in table order."""
+    return {key: opt for key, opt in OPTIONS.items() if command in opt.commands}
 
 
 @dataclass
@@ -85,12 +106,15 @@ class RunConfig:
     inject_error: bool = False
 
     def validate(self) -> None:
-        if self.command not in ("verify", "density", "pairing", "scan", "moments"):
+        """Check the table's bounds and choices, then the rules across fields."""
+        if self.command not in DEFAULT_TOLERANCES:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.rank < 2:
-            raise ValueError(f"rank must be at least 2 (rank-1 free groups are abelian), got {self.rank}")
-        if self.grid_n < 1:
-            raise ValueError("grid must be positive")
+        for key, opt in command_options(self.command).items():
+            value = getattr(self, key)
+            if opt.low is not None and value is not None and value < opt.low:
+                raise ValueError(f"{key} must be at least {opt.low}, got {value}")
+            if opt.choices and value not in opt.choices:
+                raise ValueError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
         if self.command == "scan" and self.grid_n < 16:
             raise ValueError("scan needs a grid of at least 16")
         if self.command == "scan" and not self.scan_tols:
@@ -98,16 +122,6 @@ class RunConfig:
         for tol in self.scan_tols:
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"scan_tols entries must be finite and positive, got {tol}")
-        if self.truncation < 2:
-            raise ValueError("truncation must be at least 2")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.format == "csv" and self.command != "density":
-            raise ValueError(f"format csv is only for density; {self.command} writes JSON")
-        if self.method not in ("closed", "series", "both"):
-            raise ValueError(f"method must be closed, series or both, got {self.method!r}")
-        if self.max_total < 0 or self.max_moment < 0:
-            raise ValueError("sweep bounds must be nonnegative")
         known = DEFAULT_TOLERANCES[self.command]
         for name, value in self.tolerances.items():
             if name not in known:
@@ -117,11 +131,9 @@ class RunConfig:
                 )
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
-        # parsed again where it is used; the report keeps config.cap as given
-        cap = active_cap(self.cap)
-        if cap < 1:
-            source = "cap" if self.cap is not None else CAP_ENV_VAR
-            raise ValueError(f"{source} must be at least 1, got {cap}")
+        # the environment's cap, parsed again where it is used
+        if self.cap is None and active_cap() < 1:
+            raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {active_cap()}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command].get(name, 1e-8))
@@ -140,9 +152,13 @@ def atomic_write_text(path: str, content: str) -> None:
     """Write whole-file output via a same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".radialmasa-", suffix=".tmp")
+    # mkstemp makes the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -356,6 +372,7 @@ def _summary(passed: list) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
+    """exact identity sweeps in the group algebra"""
     t0 = time.perf_counter()
     reports = identities.run_identity_sweep(cfg.rank, cfg.max_total, cfg.cap)
     if cfg.inject_error and reports:
@@ -367,6 +384,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_density(cfg: RunConfig) -> tuple[str, bool]:
+    """evaluate the left-right density on a grid"""
     params = SpectralParams(cfg.rank)
     pts = density_mod.interior_grid(cfg.grid_n, params)
     # axes, not broadcast grids: the series then builds len(pts)-point chi tables
@@ -396,6 +414,7 @@ def cmd_density(cfg: RunConfig) -> tuple[str, bool]:
 
 
 def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:
+    """exact / case / quadrature pairing agreement"""
     t0 = time.perf_counter()
     params = SpectralParams(cfg.rank)
     reports = density_mod.pairing_sweep(params, cfg.max_total, cfg.tol("quad"), cfg.cap)
@@ -410,6 +429,7 @@ def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_scan(cfg: RunConfig) -> tuple[dict, bool]:
+    """near-zero census of the density"""
     t0 = time.perf_counter()
     params = SpectralParams(cfg.rank)
     report = density_mod.zero_scan(cfg.grid_n, list(cfg.scan_tols), params)
@@ -422,6 +442,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def cmd_moments(cfg: RunConfig) -> tuple[dict, bool]:
+    """quadrature moments against exact walk counts"""
     t0 = time.perf_counter()
     params = SpectralParams(cfg.rank)
     tol = cfg.tol("moment")
@@ -475,51 +496,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+# argparse keywords for a flag, by the type of its option's value
+FLAG_PARSING = {
+    list: {"type": _parse_scan_tols, "metavar": "T1,T2,..."},
+    dict: {"type": _parse_tol, "action": "append", "metavar": "NAME=VALUE"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="radialmasa",
         description="Exact and numerical checks for the radial subalgebra toolkit.",
     )
-
-    def option(p, flag, dest, **kwargs):
-        p.add_argument(flag, dest=dest, type=OPTION_TYPES[dest], default=None, **kwargs)
-
-    common = argparse.ArgumentParser(add_help=False)
-    option(common, "--rank", "rank", help="number of free generators (>= 2)")
-    option(common, "--grid", "grid_n", help="grid points per axis")
-    option(common, "--truncation", "truncation", help="series truncation order")
-    common.add_argument("--tol", type=_parse_tol, action="append", default=None,
-                        dest="tolerances", metavar="NAME=VALUE",
-                        help="named tolerance (repeatable)")
-    option(common, "--out", "output_path", help="output path (default: stdout)")
-    option(common, "--format", "format", choices=("csv", "json"))
-    common.add_argument("--config", type=str, default=None, help="JSON file with option overrides")
-    option(common, "--cap", "cap", help="term-pair cap (overrides $RADIAL_MASA_CAP)")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="exact identity sweeps in the group algebra")
-    option(p_verify, "--max-total", "max_total", help="largest n+m in the sweeps")
-    p_verify.add_argument("--inject-error", action="store_true", dest="inject_error",
-                          help="test mode: corrupt one check to confirm failures are caught")
-
-    p_density = sub.add_parser("density", parents=[common],
-                               help="evaluate the left-right density on a grid")
-    option(p_density, "--method", "method", choices=("closed", "series", "both"))
-
-    p_pairing = sub.add_parser("pairing", parents=[common],
-                               help="exact / case / quadrature pairing agreement")
-    option(p_pairing, "--max-total", "max_total", help="largest j+k in the pairing sweep")
-
-    p_scan = sub.add_parser("scan", parents=[common], help="near-zero census of the density")
-    p_scan.add_argument("--scan-tols", type=_parse_scan_tols, default=None, dest="scan_tols",
-                        metavar="T1,T2,...", help="comma-separated |f| thresholds")
-
-    p_moments = sub.add_parser("moments", parents=[common],
-                               help="quadrature moments against exact walk counts")
-    option(p_moments, "--max-moment", "max_moment", help="largest moment order")
-
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for key, opt in command_options(command).items():
+            bound = "" if opt.low is None else f" (at least {opt.low})"
+            p.add_argument(opt.flag, dest=key, choices=opt.choices, help=opt.help + bound,
+                           **FLAG_PARSING.get(opt.type, {"type": opt.type}))
+        p.add_argument("--config", help="JSON file with option overrides")
+        if command == "verify":
+            p.add_argument("--inject-error", action="store_true",
+                           help="test mode: corrupt one check to confirm failures are caught")
     return parser
 
 
@@ -530,8 +529,8 @@ def _number(name: str, value) -> float:
 
 
 def _file_value(key: str, value):
-    """A --config file value, checked against its type in OPTION_TYPES."""
-    kind = OPTION_TYPES[key]
+    """A --config file value, checked against its type in OPTIONS."""
+    kind = OPTIONS[key].type
     if kind is list:
         if not isinstance(value, list):
             raise ValueError(f"config key {key!r} must be a list of numbers, got {value!r}")
@@ -561,6 +560,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "density":
         cfg.format = "csv"
     cfg.tolerances = dict(DEFAULT_TOLERANCES[args.command])
+    options = command_options(args.command)
 
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
@@ -568,16 +568,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_opts, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in file_opts.items():
-            if key not in OPTION_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in options:
+                raise ValueError(f"unknown config key {key!r} for {args.command} "
+                                 f"(known: {', '.join(options)})")
             _set_option(cfg, key, _file_value(key, value))
 
-    for key in OPTION_TYPES:
-        value = getattr(args, key, None)
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             _set_option(cfg, key, value)
-    if getattr(args, "inject_error", False):
-        cfg.inject_error = True
+    cfg.inject_error = getattr(args, "inject_error", False)
 
     cfg.validate()
     return cfg

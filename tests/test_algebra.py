@@ -349,13 +349,24 @@ def test_vector_validation():
 
 
 def test_moment_counts_match_direct_power():
-    # the split-power shortcut against literally multiplying out chi_1^k
-    for rank in (2, 3):
+    # the graded split-power shortcut against literally multiplying out chi_1^k
+    # by dict products; at rank 3 the power past k = 8 holds millions of words
+    for rank, top in ((2, 10), (3, 8)):
         c1 = chi(1, rank)
         power = GroupAlgebraElement.one(rank)
-        for k in range(7):
+        for k in range(top + 1):
+            if k:
+                power = multiply(power, c1)
             assert radial_moment_exact(k, rank) == power.trace()
-            power = multiply(power, c1)
+
+
+def test_moment_cap_bounds_parts():
+    # chi_1^2 at rank 2 has a length-2 part of 4 * 3 = 12 entries
+    # k = 3 reaches it on the odd step, k = 4 on the halves
+    for k, moment in ((3, 0), (4, 28)):
+        with pytest.raises(ResourceCapError, match="a length-2 vector has 12 entries, cap is 11"):
+            radial_moment_exact(k, 2, cap=11)
+        assert radial_moment_exact(k, 2, cap=12) == moment
 
 
 def test_low_moments():

@@ -1,7 +1,11 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +16,11 @@ import pytest
 from radialmasa import density
 from radialmasa.cli import (
     COMMANDS,
+    OPTIONS,
     RunConfig,
     atomic_write_text,
     build_parser,
+    command_options,
     density_text,
     json_report,
     main,
@@ -141,6 +147,129 @@ def test_jobs_flag_rejected(capsys):
         main(["verify", "--rank", "2", "--max-total", "1", "--jobs", "2"])
     assert exit_info.value.code == 2
     assert "--jobs" in one_stderr_line(capsys)
+
+
+# ---------------------------------------------------------------- the option table
+
+
+def test_each_command_takes_its_flags():
+    expected = {
+        "verify": {"--rank", "--max-total", "--cap", "--out", "--config", "--inject-error"},
+        "density": {"--rank", "--grid", "--truncation", "--tol", "--out", "--format",
+                    "--method", "--config"},
+        "pairing": {"--rank", "--max-total", "--cap", "--tol", "--out", "--config"},
+        "scan": {"--rank", "--grid", "--scan-tols", "--out", "--config"},
+        "moments": {"--rank", "--max-moment", "--cap", "--tol", "--out", "--config"},
+    }
+    subparsers = next(action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    taken = {command: {flag for action in p._actions for flag in action.option_strings}
+             - {"-h", "--help"} for command, p in subparsers.items()}
+    assert taken == expected
+    assert sum(map(len, taken.values())) == 31
+
+
+def sample_flag_value(opt):
+    """A value the flag parses."""
+    if opt.choices:
+        return opt.choices[0]
+    if opt.low is not None:
+        return str(opt.low)
+    return {str: "x", list: "0.1", dict: "x=1"}[opt.type]
+
+
+def sample_file_value(opt):
+    """A value of the option's type, as a config file would hold it."""
+    if opt.choices:
+        return opt.choices[0]
+    if opt.low is not None:
+        return opt.low
+    return {str: "x", list: [0.1], dict: {}}[opt.type]
+
+
+UNREAD_FLAGS = [
+    (command, flag, value)
+    for command in COMMANDS
+    for flag, value in [(opt.flag, sample_flag_value(opt)) for opt in OPTIONS.values()]
+    + [("--inject-error", None)]
+    if flag not in {opt.flag for opt in command_options(command).values()}
+    and (command, flag) != ("verify", "--inject-error")
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_unread_flag_rejected(command, flag, value, capsys):
+    argv = [command, flag] + ([] if value is None else [value])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in one_stderr_line(capsys)
+
+
+UNREAD_KEYS = [(command, key) for command in COMMANDS for key in OPTIONS
+               if key not in command_options(command)]
+
+
+@pytest.mark.parametrize("command, key", UNREAD_KEYS)
+def test_unread_config_key_rejected(command, key, tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({key: sample_file_value(OPTIONS[key])}))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+    assert one_stderr_line(capsys).startswith(
+        f"configuration error: unknown config key {key!r} for {command}")
+    assert not out.exists()
+
+
+def resolve(argv):
+    return resolve_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("key", [key for key, opt in OPTIONS.items() if opt.low is not None])
+def test_option_bound(key, tmp_path):
+    opt = OPTIONS[key]
+    for command in opt.commands:
+        # scan asks more of its grid than the table's bound
+        if (command, key) == ("scan", "grid_n"):
+            continue
+        assert getattr(resolve([command, opt.flag, str(opt.low)]), key) == opt.low
+        below = f"^{key} must be at least {opt.low}, got {opt.low - 1}$"
+        with pytest.raises(ValueError, match=below):
+            resolve([command, opt.flag, str(opt.low - 1)])
+        (tmp_path / "cfg.json").write_text(json.dumps({key: opt.low - 1}))
+        with pytest.raises(ValueError, match=below):
+            resolve([command, "--config", str(tmp_path / "cfg.json")])
+
+
+@pytest.mark.parametrize("key", [key for key, opt in OPTIONS.items() if opt.choices])
+def test_option_choices(key, tmp_path, capsys):
+    opt = OPTIONS[key]
+    for command in opt.commands:
+        for choice in opt.choices:
+            assert getattr(resolve([command, opt.flag, choice]), key) == choice
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, opt.flag, "xml"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'xml'" in one_stderr_line(capsys)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: "xml"}))
+        assert main([command, "--config", str(tmp_path / "cfg.json")]) == 2
+        assert one_stderr_line(capsys).startswith(f"configuration error: {key} must be one of")
+
+
+def test_readme_options_match_cli():
+    # the README's option table, row for row, is the one in cli.py
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| option | flag | commands | bound or choices |\n|---|---|---|---|\n")[1]
+    rows = re.findall(r"^\| .*\|$", table.split("\n\n")[0], flags=re.M)
+    expected = []
+    for key, opt in OPTIONS.items():
+        if opt.low is not None:
+            bound = f"≥ {opt.low}"
+        elif opt.choices:
+            bound = ", ".join(f"`{choice}`" for choice in opt.choices)
+        else:
+            bound = "–"
+        expected.append(f"| `{key}` | `{opt.flag}` | {', '.join(opt.commands)} | {bound} |")
+    assert rows == expected
 
 
 # ---------------------------------------------------------------- verify
@@ -460,13 +589,16 @@ def test_scan_meaningless_tols_rejected(tmp_path, capsys, tols, config):
 
 @pytest.mark.parametrize("command", ["verify", "pairing", "scan", "moments"])
 def test_csv_format_only_for_density(tmp_path, capsys, command):
-    # the JSON reports have no CSV form; the flag would be ignored
-    argv = [command, "--rank", "2", "--grid", "16", "--out", str(tmp_path / "out.json")]
-    assert main(argv + ["--format", "csv"]) == 2
-    assert one_stderr_line(capsys).startswith("configuration error: format csv")
+    # the JSON reports have no CSV form, so only density takes a format
+    argv = [command, "--rank", "2", "--out", str(tmp_path / "out.json")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--format", "csv"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format csv" in one_stderr_line(capsys)
     (tmp_path / "cfg.json").write_text(json.dumps({"format": "csv"}))
     assert main(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
-    assert one_stderr_line(capsys).startswith("configuration error: format csv")
+    assert one_stderr_line(capsys).startswith(
+        f"configuration error: unknown config key 'format' for {command}")
     assert not (tmp_path / "out.json").exists()
 
 
@@ -477,6 +609,14 @@ def test_moments_command(tmp_path):
     assert len(checks) == 9
     assert checks[2]["exact"] == "6/1"
     assert all(c["pass"] for c in checks)
+
+
+def test_moments_cap(capsys):
+    # chi_1^2 at rank 2 has a length-2 part of 12 entries
+    argv = ["moments", "--rank", "2", "--max-moment", "4", "--cap"]
+    assert main(argv + ["11"]) == 2
+    assert one_stderr_line(capsys) == "aborted: a length-2 vector has 12 entries, cap is 11\n"
+    assert main(argv + ["12"]) == 0
 
 
 def test_moments_tolerance_failure(tmp_path):
@@ -533,10 +673,17 @@ def test_json_report_spells_every_value_as_json_does():
 
 def test_atomic_write(tmp_path):
     target = tmp_path / "file.txt"
-    atomic_write_text(str(target), "hello")
-    assert target.read_text() == "hello"
-    atomic_write_text(str(target), "replaced")
-    assert target.read_text() == "replaced"
+    old_umask = os.umask(0o022)
+    try:
+        atomic_write_text(str(target), "hello")
+        assert target.read_text() == "hello"
+        # the mode open() would give, not the temp file's 0600
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        atomic_write_text(str(target), "replaced")
+        assert target.read_text() == "replaced"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    finally:
+        os.umask(old_umask)
     assert list(tmp_path.iterdir()) == [target]  # no temp droppings
 
 

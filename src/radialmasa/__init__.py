@@ -34,7 +34,6 @@ from .density import (
     density_normalization,
     density_series,
     density_series_grid,
-    pairing_check,
     pairing_sweep,
     series_tail_bound,
     zero_scan,
@@ -52,7 +51,6 @@ from .spectral import (
     SpectralParams,
     chi_eval_recurrence,
     chi_eval_trig,
-    chi_norm_sq,
     kesten_density,
     quad_lambda,
     trig_sum,

@@ -401,7 +401,8 @@ class GradedVector:
                 if np.count_nonzero(part):
                     self.parts[length], self.bounds[length] = part, None
             else:
-                bound = int(np.abs(part).max())
+                # not np.abs, which wraps INT64_MIN to itself
+                bound = max(int(part.max()), -int(part.min()))
                 if bound:
                     self.parts[length], self.bounds[length] = part, bound
 

@@ -43,9 +43,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import GradedVector
 from .errors import QuadratureError
-from .identities import _SandwichCache, fraction_str, pairing_closed, standard_test_vectors
-from .spectral import SpectralParams, lambda_rule, trig_sum
+from .identities import degree_pairs, fraction_str, pairing_closed, standard_test_vectors
+from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule, trig_sum
 
 # |sin(theta)*sin(phi)| below this makes the closed form ill-conditioned;
 # those points are evaluated by the series branch instead.
@@ -249,28 +250,34 @@ def density_closed(t: float, s: float, params: SpectralParams) -> DensityPoint:
 
 
 def pairing_exact(
-    j: int, k: int, rank: int, cap: int | None = None, _cache: _SandwichCache | None = None
-) -> Fraction:
-    """<chi_j v chi_k, v> / |v|^2 computed in the group algebra (sign -1 vector).
+    rank: int, max_total: int, cap: int | None = None
+) -> dict[tuple[int, int], Fraction]:
+    """{(j, k): <chi_j v chi_k, v> / |v|^2} for every j + k <= max_total,
+    computed in the group algebra (sign -1 vector).
 
-    chi_j is self-adjoint, so the pairing is <v chi_k, chi_j v>: the cache's
-    v chi_k, read off its letter-step pass over v, against its chi_j v, the
-    adjoint of v chi_j times the sign.  A sweep passes one ``_cache``, built
-    for its largest j + k, to every call, so one pass serves every check.
+    chi_j is self-adjoint and v* = sign v, so the pairing is
+    <v chi_k, chi_j v> = sign <v chi_k, (v chi_j)*>: one ``times_chi`` pass
+    over v gives every v chi_k, and each j takes one adjoint of v chi_j.
     """
     v = standard_test_vectors(rank)[-1][0]
-    cache = _cache or _SandwichCache(rank, cap)
-    value = cache.triple(v, 0, 0, k).inner(cache.left(v, 0, j))
-    return Fraction(value) / Fraction(v.norm_sq())
+    right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)
+    norm_sq = Fraction(v.norm_sq())
+    values = {}
+    for j in range(max_total + 1):
+        left = right[j].adjoint()
+        for k in range(max_total - j + 1):
+            values[j, k] = v.sign * Fraction(right[k].inner(left)) / norm_sq
+    return values
 
 
 class _DensityQuadrature:
     """Shared doubling tensor-product quadrature of moments against the density."""
 
-    def __init__(self, params: SpectralParams, min_order: int = 32, max_order: int = 512):
+    MIN_ORDER = 32
+    MAX_ORDER = 512
+
+    def __init__(self, params: SpectralParams):
         self.params = params
-        self.min_order = min_order
-        self.max_order = max_order
         self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _level(self, order: int):
@@ -282,11 +289,9 @@ class _DensityQuadrature:
 
     def chi_pair_integral(self, j: int, k: int, tol: float) -> float:
         """integral of p_j(t) p_k(s) f(t,s) dlambda(t) dlambda(s)."""
-        from .spectral import chi_eval_recurrence
-
         prev = None
-        order = self.min_order
-        while order <= self.max_order:
+        order = self.MIN_ORDER
+        while order <= self.MAX_ORDER:
             t, w, grid = self._level(order)
             left = w * chi_eval_recurrence(j, t, self.params)
             right = w * chi_eval_recurrence(k, t, self.params)
@@ -298,41 +303,22 @@ class _DensityQuadrature:
         raise QuadratureError(f"density pairing quadrature did not reach {tol}")
 
 
-def pairing_check(
-    j: int,
-    k: int,
-    params: SpectralParams,
-    tol: float = 1e-6,
-    cap: int | None = None,
-    _quad: _DensityQuadrature | None = None,
-    _cache: _SandwichCache | None = None,
-) -> PairingReport:
-    """Compare the three routes to the pairing value; exact equality on the
-    algebraic side, tolerance on the quadrature side."""
-    value_exact = pairing_exact(j, k, params.rank, cap, _cache)
-    value_case = pairing_closed(-1, j, k, Fraction(1))
-    quad = _quad or _DensityQuadrature(params)
-    value_quad = quad.chi_pair_integral(j, k, tol / 2.0)
-    passed = value_exact == value_case and abs(value_quad - float(value_case)) <= tol
-    return PairingReport(
-        j=j, k=k, value_exact=value_exact, value_case=value_case,
-        value_quad=value_quad, quad_tol=tol, passed=passed,
-    )
-
-
 def pairing_sweep(
     params: SpectralParams, max_total: int = 6, tol: float = 1e-6, cap: int | None = None
 ) -> list[PairingReport]:
-    """All pairing checks with j + k <= max_total, sharing one quadrature and
-    one sandwich cache."""
+    """Every pairing with j + k <= max_total three ways: exact group algebra,
+    case formula, and quadrature against the density.  Exact equality on the
+    algebraic side, tolerance on the quadrature side; one quadrature serves
+    every check."""
     quad = _DensityQuadrature(params)
-    cache = _SandwichCache(params.rank, cap, max_total)
     reports = []
-    for total in range(max_total + 1):
-        for j in range(total + 1):
-            reports.append(
-                pairing_check(j, total - j, params, tol, cap, _quad=quad, _cache=cache)
-            )
+    exact = pairing_exact(params.rank, max_total, cap)
+    for j, k in degree_pairs(max_total):
+        value_exact = exact[j, k]
+        value_case = pairing_closed(-1, j, k, Fraction(1))
+        value_quad = quad.chi_pair_integral(j, k, tol / 2.0)
+        passed = value_exact == value_case and abs(value_quad - float(value_case)) <= tol
+        reports.append(PairingReport(j, k, value_exact, value_case, value_quad, tol, passed))
     return reports
 
 

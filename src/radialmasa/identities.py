@@ -11,27 +11,27 @@ computation against a closed form, with exact rational equality:
 * ``pairing_cases``: <chi_n v chi_m, v> is given by a six-case formula.
 
 The brute force side is always the oracle; the closed forms never feed
-back into it.  ``run_identity_sweep`` is the one driver: it runs one block
-of checks per test vector (or ordered pair of them) for each family, and
-every block draws from one shared cache.
+back into it.  ``run_identity_sweep`` is the one driver: it builds one
+``sandwich_table`` per test vector and runs one block of checks per test
+vector (or ordered pair of them) for each family off those tables.
 
-The cache keeps each triple product chi_r v chi_s as a ``GradedVector``:
-one exact coefficient array per word length, indexed by word position.  It
-reads every v chi_m off one pass of right products by single letters, each
-a gather and scatter of positions (``GradedVector.times_chi``), and gets
-chi_n v from v chi_n by inverting every word: chi_n is self-adjoint and
-v* = sign v, so chi_n v = sign (v chi_n)*, a permutation of positions
-(``GradedVector.adjoint``).  One more pass over chi_n v gives every
-chi_n v chi_m.  The component v_{r,s} is the top-length array of its
-triple, an inner product is a dot of same-length arrays (words of different
-lengths are orthogonal), and the expansion check compares two graded
-vectors length by length.  This changes only how the brute-force values
-are built and stored, not what they are: x chi_m is the sum of x u over the
-reduced words u of length m, each u applied one letter at a time, and the
-adjoint only moves coefficients, so every coefficient is still a sum of
-word products, held as an int or a Fraction (int64 only where a bound
-rules out overflow).  No recurrence among the chi_n is used, so the oracle
-is still the group algebra and equality is still exact.
+A table holds each triple product chi_n v chi_m as a ``GradedVector``: one
+exact coefficient array per word length, indexed by word position.  Row 0,
+every v chi_m, is one pass of right products by single letters, each a
+gather and scatter of positions (``GradedVector.times_chi``).  chi_n v comes
+from v chi_n by inverting every word: chi_n is self-adjoint and v* = sign v,
+so chi_n v = sign (v chi_n)*, a permutation of positions
+(``GradedVector.adjoint``).  Row n is one more pass over chi_n v.  The
+component v_{r,s} is the top-length array of its triple, an inner product is
+a dot of same-length arrays (words of different lengths are orthogonal), and
+the expansion check compares two graded vectors length by length.  This
+changes only how the brute-force values are built and stored, not what they
+are: x chi_m is the sum of x u over the reduced words u of length m, each u
+applied one letter at a time, and the adjoint only moves coefficients, so
+every coefficient is still a sum of word products, held as an int or a
+Fraction (int64 only where a bound rules out overflow).  No recurrence among
+the chi_n is used, so the oracle is still the group algebra and equality is
+still exact.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from itertools import product
 from numbers import Rational
 
 from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, inner_product
+
+# table[n][m] = chi_n v chi_m by length, as ``sandwich_table`` builds it
+SandwichTable = list[list[GradedVector]]
 
 
 def fraction_str(value: Rational) -> str:
@@ -172,48 +175,27 @@ def sandwich_expansion_indices(sign: int, n: int, m: int) -> list[tuple[int, int
 # ----------------------------------------------------------------------
 
 
-class _SandwichCache:
-    """The triple products chi_r v chi_s of one sweep; carries its rank, its
-    cap and the largest r + s the sweep asks for.
+def sandwich_table(
+    v: InversionEigenvector, max_total: int, cap: int | None = None
+) -> SandwichTable:
+    """``table[n][m]`` = chi_n v chi_m by length, for every n + m <= max_total.
 
-    Each triple is kept as a ``GradedVector`` under ``(key, r, s)``, where
-    ``key`` names ``v``.  Its top length r + s + 1 is the component v_{r,s};
-    its lower lengths serve the expansion and pairing checks.
+    Row 0 is one ``times_chi`` pass over v.  Row n is one pass over
+    chi_n v = sign (v chi_n)*, since chi_n is self-adjoint and v* = sign v.
+    The top length n + m + 1 of a cell is the component v_{n,m}.
     """
+    rank = v.element.rank
+    right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)
+    table = [right]
+    for n in range(1, max_total + 1):
+        left = GradedVector.combination(rank, [(v.sign, right[n].adjoint())])
+        table.append(left.times_chi(max_total - n, cap))
+    return table
 
-    def __init__(self, rank: int, cap: int | None = None, max_total: int = 0):
-        self.rank = rank
-        self.cap = cap
-        self.max_total = max_total
-        # (key, r, s) -> chi_r v chi_s, whose top length is the component v_{r,s}
-        self._components: dict[tuple[int, int, int], GradedVector] = {}
 
-    def left(self, v: InversionEigenvector, key: int, n: int) -> GradedVector:
-        """chi_n v by length: v itself for n = 0, else the adjoint of v chi_n
-        times the sign, since chi_n is self-adjoint and v* = sign v."""
-        if n == 0:
-            return GradedVector.from_element(v.element, self.cap)
-        return GradedVector.combination(self.rank, [(v.sign, self.triple(v, key, 0, n).adjoint())])
-
-    def triple(self, v: InversionEigenvector, key: int, n: int, m: int) -> GradedVector:
-        """chi_n v chi_m by length.
-
-        The first request for ``(key, n)`` reads chi_n v chi_j off one pass of
-        letter steps over chi_n v, for every j up to max(max_total - n, m).  A
-        later request past that range runs the pass again.
-        """
-        k = (key, n, m)
-        if k not in self._components:
-            left = self.left(v, key, n)
-            for j, product in enumerate(left.times_chi(max(self.max_total - n, m), self.cap)):
-                self._components[key, n, j] = product
-        return self._components[k]
-
-    def component(self, v: InversionEigenvector, key: int, r: int, s: int) -> GradedVector:
-        """v_{r,s} = q_{r+s+1}(chi_r v chi_s), zero when an index is negative."""
-        if r < 0 or s < 0:
-            return GradedVector(self.rank)
-        return self.triple(v, key, r, s).project_length(r + s + 1)
+def component(table: SandwichTable, r: int, s: int) -> GradedVector:
+    """v_{r,s} = q_{r+s+1}(chi_r v chi_s), read off a ``sandwich_table``."""
+    return table[r][s].project_length(r + s + 1)
 
 
 # ----------------------------------------------------------------------
@@ -230,17 +212,19 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
     return [v for vs in standard_test_vectors(rank).values() for v in vs]
 
 
-def inner_block(
-    cache: _SandwichCache, max_total: int, vec_i: int, vec_j: int
-) -> list[CheckReport]:
+def inner_block(tables: list[SandwichTable], vec_i: int, vec_j: int) -> list[CheckReport]:
     """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form for one ordered
-    pair of test vectors and every pair of degree pairs."""
-    rank = cache.rank
+    pair of test vectors and every pair of degree pairs.
+
+    ``tables[i]`` is the ``sandwich_table`` of the i-th test vector; every
+    block checks the degree pairs its table holds.
+    """
+    rank = tables[vec_i][0][0].rank
     vectors = all_test_vectors(rank)
     v, v2 = vectors[vec_i], vectors[vec_j]
-    pairs = degree_pairs(max_total)
-    left = {(n, m): cache.component(v, vec_i, n, m) for n, m in pairs}
-    right = {(n, m): cache.component(v2, vec_j, n, m) for n, m in pairs}
+    pairs = degree_pairs(len(tables[vec_i]) - 1)
+    left = {(n, m): component(tables[vec_i], n, m) for n, m in pairs}
+    right = {(n, m): component(tables[vec_j], n, m) for n, m in pairs}
     reports = []
     for (n, m), (n2, m2) in product(pairs, repeat=2):
         t0 = time.perf_counter()
@@ -252,18 +236,19 @@ def inner_block(
     return reports
 
 
-def expansion_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[CheckReport]:
+def expansion_block(tables: list[SandwichTable], vec_i: int) -> list[CheckReport]:
     """Brute-force chi_n v chi_m against its expansion over sandwich components,
     for one test vector."""
-    rank = cache.rank
+    table = tables[vec_i]
+    rank = table[0][0].rank
     v = all_test_vectors(rank)[vec_i]
     reports = []
-    for n, m in degree_pairs(max_total):
+    for n, m in degree_pairs(len(table) - 1):
         t0 = time.perf_counter()
-        lhs = cache.triple(v, vec_i, n, m)
+        lhs = table[n][m]
         rhs = GradedVector.combination(
             rank,
-            [(coeff, cache.component(v, vec_i, r, s))
+            [(coeff, component(table, r, s))
              for coeff, r, s in sandwich_expansion_indices(v.sign, n, m)],
         )
         params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
@@ -271,46 +256,38 @@ def expansion_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[C
     return reports
 
 
-def pairing_block(cache: _SandwichCache, max_total: int, vec_i: int) -> list[CheckReport]:
+def pairing_block(tables: list[SandwichTable], vec_i: int) -> list[CheckReport]:
     """Brute-force <chi_n v chi_m, v> against the six-case closed form, for one
     test vector."""
-    rank = cache.rank
+    table = tables[vec_i]
+    v_graded = table[0][0]  # chi_0 v chi_0
+    rank = v_graded.rank
     v = all_test_vectors(rank)[vec_i]
-    v_graded = GradedVector.from_element(v.element)
     reports = []
-    for n, m in degree_pairs(max_total):
+    for n, m in degree_pairs(len(table) - 1):
         t0 = time.perf_counter()
-        lhs = cache.triple(v, vec_i, n, m).inner(v_graded)
+        lhs = table[n][m].inner(v_graded)
         rhs = pairing_closed(v.sign, n, m, v.norm_sq())
         params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
         reports.append(_check("pairing_cases", params, lhs, rhs, t0))
     return reports
 
 
-def run_identity_sweep(
-    rank: int,
-    max_total: int = 6,
-    cap: int | None = None,
-    families: tuple[str, ...] = ("sandwich_inner", "sandwich_expansion", "pairing_cases"),
-) -> list[CheckReport]:
-    """Every check of the requested families, over all test vectors and all
-    degree pairs with n + m <= max_total.
+def run_identity_sweep(rank: int, max_total: int = 6, cap: int | None = None) -> list[CheckReport]:
+    """Every check of the three families, over all test vectors and all degree
+    pairs with n + m <= max_total.
 
-    One cache serves the whole sweep.  The order is fixed: inner products for
-    every ordered pair of vectors, then expansions for every vector, then
-    pairings for every vector.
+    One ``sandwich_table`` per test vector serves the whole sweep.  The order
+    is fixed: inner products for every ordered pair of vectors, then
+    expansions for every vector, then pairings for every vector.
     """
-    cache = _SandwichCache(rank, cap, max_total)
-    n_vec = len(all_test_vectors(rank))
+    tables = [sandwich_table(v, max_total, cap) for v in all_test_vectors(rank)]
+    indices = range(len(tables))
     reports: list[CheckReport] = []
-    if "sandwich_inner" in families:
-        for i in range(n_vec):
-            for j in range(n_vec):
-                reports.extend(inner_block(cache, max_total, i, j))
-    if "sandwich_expansion" in families:
-        for i in range(n_vec):
-            reports.extend(expansion_block(cache, max_total, i))
-    if "pairing_cases" in families:
-        for i in range(n_vec):
-            reports.extend(pairing_block(cache, max_total, i))
+    for i, j in product(indices, repeat=2):
+        reports.extend(inner_block(tables, i, j))
+    for i in indices:
+        reports.extend(expansion_block(tables, i))
+    for i in indices:
+        reports.extend(pairing_block(tables, i))
     return reports

@@ -91,13 +91,6 @@ class AngleCoordinate:
         return cls(theta=float(theta), t=params.halfwidth * math.cos(theta))
 
 
-def chi_norm_sq(n: int, params: SpectralParams) -> float:
-    """Float squared norm of the length-n word sum."""
-    if n == 0:
-        return 1.0
-    return params.degree * float(params.branching) ** (n - 1)
-
-
 def chi_eval_recurrence(n: int, t, params: SpectralParams):
     """Evaluate p_n(t) by the three-term recurrence; accepts scalars or arrays.
 

@@ -83,9 +83,7 @@ def test_criterion_2_exact_norms():
 def test_criterion_3_sandwich_inner_and_expansion():
     def check():
         for rank in RANKS:
-            reports = run_identity_sweep(
-                rank, max_total=6, families=("sandwich_inner", "sandwich_expansion")
-            )
+            reports = run_identity_sweep(rank, max_total=6)
             inner = [r for r in reports if r.lemma == "sandwich_inner"]
             assert inner and all(r.passed for r in inner), [
                 r.params for r in inner if not r.passed
@@ -101,7 +99,8 @@ def test_criterion_3_sandwich_inner_and_expansion():
 def test_criterion_4_pairing_case_formula():
     def check():
         for rank in RANKS:
-            reports = run_identity_sweep(rank, max_total=6, families=("pairing_cases",))
+            reports = [r for r in run_identity_sweep(rank, max_total=6)
+                       if r.lemma == "pairing_cases"]
             assert reports and all(r.passed for r in reports), [
                 r.params for r in reports if not r.passed
             ][:3]

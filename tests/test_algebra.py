@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from radialmasa.algebra import (
     radial_moment_exact,
 )
 from radialmasa.errors import RankMismatchError, ResourceCapError
-from radialmasa.identities import _SandwichCache, _element_digest
+from radialmasa.identities import _element_digest, component, sandwich_table
 from radialmasa.words import EMPTY, words_of_length
 
 
@@ -188,7 +189,7 @@ def test_project_length_sandwich_norm():
     v = beta_minus()
     full = multiply(multiply(chi(2, 2), v.element), chi(1, 2))
     comp = full.project_length(4)
-    assert GradedVector.from_element(comp) == _SandwichCache(2).component(v, 0, 2, 1)
+    assert GradedVector.from_element(comp) == component(sandwich_table(v, 3), 2, 1)
     assert inner_product(comp, comp) == 27 * v.norm_sq()
 
 
@@ -197,30 +198,21 @@ def test_project_length_sandwich_norm():
 
 def test_sandwich_identity_component():
     v = beta_minus()
-    assert _SandwichCache(2).component(v, 0, 0, 0) == GradedVector.from_element(v.element)
-
-
-def test_sandwich_negative_indices_vanish():
-    v = beta_minus()
-    cache = _SandwichCache(2)
-    for r, s in [(-1, 3), (3, -1), (-2, -2), (-1, 0)]:
-        assert cache.component(v, 0, r, s).is_zero()
+    assert component(sandwich_table(v, 0), 0, 0) == GradedVector.from_element(v.element)
 
 
 def test_sandwich_rejects_inhomogeneous():
     # components are built only from InversionEigenvector, which admits length-one support only
     x = element(2, {(1,): 1, (1, 2): 1})
     with pytest.raises(ValueError):
-        _SandwichCache(2).component(InversionEigenvector(x, -1), 0, 1, 1)
+        sandwich_table(InversionEigenvector(x, -1), 2)
 
 
 def test_sandwich_shifted_inner_product():
     # <v_{1,2}, v_{2,1}> = (2N-1)^3 * (2N-1)^-1 * |v|^2 for the sign -1 vector
     v = beta_minus()
-    cache = _SandwichCache(2)
-    a = cache.component(v, 0, 1, 2)
-    b = cache.component(v, 0, 2, 1)
-    assert a.inner(b) == Fraction(27, 3) * 2
+    table = sandwich_table(v, 3)
+    assert component(table, 1, 2).inner(component(table, 2, 1)) == Fraction(27, 3) * 2
 
 
 # ---------------------------------------------------------------- graded vectors
@@ -277,6 +269,34 @@ def test_graded_dot_falls_back_before_int64_overflow():
     g = GradedVector.from_element(x)
     assert g.bounds == {2: 2**62}
     assert g.norm_sq() == inner_product(x, x) == 12 * 2**124
+
+
+INT64_MIN = -(2**63)
+
+
+@pytest.mark.parametrize("entries", [
+    [INT64_MIN, 0, 0, 0],
+    [INT64_MIN, INT64_MAX, 0, -1],
+    [INT64_MAX, 3, INT64_MIN, INT64_MIN],
+])
+def test_graded_int64_extremes_match_object_arrays(entries):
+    # np.abs wraps INT64_MIN to itself; the bound must not, or the part is dropped
+    def graded(dtype):
+        return GradedVector(2, {0: np.array([INT64_MIN], dtype=dtype),
+                                1: np.array(entries, dtype=dtype)})
+
+    narrow, wide = graded(np.int64), graded(object)
+    assert narrow.bounds == {0: 2**63, 1: 2**63}
+    other = GradedVector(2, {1: np.array([1, -1, INT64_MAX, 2], dtype=np.int64)})
+    assert narrow.norm_sq() == wide.norm_sq() == 2**126 + sum(e * e for e in entries)
+    assert narrow.inner(other) == wide.inner(other)
+    assert narrow.adjoint() == wide.adjoint()
+    for coeffs in ([1], [-1], [2, -1]):
+        for extra in ([], [(1, other)]):
+            narrow_sum, wide_sum = (
+                GradedVector.combination(2, [(c, g) for c in coeffs] + extra) for g in (narrow, wide)
+            )
+            assert narrow_sum == wide_sum
 
 
 def test_graded_vector_cap():

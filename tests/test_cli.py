@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radialmasa import density
+from radialmasa import cli, density
 from radialmasa.cli import (
     COMMANDS,
     OPTIONS,
@@ -270,6 +270,12 @@ def test_readme_options_match_cli():
             bound = "–"
         expected.append(f"| `{key}` | `{opt.flag}` | {', '.join(opt.commands)} | {bound} |")
     assert rows == expected
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 # ---------------------------------------------------------------- verify
@@ -617,6 +623,26 @@ def test_moments_cap(capsys):
     assert main(argv + ["11"]) == 2
     assert one_stderr_line(capsys) == "aborted: a length-2 vector has 12 entries, cap is 11\n"
     assert main(argv + ["12"]) == 0
+
+
+@pytest.mark.parametrize("rank, max_moment", [(2, 24), (3, 16)])
+def test_moments_tolerance_is_relative(tmp_path, rank, max_moment):
+    # moments grow like a^k; roundoff on them, up to 2e-3 at rank 2 and k = 24,
+    # is no failure
+    code, payload = run_json(
+        tmp_path, ["moments", "--rank", str(rank), "--max-moment", str(max_moment)]
+    )
+    assert code == 0
+    assert max(c["abs_err"] for c in payload["checks"]) > 1e-8
+
+
+def test_moments_relative_error_fails(tmp_path, monkeypatch):
+    real = cli.quad_lambda
+    monkeypatch.setattr(cli, "quad_lambda", lambda *args, **kw: real(*args, **kw) * (1 + 1e-6))
+    code, payload = run_json(tmp_path, ["moments", "--rank", "2", "--max-moment", "10"])
+    assert code == 1
+    # every nonzero moment is off by 1e-6 of itself; the zero odd moments stay exact
+    assert [c["pass"] for c in payload["checks"]] == [k % 2 == 1 for k in range(11)]
 
 
 def test_moments_tolerance_failure(tmp_path):

@@ -13,7 +13,6 @@ from radialmasa.density import (
     density_series,
     density_series_grid,
     interior_grid,
-    pairing_check,
     pairing_exact,
     pairing_sweep,
     series_tail_bound,
@@ -179,23 +178,25 @@ def test_closed_center_value():
 
 
 def test_pairing_exact_values():
-    assert pairing_exact(0, 0, 2) == 1
-    assert pairing_exact(1, 1, 2) == 1
-    assert pairing_exact(2, 1, 2) == 0
-    assert pairing_exact(0, 2, 2) == -1
-    assert pairing_exact(3, 3, 2) == 2
-    assert pairing_exact(1, 3, 2) == -1
+    values = pairing_exact(2, 6)
+    assert set(values) == set(identities.degree_pairs(6))
+    assert values[0, 0] == 1
+    assert values[1, 1] == 1
+    assert values[2, 1] == 0
+    assert values[0, 2] == -1
+    assert values[3, 3] == 2
+    assert values[1, 3] == -1
 
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_pairing_exact_matches_triple_product(rank):
     # the two half products against the whole chi_j v chi_k paired with v
-    cache = identities._SandwichCache(rank)
     v = identities.standard_test_vectors(rank)[-1][0]
+    values = pairing_exact(rank, 4)
     for j, k in identities.degree_pairs(4):
         triple = multiply(multiply(chi(j, rank), v.element), chi(k, rank))
         whole = Fraction(inner_product(triple, v.element))
-        assert pairing_exact(j, k, rank, _cache=cache) == whole / Fraction(v.norm_sq())
+        assert values[j, k] == whole / Fraction(v.norm_sq())
 
 
 def test_pairing_sweep_runs_one_letter_pass(monkeypatch):
@@ -210,8 +211,9 @@ def test_pairing_sweep_runs_one_letter_pass(monkeypatch):
 
 
 def test_pairing_check_triple_agreement():
+    reports = {(r.j, r.k): r for r in pairing_sweep(P2, max_total=4)}
     for j, k in [(0, 0), (1, 1), (2, 1), (0, 2), (2, 2), (1, 3)]:
-        report = pairing_check(j, k, P2)
+        report = reports[j, k]
         assert report.value_exact == report.value_case
         assert report.value_exact == pairing_closed(-1, j, k, Fraction(1))
         assert abs(report.value_quad - float(report.value_case)) <= report.quad_tol
@@ -221,12 +223,12 @@ def test_pairing_check_triple_agreement():
 def test_pairing_sweep_all_pass():
     for params in (P2, P3):
         reports = pairing_sweep(params, max_total=4)
-        assert len(reports) == 15
+        assert [(r.j, r.k) for r in reports] == identities.degree_pairs(4)
         assert all(r.passed for r in reports)
 
 
 def test_pairing_report_serialization():
-    report = pairing_check(1, 1, P2)
+    (report,) = [r for r in pairing_sweep(P2, max_total=2) if (r.j, r.k) == (1, 1)]
     blob = report.to_json_dict()
     assert blob["value_exact"] == "1/1"
     assert blob["pass"] is True

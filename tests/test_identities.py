@@ -8,8 +8,8 @@ from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
     CheckReport,
-    _SandwichCache,
     all_test_vectors,
+    component,
     degree_pairs,
     expansion_block,
     fraction_str,
@@ -19,6 +19,7 @@ from radialmasa.identities import (
     run_identity_sweep,
     sandwich_expansion_indices,
     sandwich_inner_closed,
+    sandwich_table,
     standard_test_vectors,
 )
 
@@ -30,6 +31,11 @@ def vec(rank, sign, idx=0):
 def vec_index(sign, idx=0):
     # the sweep numbers the two sign -1 vectors first, then the sign +1 ones
     return (0 if sign == -1 else 2) + idx
+
+
+def tables(rank, max_total):
+    """The sweep's tables: one ``sandwich_table`` per test vector, in sweep order."""
+    return [sandwich_table(v, max_total) for v in all_test_vectors(rank)]
 
 
 def row(reports, **params):
@@ -60,15 +66,15 @@ def test_minus_vectors_independent():
 
 def test_inner_closed_known_value():
     v = vec(2, -1)
-    cache = _SandwichCache(2)
+    table = sandwich_table(v, 2)
     # brute force first: oracle value computed in the group algebra
-    lhs = cache.component(v, 0, 1, 1).inner(cache.component(v, 0, 2, 0))
+    lhs = component(table, 1, 1).inner(component(table, 2, 0))
     assert lhs == 6
     assert sandwich_inner_closed(v, v, 1, 1, 2, 0) == 6
 
 
 def test_inner_closed_sign_mismatch_is_zero():
-    block = inner_block(_SandwichCache(2), 2, vec_index(-1), vec_index(1))
+    block = inner_block(tables(2, 2), vec_index(-1), vec_index(1))
     report = row(block, n=1, m=1, n2=1, m2=1)
     assert (report.params["sign"], report.params["sign2"]) == (-1, 1)
     assert report.passed
@@ -76,7 +82,7 @@ def test_inner_closed_sign_mismatch_is_zero():
 
 
 def test_inner_closed_degree_mismatch_is_zero():
-    block = inner_block(_SandwichCache(2), 3, vec_index(-1), vec_index(-1))
+    block = inner_block(tables(2, 3), vec_index(-1), vec_index(-1))
     report = row(block, n=2, m=1, n2=1, m2=1)
     assert report.passed
     assert report.lhs == "0/1"
@@ -85,11 +91,11 @@ def test_inner_closed_degree_mismatch_is_zero():
 def test_inner_alternates_for_plus_sign():
     # sign +1 makes the geometric factor alternate: 3**(n+m) * (-3)**-|n-n2|
     v = vec(2, 1)
-    cache = _SandwichCache(2)
-    brute = cache.component(v, 0, 1, 0).inner(cache.component(v, 0, 0, 1))
+    table = sandwich_table(v, 1)
+    brute = component(table, 1, 0).inner(component(table, 0, 1))
     assert brute == -v.norm_sq()
     assert sandwich_inner_closed(v, v, 1, 0, 0, 1) == brute
-    block = inner_block(cache, 1, vec_index(1), vec_index(1))
+    block = inner_block(tables(2, 1), vec_index(1), vec_index(1))
     report = row(block, n=1, m=0, n2=0, m2=1)
     assert report.passed
 
@@ -98,7 +104,7 @@ def test_inner_alternates_for_plus_sign():
 
 
 def test_expansion_trivial_case():
-    report = row(expansion_block(_SandwichCache(2), 0, vec_index(-1)), n=0, m=0)
+    report = row(expansion_block(tables(2, 0), vec_index(-1)), n=0, m=0)
     assert report.passed
 
 
@@ -108,10 +114,18 @@ def test_expansion_indices_one_one():
     assert sorted(sandwich_expansion_indices(1, 1, 1)) == sorted([(1, 1, 1), (-1, 0, 0)])
 
 
+def test_expansion_indices_never_negative():
+    # a table row or column of index -1 would wrap to the last one, so no
+    # component may be asked for at a negative index
+    for sign in (-1, 1):
+        for n, m in degree_pairs(8):
+            assert all(r >= 0 and s >= 0 for _, r, s in sandwich_expansion_indices(sign, n, m))
+
+
 def test_expansion_direct_small_cases():
     for rank in (2, 3):
         for sign in (-1, 1):
-            block = expansion_block(_SandwichCache(rank), 5, vec_index(sign))
+            block = expansion_block(tables(rank, 5), vec_index(sign))
             for n, m in [(1, 1), (3, 2), (0, 4)]:
                 report = row(block, n=n, m=m)
                 assert report.passed, report.params
@@ -136,7 +150,7 @@ def test_pairing_case_values():
 def test_pairing_brute_force_matches():
     for rank in (2, 3):
         for sign in (-1, 1):
-            block = pairing_block(_SandwichCache(rank), 4, vec_index(sign))
+            block = pairing_block(tables(rank, 4), vec_index(sign))
             for n, m in [(0, 0), (1, 1), (2, 0), (2, 2), (2, 1), (3, 1), (4, 0)]:
                 report = row(block, n=n, m=m)
                 assert report.passed, report.params
@@ -167,33 +181,14 @@ def test_small_sweep_all_pass():
     assert all(r.passed for r in reports)
 
 
-def record_sweep_caches(monkeypatch):
-    """Make run_identity_sweep keep its caches, each logging writes to ``_components``."""
-    caches, writes = [], []
-
-    class CountingDict(dict):
-        def __setitem__(self, key, value):
-            writes.append(key)
-            super().__setitem__(key, value)
-
-    class RecordingCache(_SandwichCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._components = CountingDict()
-            caches.append(self)
-
-    monkeypatch.setattr(identities, "_SandwichCache", RecordingCache)
-    return caches, writes
-
-
 def test_sweep_multiplies_each_triple_once(monkeypatch):
-    # one times_chi pass per (vector, n), each over chi_n v, and each chi_n v chi_m built once
+    # one times_chi pass per (vector, n), each starting from chi_n v, so each
+    # chi_n v chi_m is built once
     real = GradedVector.times_chi
     starts = []
     monkeypatch.setattr(
         GradedVector, "times_chi", lambda self, *args: starts.append(self) or real(self, *args)
     )
-    caches, writes = record_sweep_caches(monkeypatch)
     run_identity_sweep(2, max_total=3)
     vectors = [v.element for v in all_test_vectors(2)]
     lefts = {
@@ -203,23 +198,25 @@ def test_sweep_multiplies_each_triple_once(monkeypatch):
     }
     passes = [key_n for start in starts for key_n, left in lefts.items() if left == start]
     assert sorted(passes) == sorted(lefts)
-    assert len(caches) == 1
-    assert sorted(writes) == sorted(
-        (key, n, m) for key in range(len(vectors)) for n, m in degree_pairs(3)
-    )
+    assert len(starts) == len(lefts)
 
 
 @pytest.mark.parametrize("rank, max_total", [(2, 6), (3, 5), (4, 4)])
 def test_sweep_triples_match_dict_product(monkeypatch, rank, max_total):
-    # every triple the sweep reads equals chi_n v chi_m multiplied out word by word
-    caches, _ = record_sweep_caches(monkeypatch)
+    # every cell of every table the sweep reads equals chi_n v chi_m multiplied out
+    # word by word
+    built = []
+    monkeypatch.setattr(
+        identities, "sandwich_table", lambda *args: built.append(sandwich_table(*args)) or built[-1]
+    )
     assert all(r.passed for r in run_identity_sweep(rank, max_total))
-    (cache,) = caches
     vectors = all_test_vectors(rank)
-    assert len(cache._components) == len(vectors) * len(degree_pairs(max_total))
-    for (key, n, m), triple in cache._components.items():
-        whole = multiply(multiply(chi(n, rank), vectors[key].element), chi(m, rank))
-        assert triple == GradedVector.from_element(whole)
+    assert len(built) == len(vectors)
+    for v, table in zip(vectors, built):
+        assert [len(cells) for cells in table] == list(range(max_total + 1, 0, -1))
+        for n, m in degree_pairs(max_total):
+            whole = multiply(multiply(chi(n, rank), v.element), chi(m, rank))
+            assert table[n][m] == GradedVector.from_element(whole)
 
 
 def test_verify_report_matches_sweep(tmp_path):

@@ -14,7 +14,6 @@ from radialmasa.spectral import (
     SpectralParams,
     chi_eval_recurrence,
     chi_eval_trig,
-    chi_norm_sq,
     kesten_density,
     lambda_rule,
     quad_lambda,
@@ -187,7 +186,7 @@ def test_amplitude_bound():
         ts = np.linspace(-params.halfwidth, params.halfwidth, 257)
         for n in range(1, 31):
             bound = 3.0 * n * params.branching ** (-n / 2.0)
-            vals = np.abs(chi_eval_recurrence(n, ts, params)) / chi_norm_sq(n, params)
+            vals = np.abs(chi_eval_recurrence(n, ts, params)) / chi_support_size(n, params.rank)
             assert float(vals.max()) <= bound * (1 + 1e-12)
 
 

@@ -7,8 +7,8 @@ floats are rejected so every identity can be checked with equality.
 
 ``GradedVector`` holds the same data by word length, one exact coefficient
 array per length, so that inner products become array dot products, a
-right product by one letter becomes a gather and scatter of positions, and
-the adjoint becomes one gather per length.
+right product by chi_m becomes row sums over spheres of the Cayley tree of
+reshaped parts, and the adjoint becomes one gather per length.
 """
 
 from __future__ import annotations
@@ -114,18 +114,6 @@ class GroupAlgebraElement:
     @classmethod
     def one(cls, rank: int) -> "GroupAlgebraElement":
         return cls(rank, {EMPTY: 1})
-
-    @classmethod
-    def from_word(cls, word: Word, rank: int, coeff: Rational = 1) -> "GroupAlgebraElement":
-        return cls(rank, {word: coeff})
-
-    @classmethod
-    def generator(cls, index: int, rank: int, exponent: int = 1) -> "GroupAlgebraElement":
-        if not 1 <= index <= rank:
-            raise ValueError(f"generator index {index} outside 1..{rank}")
-        if exponent not in (1, -1):
-            raise ValueError("exponent must be +1 or -1")
-        return cls(rank, {(index * exponent,): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -455,69 +443,65 @@ class GradedVector:
             parts[length] = acc
         return cls(rank, parts)
 
-    def times_letter(self, letter: int, cap: int | None = None) -> "GradedVector":
-        """``x * a`` for the signed letter ``a``, by gather and scatter.
-
-        A word ending in a^-1 drops to its prefix, at position p // (2N - 1)
-        (the empty word when it has length one); every other word grows by
-        a, at p * (2N - 1) plus a's digit with the inverse of the word's last
-        letter skipped.  Both maps are injective and the words that grow end
-        in a while the prefixes do not, so coefficients only move: nothing
-        is summed and nothing can overflow.  A part longer than the cap
-        raises ResourceCapError, as in ``from_element``.
-        """
-        base = 2 * self.rank - 1
-        digit = _letter_digit(letter)
-        limit = active_cap(cap)
-        moved: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for length, part in self.parts.items():
-            if length == 0:
-                moved.setdefault(1, []).append((np.array([digit]), part))
-                continue
-            last = _last_digits(self.rank, length)
-            drop = last == digit ^ 1
-            grow = ~drop
-            prefixes = np.flatnonzero(drop) // base if length > 1 else np.zeros(1, np.int64)
-            moved.setdefault(length - 1, []).append((prefixes, part[drop]))
-            kept = last[grow] ^ 1
-            moved.setdefault(length + 1, []).append(
-                (np.flatnonzero(grow) * base + digit - (digit > kept), part[grow])
-            )
-        parts = {}
-        for length, pieces in moved.items():
-            size = chi_support_size(length, self.rank)
-            if size > limit:
-                raise ResourceCapError(
-                    f"a length-{length} vector has {size} entries, cap is {limit}"
-                )
-            exact = all(values.dtype == np.int64 for _, values in pieces)
-            out = np.zeros(size, dtype=np.int64 if exact else object)
-            for positions, values in pieces:
-                out[positions] = values
-            parts[length] = out
-        return GradedVector(self.rank, parts)
-
     def times_chi(self, top: int, cap: int | None = None) -> list["GradedVector"]:
-        """``[x chi_0, x chi_1, ..., x chi_top]`` in one pass of letter steps.
+        """``[x chi_0, x chi_1, ..., x chi_top]``, each read off x as a sphere sum.
 
-        ``ends[a]`` holds x times the sum of the words of length m that end
-        in a.  A word of length m + 1 ending in a is a word of length m not
-        ending in a^-1, followed by a, so the next ``ends[a]`` is
-        ``(x chi_m - ends[a^-1]) * a``, and x chi_{m+1} is the sum of them.
-        Every coefficient is still a sum of word products, and every sum
-        goes through ``combination``.
+        The coefficient of x chi_m at a word u is the sum of x over the words
+        at distance m from u in the Cayley tree.  Those are, for each c up to
+        min(|u|, m), the words m - c letters below the prefix of u that is c
+        letters up, less, when 0 < c < m, the words m - c - 1 letters below
+        the prefix c - 1 letters up, which lie nearer u.  In ``words_of_length``
+        order the words k letters below each word of length j fill one row of
+        the length-(j + k) part reshaped to (chi_support_size(j), -1), so each
+        such sum is a row sum of one part of x, and it is added to the row of
+        the same reshape of the output part.  No recurrence among the chi_n is
+        used: every coefficient is a sum of coefficients of x, as the group
+        algebra has it.
+
+        The m + 1 sums added and m - 1 subtracted cover blocks of at most
+        chi_support_size(k) words each, for distinct k <= m on each side, so
+        every partial sum is at most max|x| times 2 sum_{k <= m}
+        chi_support_size(k) <= chi_support_size(m + 1).  The pass runs in int64
+        only when that bound at m = top fits, and in object arrays otherwise.
+        Its longest part has the length of the longest part of x plus top;
+        when that has more entries than the cap, ResourceCapError is raised
+        before any array is built.
         """
         rank = self.rank
-        letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        if top and self.parts:
+            longest = max(self.parts) + top
+            size, limit = chi_support_size(longest, rank), active_cap(cap)
+            if size > limit:
+                raise ResourceCapError(
+                    f"a length-{longest} vector has {size} entries, cap is {limit}"
+                )
+        bounds = self.bounds.values()
+        fits = None not in bounds and (
+            max(bounds, default=0) * chi_support_size(top + 1, rank) <= INT64_MAX
+        )
+        dtype = np.int64 if fits else object
+        parts = {n: part.astype(dtype, copy=False) for n, part in self.parts.items()}
+
+        @cache
+        def below(k: int, j: int) -> np.ndarray:
+            # by position of each word of length j, the sum of x over the words k below it
+            return parts[j + k].reshape(chi_support_size(j, rank), -1).sum(axis=1)
+
         out = [self]
-        ends = {a: GradedVector(rank) for a in letters}
-        for _ in range(top):
-            x_m = out[-1]
-            ends = {
-                a: GradedVector.combination(rank, [(1, x_m), (-1, ends[-a])]).times_letter(a, cap)
-                for a in letters
-            }
-            out.append(GradedVector.combination(rank, [(1, end) for end in ends.values()]))
+        for m in range(1, top + 1):
+            sums = {}
+            for length in sorted({n + m - 2 * c for n in parts for c in range(min(n, m) + 1)}):
+                acc = np.zeros(chi_support_size(length, rank), dtype=dtype)
+                for c in range(min(length, m) + 1):
+                    if length + m - 2 * c in parts:
+                        j = length - c
+                        acc.reshape(chi_support_size(j, rank), -1)[:] += below(m - c, j)[:, None]
+                        if 0 < c < m:
+                            acc.reshape(chi_support_size(j + 1, rank), -1)[:] -= (
+                                below(m - c - 1, j + 1)[:, None]
+                            )
+                sums[length] = acc
+            out.append(GradedVector(rank, sums))
         return out
 
     def adjoint(self) -> "GradedVector":
@@ -575,8 +559,9 @@ def radial_moment_exact(k: int, rank: int, cap: int | None = None) -> int | Frac
     of k length-one words that reduce to the empty word.
 
     Splitting the power as trace(x*y) = <x, adjoint(y)> avoids materializing
-    the full k-th power.  Each half is built by ``times_chi`` steps of one
-    letter, and a part longer than the cap raises ResourceCapError.
+    the full k-th power.  Each half is built by one ``times_chi(1)`` pass per
+    factor chi_1, and a pass reaching a part longer than the cap raises
+    ResourceCapError before it builds that part.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

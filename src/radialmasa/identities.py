@@ -17,21 +17,22 @@ vector (or ordered pair of them) for each family off those tables.
 
 A table holds each triple product chi_n v chi_m as a ``GradedVector``: one
 exact coefficient array per word length, indexed by word position.  Row 0,
-every v chi_m, is one pass of right products by single letters, each a
-gather and scatter of positions (``GradedVector.times_chi``).  chi_n v comes
-from v chi_n by inverting every word: chi_n is self-adjoint and v* = sign v,
-so chi_n v = sign (v chi_n)*, a permutation of positions
+every v chi_m, is one ``GradedVector.times_chi`` pass over v, which reads
+the coefficient of x chi_m at a word u as the sum of x over the sphere of
+radius m around u in the Cayley tree, by row sums of reshaped parts.
+chi_n v comes from v chi_n by inverting every word: chi_n is self-adjoint
+and v* = sign v, so chi_n v = sign (v chi_n)*, a permutation of positions
 (``GradedVector.adjoint``).  Row n is one more pass over chi_n v.  The
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
 the expansion check compares two graded vectors length by length.  This
 changes only how the brute-force values are built and stored, not what they
-are: x chi_m is the sum of x u over the reduced words u of length m, each u
-applied one letter at a time, and the adjoint only moves coefficients, so
-every coefficient is still a sum of word products, held as an int or a
-Fraction (int64 only where a bound rules out overflow).  No recurrence among
-the chi_n is used, so the oracle is still the group algebra and equality is
-still exact.
+are: x chi_m at u is the sum of the coefficients x(u s^-1) over the reduced
+words s of length m, that is over the words at distance m from u, and the
+adjoint only moves coefficients, so every coefficient is still a sum of word
+products, held as an int or a Fraction (int64 only where a bound rules out
+overflow).  No recurrence among the chi_n is used, so the oracle is still
+the group algebra and equality is still exact.
 """
 
 from __future__ import annotations
@@ -180,9 +181,11 @@ def sandwich_table(
 ) -> SandwichTable:
     """``table[n][m]`` = chi_n v chi_m by length, for every n + m <= max_total.
 
-    Row 0 is one ``times_chi`` pass over v.  Row n is one pass over
-    chi_n v = sign (v chi_n)*, since chi_n is self-adjoint and v* = sign v.
-    The top length n + m + 1 of a cell is the component v_{n,m}.
+    Row 0 is one ``times_chi`` pass over v, each v chi_m a sphere sum of v.
+    Row n is one pass over chi_n v = sign (v chi_n)*, since chi_n is
+    self-adjoint and v* = sign v.  The top length n + m + 1 of a cell is the
+    component v_{n,m}.  Each pass checks the cap once, against its longest
+    length, before it builds any array.
     """
     rank = v.element.rank
     right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)

@@ -175,21 +175,22 @@ def lambda_rule(order: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def quad_lambda(
-    g,
-    params: SpectralParams,
-    tol: float = 1e-10,
-    min_order: int = 16,
-    max_order: int = 2048,
-) -> float:
+# Gauss-Legendre orders ``quad_lambda`` doubles through
+QUAD_MIN_ORDER = 16
+QUAD_MAX_ORDER = 2048
+
+
+def quad_lambda(g, params: SpectralParams, tol: float = 1e-10) -> float:
     """Integrate a vectorized continuous function against the spectral measure.
 
-    The Gauss-Legendre order doubles until two successive estimates agree
-    within tol (or within the roundoff floor set by the integrand scale).
+    The Gauss-Legendre order doubles from ``QUAD_MIN_ORDER`` until two
+    successive estimates agree within tol (or within the roundoff floor set
+    by the integrand scale), and QuadratureError is raised past
+    ``QUAD_MAX_ORDER``.
     """
     prev = None
-    order = min_order
-    while order <= max_order:
+    order = QUAD_MIN_ORDER
+    while order <= QUAD_MAX_ORDER:
         t, w = lambda_rule(order, params.rank)
         vals = np.asarray(g(t), dtype=float)
         est = math.fsum((vals * w).tolist())
@@ -199,7 +200,7 @@ def quad_lambda(
         prev = est
         order *= 2
     raise QuadratureError(
-        f"quadrature did not converge to {tol} within order {max_order}"
+        f"quadrature did not converge to {tol} within order {QUAD_MAX_ORDER}"
     )
 
 

@@ -305,10 +305,6 @@ def test_graded_vector_cap():
     assert len(GradedVector.from_element(chi(2, 2), cap=12)) == 12
 
 
-def letters(rank):
-    return [s * g for g in range(1, rank + 1) for s in (1, -1)]
-
-
 @given(
     st.integers(2, 4).flatmap(
         lambda rank: st.tuples(st.just(rank), exact_elements(rank, max_len=3), exact_coeffs)
@@ -320,14 +316,10 @@ def letters(rank):
 @example((3, element(3, {(1, 2): INT64_MAX, (-3,): -INT64_MAX}), 2**62), 3)
 @settings(max_examples=200, deadline=None)
 def test_graded_letter_steps_match_element(case, top):
-    # the letter step, the chi pass and the adjoint against the dict algebra, word by word
+    # the chi pass and the adjoint against the dict algebra, word by word
     rank, x, empty = case
     x = x + element(rank, {EMPTY: empty})
     g = GradedVector.from_element(x)
-    for a in letters(rank):
-        assert g.times_letter(a) == GradedVector.from_element(
-            multiply(x, GroupAlgebraElement.from_word((a,), rank))
-        )
     dict_products = [multiply(x, chi(m, rank)) for m in range(top + 1)]
     passed = g.times_chi(top)
     assert passed == [GradedVector.from_element(p) for p in dict_products]
@@ -337,16 +329,41 @@ def test_graded_letter_steps_match_element(case, top):
         assert graded.adjoint().adjoint() == graded
 
 
-def test_graded_letter_steps_cap():
-    # a length-2 part grows to length 3, whose 36 entries must fit the cap
+def test_graded_letter_steps_cap(monkeypatch):
+    # a pass over a length-2 part reaches length 2 + top; at top = 1 its 36 entries
+    # must fit the cap, and the cap is checked against the longest length before
+    # any array is built
     g = GradedVector.from_element(element(2, {(1, 2): 1, EMPTY: 1}))
-    with pytest.raises(ResourceCapError):
-        g.times_letter(1, cap=35)
-    with pytest.raises(ResourceCapError):
-        g.times_chi(2, cap=35)
-    grown = element(2, {(1, 2, 1): 1, (1,): 1})
-    assert g.times_letter(1, cap=36) == GradedVector.from_element(grown)
+    built = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *args, **kw: built.append(args) or zeros(*args, **kw))
+    with pytest.raises(ResourceCapError, match="a length-3 vector has 36 entries, cap is 35"):
+        g.times_chi(1, cap=35)
+    with pytest.raises(ResourceCapError, match="a length-5 vector has 324 entries, cap is 35"):
+        g.times_chi(3, cap=35)
+    assert built == []
     assert len(g.times_chi(1, cap=36)) == 2
+    assert g.times_chi(0, cap=1) == [g]
+
+
+@pytest.mark.parametrize("rank, top", [(2, 1), (2, 3), (3, 2)])
+def test_times_chi_int64_switch(rank, top):
+    # every partial sum of a pass is at most max|x| chi_support_size(top + 1), so
+    # entries up to INT64_MAX // that stay in int64 and one more widens the pass;
+    # x fills every length up to top, so past INT64_MAX // chi_support_size(top)
+    # the sphere sum around the empty word passes INT64_MAX, and a pass left in
+    # int64 would wrap
+    narrow = INT64_MAX // chi_support_size(top + 1, rank)
+    cases = [(narrow, True), (-narrow, True), (narrow + 1, False),
+             (INT64_MAX // chi_support_size(top, rank) + 1, False), (INT64_MAX, False),
+             (INT64_MIN, False)]
+    for entry, stays_int64 in cases:
+        x = element(rank, {w: entry for n in range(top + 1) for w in words_of_length(n, rank)})
+        passed = GradedVector.from_element(x).times_chi(top)
+        assert passed == [GradedVector.from_element(multiply(x, chi(m, rank)))
+                          for m in range(top + 1)]
+        for graded in passed[1:]:
+            assert all((b is not None) == stays_int64 for b in graded.bounds.values())
 
 
 # ---------------------------------------------------------------- test vectors

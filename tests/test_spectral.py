@@ -281,7 +281,7 @@ def test_quad_nonconvergence_raises():
         return rng.normal(size=np.shape(t))
 
     with pytest.raises(QuadratureError):
-        quad_lambda(noisy, P2, tol=1e-14, max_order=64)
+        quad_lambda(noisy, P2, tol=1e-14)
 
 
 # ---------------------------------------------------------------- geometric sine sum

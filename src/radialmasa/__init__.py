@@ -8,9 +8,10 @@ Four layers:
   identities, and the one exhaustive exact verification sweep;
 * ``spectral`` -- the radial polynomials, the Kesten spectral measure,
   quadrature against it, and the geometric-sine closed sum;
-* ``density`` -- the left-right density on the spectral square, by truncated
-  series with rigorous tail bounds and by trigonometric closed form, plus
-  pairing checks and a zero-set scan.
+* ``density`` -- the left-right density on the spectral square, whose
+  series coefficients are the ``pairing_closed`` pairings: by truncated
+  series with rigorous tail bounds and by trigonometric closed form, both on
+  grids, plus pairing checks and a zero-set scan.
 
 The command line lives in ``radialmasa.cli``.
 """
@@ -26,13 +27,10 @@ from .algebra import (
     radial_moment_exact,
 )
 from .density import (
-    DensityPoint,
     PairingReport,
     ZeroScanReport,
-    density_closed,
     density_closed_grid,
     density_normalization,
-    density_series,
     density_series_grid,
     pairing_sweep,
     series_tail_bound,

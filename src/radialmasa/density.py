@@ -1,20 +1,24 @@
 """The left-right density on the spectral square.
 
-The density
+Writing g_n(t) = p_n(t) / |p_n|^2, the density of the bimodule generated
+by the length-one vector v (sign -1) is
 
-    f(t, s) = 1 + p_1(t) p_1(s) / |p_1|^4 - (p_2(t) + p_2(s)) / |p_2|^2
-              + sum_{n>=2} ( 2 p_n(t) p_n(s) / |p_n|^4
-                             - (p_{n-1}(t) p_{n+1}(s) + p_{n+1}(t) p_{n-1}(s))
-                               / (|p_{n-1}|^2 |p_{n+1}|^2) )
+    f(t, s) = sum_{j,k} c(j, k) g_j(t) g_k(s),
+    c(j, k) = <chi_j v chi_k, v> / |v|^2 = pairing_closed(-1, j, k, 1).
 
-is evaluated two independent ways: a truncated series with a rigorous tail
-bound, and a closed form obtained by summing each trigonometric family of
-the series with the geometric-sine sum.  The series is the arbiter; the
+It is evaluated two independent ways: a truncated series with a rigorous
+tail bound, and a closed form obtained by summing each trigonometric family
+of the series with the geometric-sine sum.  The series is the arbiter; the
 closed form must agree with it within the tail bound everywhere.
 
-Writing g_n(t) = p_n(t) / |p_n|^2, the normalized values satisfy
-g_0 = 1, g_1 = t/degree, g_{k+1} = (t*g_k - g_{k-1})/branching, which keeps
-every intermediate bounded.
+The series truncated at K keeps every term with j + k <= 2K, summed in
+blocks: every term with j + k <= 2 forms the first, then each j + k has its
+own.  A block is (sum of its positive terms) - (sum of its |negative|
+terms), each sum in ascending j; a term is g_j(t) g_k(s) when |c| = 1 and
+(|c| g_j(t)) g_k(s) otherwise.  This fixed order makes the values exactly
+symmetric under (t, s) exchange.  The normalized values satisfy g_0 = 1,
+g_1 = t/degree, g_{k+1} = (t*g_k - g_{k-1})/branching, which keeps every
+intermediate bounded.
 
 Closed-form assembly: with t = a*cos(theta), s = a*cos(phi), x = 1/branching
 and c_t = 2*branching_ratio*cos(theta) (same for s),
@@ -24,7 +28,9 @@ and c_t = 2*branching_ratio*cos(theta) (same for s),
                             - c_s sin((n-1) th) sin(n ph)
                             + sin((n-1) th) sin((n-1) ph) ] / (sin th sin ph)
 
-and the n>=2 sums of each family reduce to the closed trig sum
+and the n>=2 sums of each family (past j + k = 2 the only nonzero
+coefficients are c(n, n) = 2 and c(n - 1, n + 1) = c(n + 1, n - 1) = -1)
+reduce to the closed trig sum
 T(x, th, ph, r) = sum x^n sin(n th) sin((n+r) ph) after index shifts:
 
     sum_{n>=2} x^n sin(n th) sin(n ph)      = T(x,th,ph,0) - x sin(th) sin(ph)
@@ -40,6 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import iadd, isub
 
 import numpy as np
 
@@ -54,21 +62,6 @@ CLOSED_FORM_GUARD = 1e-6
 
 # Truncation order used when the closed form falls back to the series.
 GUARD_SERIES_ORDER = 60
-
-
-@dataclass(frozen=True)
-class DensityPoint:
-    """One evaluation of the density, with its truncation error bound.
-
-    ``tail_bound`` rigorously bounds the omitted tail for the series
-    method; it is zero for the closed form, which sums the series exactly.
-    """
-
-    t: float
-    s: float
-    value: float
-    tail_bound: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -135,6 +128,25 @@ def _normalized_chi_table(t: np.ndarray, max_n: int, params: SpectralParams) -> 
     return out
 
 
+def _check_points(t, s, params: SpectralParams) -> None:
+    if np.any(params.outside(t)) or np.any(params.outside(s)):
+        raise ValueError("point outside the closed spectral square")
+
+
+@lru_cache(maxsize=None)
+def _series_blocks(truncation: int) -> tuple:
+    """The nonzero c(j, k) with j + k <= 2*truncation as the summation blocks
+    of the module docstring: (positive, negative) terms (|c|, j, k) by j."""
+    blocks: dict[int, tuple[list, list]] = {}
+    for j, k in degree_pairs(2 * truncation):
+        c = pairing_closed(-1, j, k, 1)
+        if c:
+            positive, negative = blocks.setdefault(max(j + k, 2), ([], []))
+            (negative if c < 0 else positive).append((float(abs(c)), j, k))
+    return tuple(tuple(tuple(sorted(terms, key=lambda term: term[1])) for terms in block)
+                 for block in blocks.values())
+
+
 def density_series_grid(
     t, s, truncation: int, params: SpectralParams
 ) -> tuple[np.ndarray, float]:
@@ -143,27 +155,20 @@ def density_series_grid(
     On a grid, pass the axes ``t[:, None], s[None, :]``: each chi table then
     holds one axis, and the values are the same bits as on broadcast grids.
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    gt = _normalized_chi_table(t, truncation + 1, params)
-    gs = _normalized_chi_table(s, truncation + 1, params)
-    # grouped so the float evaluation is symmetric under (t, s) exchange
-    total = 1.0 + gt[1] * gs[1] - (gt[2] + gs[2])
-    for n in range(2, truncation + 1):
-        total = total + (2.0 * gt[n] * gs[n] - (gt[n - 1] * gs[n + 1] + gt[n + 1] * gs[n - 1]))
-    return total, series_tail_bound(truncation, params)
-
-
-def density_series(t: float, s: float, truncation: int, params: SpectralParams) -> DensityPoint:
-    """Series evaluation at one point, with its rigorous tail bound."""
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
-    a = params.halfwidth
-    if abs(t) > a * (1 + 1e-12) or abs(s) > a * (1 + 1e-12):
-        raise ValueError("point outside the closed spectral square")
-    value, tail = density_series_grid(float(t), float(s), truncation, params)
-    return DensityPoint(t=float(t), s=float(s), value=float(value), tail_bound=tail,
-                        method="series")
+    _check_points(t, s, params)
+    gt = _normalized_chi_table(t, truncation + 1, params)
+    gs = _normalized_chi_table(s, truncation + 1, params)
+
+    # each product is a fresh array, so every sum accumulates in place
+    def term_sum(terms):
+        return reduce(iadd, (gt[j] * gs[k] if c == 1.0 else c * gt[j] * gs[k]
+                             for c, j, k in terms))
+
+    total = reduce(iadd, (isub(term_sum(positive), term_sum(negative))
+                          for positive, negative in _series_blocks(truncation)))
+    return total, series_tail_bound(truncation, params)
 
 
 def _closed_form_values(theta: np.ndarray, phi: np.ndarray, params: SpectralParams) -> np.ndarray:
@@ -214,6 +219,7 @@ def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.nd
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
+    _check_points(t, s, params)
     a = params.halfwidth
     t, s = np.broadcast_arrays(t, s)
     theta = np.arccos(np.clip(t / a, -1.0, 1.0))
@@ -227,21 +233,6 @@ def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.nd
         series_vals, _ = density_series_grid(t[guarded], s[guarded], GUARD_SERIES_ORDER, params)
         values[guarded] = series_vals
     return values, guarded
-
-
-def density_closed(t: float, s: float, params: SpectralParams) -> DensityPoint:
-    """Closed-form evaluation at one point (series fallback near the boundary)."""
-    a = params.halfwidth
-    if abs(t) > a * (1 + 1e-12) or abs(s) > a * (1 + 1e-12):
-        raise ValueError("point outside the closed spectral square")
-    values, guarded = density_closed_grid(np.array([t]), np.array([s]), params)
-    if bool(guarded[0]):
-        return DensityPoint(
-            t=float(t), s=float(s), value=float(values[0]),
-            tail_bound=series_tail_bound(GUARD_SERIES_ORDER, params), method="series",
-        )
-    return DensityPoint(t=float(t), s=float(s), value=float(values[0]), tail_bound=0.0,
-                        method="closed")
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,10 @@ class SpectralParams:
         """branching / degree, strictly between 0 and 1."""
         return self.branching / self.degree
 
+    def outside(self, t):
+        """Elementwise: |t| past the halfwidth beyond roundoff, or t is NaN."""
+        return np.logical_not(np.abs(t) <= self.halfwidth * (1 + 1e-12))
+
 
 @dataclass(frozen=True)
 class AngleCoordinate:
@@ -80,7 +84,7 @@ class AngleCoordinate:
     @classmethod
     def from_t(cls, t: float, params: SpectralParams) -> "AngleCoordinate":
         a = params.halfwidth
-        if abs(t) > a * (1 + 1e-12):
+        if params.outside(t):
             raise ValueError(f"t={t} outside the spectrum [-{a}, {a}]")
         return cls(theta=math.acos(min(1.0, max(-1.0, t / a))), t=float(t))
 
@@ -100,7 +104,7 @@ def chi_eval_recurrence(n: int, t, params: SpectralParams):
     if n < 0:
         raise ValueError("n must be nonnegative")
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > params.halfwidth * (1 + 1e-12)):
+    if np.any(params.outside(t)):
         warnings.warn("evaluating outside the spectral interval", stacklevel=2)
     ones = np.ones_like(t)
     if n == 0:
@@ -140,9 +144,9 @@ def chi_eval_trig(n: int, angle: AngleCoordinate, params: SpectralParams) -> flo
 def kesten_density(t, params: SpectralParams):
     """Density of the spectral measure on [-halfwidth, halfwidth]."""
     t = np.asarray(t, dtype=float)
-    a = params.halfwidth
-    if np.any(np.abs(t) > a * (1 + 1e-12)):
+    if np.any(params.outside(t)):
         raise ValueError("density requested outside the spectrum")
+    a = params.halfwidth
     tt = np.minimum(np.abs(t), a)
     val = params.degree * np.sqrt(a * a - tt * tt) / (
         2.0 * math.pi * (4.0 * params.rank**2 - tt * tt)

@@ -6,11 +6,10 @@ import pytest
 
 from radialmasa.density import (
     CLOSED_FORM_GUARD,
-    DensityPoint,
-    density_closed,
+    GUARD_SERIES_ORDER,
+    _normalized_chi_table,
     density_closed_grid,
     density_normalization,
-    density_series,
     density_series_grid,
     interior_grid,
     pairing_exact,
@@ -82,21 +81,62 @@ def test_series_on_axes_equals_full_grid(rank):
         assert tail == grid_tail
 
 
+def series_reference(t, s, truncation, params):
+    """The series as one explicit loop over n, with its coefficients written
+    out: the head 1 + g_1 g_1 - g_2 - g_2, then
+    2 g_n g_n - (g_{n-1} g_{n+1} + g_{n+1} g_{n-1}) for each n >= 2."""
+    gt = _normalized_chi_table(t, truncation + 1, params)
+    gs = _normalized_chi_table(s, truncation + 1, params)
+    total = 1.0 + gt[1] * gs[1] - (gt[2] + gs[2])
+    for n in range(2, truncation + 1):
+        total = total + (2.0 * gt[n] * gs[n] - (gt[n - 1] * gs[n + 1] + gt[n + 1] * gs[n - 1]))
+    return total
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("truncation", [2, 3, 60])
+def test_series_matches_reference_loop_bitwise(rank, truncation):
+    params = SpectralParams(rank)
+    a = params.halfwidth
+    pts = interior_grid(33, params)
+    rng = np.random.default_rng(rank)
+    cases = [
+        (pts[:, None], pts[None, :]),
+        tuple(np.broadcast_arrays(pts[:, None], pts[None, :])),
+        (rng.uniform(-a, a, 200), rng.uniform(-a, a, 200)),
+        (np.array([-a, 0.0, a])[:, None], pts[None, :]),
+        (0.3 * a, -0.7 * a),
+        (a, 0.0),
+    ]
+    for t, s in cases:
+        got, _ = density_series_grid(t, s, truncation, params)
+        want = series_reference(t, s, truncation, params)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 def test_series_center_value():
     # f(0,0) = N/(N-1): the bracketed terms telescope to a geometric series
-    assert density_series(0.0, 0.0, 60, P2).value == pytest.approx(2.0, abs=1e-12)
-    assert density_series(0.0, 0.0, 60, P3).value == pytest.approx(1.5, abs=1e-12)
+    assert density_series_grid(0.0, 0.0, 60, P2)[0] == pytest.approx(2.0, abs=1e-12)
+    assert density_series_grid(0.0, 0.0, 60, P3)[0] == pytest.approx(1.5, abs=1e-12)
 
 
-def test_series_point_metadata():
-    pt = density_series(0.5, -0.25, 30, P2)
-    assert isinstance(pt, DensityPoint)
-    assert pt.method == "series"
-    assert pt.tail_bound == series_tail_bound(30, P2)
-    with pytest.raises(ValueError):
-        density_series(2 * P2.halfwidth, 0.0, 30, P2)
-    with pytest.raises(ValueError):
-        density_series(0.0, 0.0, 1, P2)
+def test_grid_input_checks():
+    a = P2.halfwidth
+    _, tail = density_series_grid(0.5, -0.25, 30, P2)
+    assert tail == series_tail_bound(30, P2)
+    for truncation in (0, 1):
+        with pytest.raises(ValueError, match="truncation"):
+            density_series_grid(0.0, 0.0, truncation, P2)
+    for t, s in ((2 * a, 0.0), (0.0, -2 * a), (10.0, 0.0), (math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="outside the closed spectral square"):
+            density_series_grid([t], [s], 30, P2)
+        with pytest.raises(ValueError, match="outside the closed spectral square"):
+            density_closed_grid([t], [s], P2)
+    # the corners, up to roundoff, are inside
+    edge = a * (1 + 1e-13)
+    values, guarded = density_closed_grid([edge, -edge], [-edge, edge], P2)
+    assert guarded.all() and np.isfinite(values).all()
 
 
 def test_series_integrates_to_one():
@@ -147,14 +187,11 @@ def test_closed_real_valued():
 
 def test_closed_guard_band_falls_back_to_series():
     a = P2.halfwidth
-    pt = density_closed(a, 0.0, P2)  # sin(theta) = 0 exactly
-    assert pt.method == "series"
-    assert pt.tail_bound > 0
-    direct = density_series(a, 0.0, 60, P2)
-    assert pt.value == direct.value
-    inner = density_closed(0.3, -0.2, P2)
-    assert inner.method == "closed"
-    assert inner.tail_bound == 0.0
+    # sin(theta) = 0 exactly at t = a
+    values, guarded = density_closed_grid([a, 0.3], [0.0, -0.2], P2)
+    assert guarded.tolist() == [True, False]
+    direct, _ = density_series_grid(a, 0.0, GUARD_SERIES_ORDER, P2)
+    assert values[0] == direct
 
 
 def test_closed_continuous_across_guard():
@@ -163,15 +200,14 @@ def test_closed_continuous_across_guard():
     theta_guard = math.asin(CLOSED_FORM_GUARD)  # sin(theta) at the edge
     t_in = a * math.cos(theta_guard * 0.5)
     t_out = a * math.cos(theta_guard * 2.0)
-    v_in = density_closed(t_in, 0.4, P2)
-    v_out = density_closed(t_out, 0.4, P2)
-    assert v_in.method == "series" and v_out.method == "closed"
-    assert v_in.value == pytest.approx(v_out.value, abs=1e-6)
+    (v_in, v_out), guarded = density_closed_grid([t_in, t_out], [0.4, 0.4], P2)
+    assert guarded.tolist() == [True, False]
+    assert v_in == pytest.approx(v_out, abs=1e-6)
 
 
 def test_closed_center_value():
-    assert density_closed(0.0, 0.0, P2).value == pytest.approx(2.0, abs=1e-12)
-    assert density_closed(0.0, 0.0, P3).value == pytest.approx(1.5, abs=1e-12)
+    assert density_closed_grid(0.0, 0.0, P2)[0] == pytest.approx(2.0, abs=1e-12)
+    assert density_closed_grid(0.0, 0.0, P3)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------- pairing

@@ -48,6 +48,8 @@ def test_angle_coordinate_consistency():
     with pytest.raises(ValueError):
         AngleCoordinate.from_t(P2.halfwidth + 0.1, P2)
     with pytest.raises(ValueError):
+        AngleCoordinate.from_t(math.nan, P2)
+    with pytest.raises(ValueError):
         AngleCoordinate.from_theta(-0.1, P2)
 
 
@@ -106,6 +108,8 @@ def test_recurrence_vectorized():
 def test_out_of_spectrum_warns():
     with pytest.warns(UserWarning):
         chi_eval_recurrence(2, P2.halfwidth + 1.0, P2)
+    with pytest.warns(UserWarning):
+        chi_eval_recurrence(2, np.array([0.0, math.nan]), P2)
 
 
 class QuadraticInteger:
@@ -196,6 +200,9 @@ def test_amplitude_bound():
 def test_density_domain():
     with pytest.raises(ValueError):
         kesten_density(P2.halfwidth + 0.2, P2)
+    with pytest.raises(ValueError):
+        kesten_density(np.array([0.0, math.nan]), P2)
+    assert kesten_density(P2.halfwidth * (1 + 1e-13), P2) == 0.0
     assert kesten_density(P2.halfwidth, P2) == 0.0
     assert kesten_density(-P2.halfwidth, P2) == 0.0
     assert kesten_density(0.0, P2) > 0

@@ -22,9 +22,9 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from functools import partial
-from itertools import groupby, repeat
+from itertools import chain, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -148,8 +148,9 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 
-def atomic_write_text(path: str, content: str) -> None:
-    """Write whole-file output via a same-directory temp file and rename."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order as the file at ``path``, via a same-directory
+    temp file and rename: the file appears whole or not at all."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".radialmasa-", suffix=".tmp")
     # mkstemp makes the file 0600; give it the mode open() would
@@ -157,7 +158,7 @@ def atomic_write_text(path: str, content: str) -> None:
     os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
+            handle.writelines(chunks)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -166,11 +167,11 @@ def atomic_write_text(path: str, content: str) -> None:
         raise
 
 
-def emit(cfg: RunConfig, content: str) -> None:
+def emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
     if cfg.output_path:
-        atomic_write_text(cfg.output_path, content)
+        atomic_write_text(cfg.output_path, chunks)
     else:
-        sys.stdout.write(content)
+        sys.stdout.writelines(chunks)
 
 
 # json spells the non-finite floats its own way; csv keeps repr's nan and inf
@@ -238,75 +239,74 @@ def _layout(value, indent: str, path: tuple, parts: list) -> None:
 
 def _row_template(row) -> tuple:
     """The template of a list item shaped like ``row``: literal text and the
-    paths of its columns, alternating.  Each row ends in the list separator,
-    and ``_report_text`` cuts the last row's."""
-    parts = [ROW_INDENT]
+    paths of its columns, alternating.  Each row starts with the list
+    separator, which ``_report_chunks`` makes the opening bracket on a list's
+    first row."""
+    parts = [",\n" + ROW_INDENT]
     _layout(row, ROW_INDENT, (), parts)
-    parts.append(",\n")
     template = []
     for is_text, run in groupby(parts, key=lambda part: isinstance(part, str)):
         template.extend(["".join(run)] if is_text else run)
     return tuple(template)
 
 
-def _fill_rows(pieces: list, n: int, template: tuple, columns: dict) -> None:
-    """Append to ``pieces`` the pieces of ``n`` rows laid out by ``template``,
-    with ``columns`` mapping each of its paths to a column of texts.
+def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
+    """The pieces of ``n`` rows laid out by ``template``, with ``columns``
+    mapping each of its paths to a column of texts; joining them gives the rows.
 
     Columns and literals are interleaved by slice assignment, so no per-row
-    string is built; joining the pieces gives the rows.
+    string is built.
     """
-    start, step = len(pieces), len(template)
-    pieces.extend(repeat("", step * n))
+    step = len(template)
+    pieces = [""] * (step * n)
     for k, part in enumerate(template):
-        pieces[start + k::step] = [part] * n if isinstance(part, str) else columns[part]
+        pieces[k::step] = [part] * n if isinstance(part, str) else columns[part]
+    return pieces
 
 
-def _value_rows(rows: list, pieces: list) -> None:
-    """Append the pieces of ``rows``, one template for each run of one shape."""
+def _run_pieces(run: list) -> list[str]:
+    """The pieces of a run of rows of one shape, laid out by one template."""
+    template = _row_template(run[0])
+    columns = {}
+    for path in template[1::2]:
+        column = run
+        for key in path:
+            column = map(itemgetter(key), column)
+        columns[path] = _spell(list(column), ROW_INDENT + "  " * len(path))
+    return _rows_pieces(len(run), template, columns)
+
+
+def _value_rows(rows: list) -> Iterator[list[str]]:
+    """Yield the pieces of ``rows``, one list for each run of rows of one shape."""
     for _, run in groupby(rows, key=_shape):
-        run = list(run)
-        template = _row_template(run[0])
-        columns = {}
-        for path in template[1::2]:
-            column = run
-            for key in path:
-                column = map(itemgetter(key), column)
-            columns[path] = _spell(list(column), ROW_INDENT + "  " * len(path))
-        _fill_rows(pieces, len(run), template, columns)
+        yield _run_pieces(list(run))
 
 
-def _report_text(head: dict, lists: dict) -> str:
-    """The text json.dumps(indent=2, sort_keys=True) gives ``head`` with the
-    lists of ``lists`` added, and a newline.
+def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
+    """Yield, in chunks, the text json.dumps(indent=2, sort_keys=True) gives
+    ``head`` with the lists of ``lists`` added, and a newline.
 
-    Each value of ``head`` goes through json.dumps.  Each list is given as a
-    function that appends its rows to a list of pieces.
+    Each value of ``head`` goes through json.dumps.  Each list is given as an
+    iterable of the pieces of its rows, one nonempty list of pieces per
+    chunk, each row starting with the list separator.
     """
-    pieces = []
+    opening = "{"
     for key in sorted([*head, *lists]):
-        pieces.append(f'{"," if pieces else "{"}\n  {json.dumps(key)}: ')
+        yield f"{opening}\n  {json.dumps(key)}: "
+        opening = ","
         if key in head:
-            pieces.append(_json_value(head[key], "  "))
+            yield _json_value(head[key], "  ")
             continue
-        pieces.append("[\n")
-        start = len(pieces)
-        lists[key](pieces)
-        pieces[-1] = "[]" if len(pieces) == start else pieces[-1].removesuffix(",\n") + "\n  ]"
-    pieces.append("\n}\n" if pieces else "{}\n")
-    return "".join(pieces)
-
-
-def json_report(payload: dict) -> str:
-    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
-
-    Each list at the top, such as a report's checks, is written from row
-    templates: one for each run of rows with the same keys, filled from
-    columns each spelled in one pass.  Every key is a string.
-    """
-    lists = {key: partial(_value_rows, value)
-             for key, value in payload.items() if isinstance(value, (list, tuple))}
-    return _report_text({key: value for key, value in payload.items() if key not in lists}, lists)
+        separator = "["
+        for pieces in lists[key]:
+            # the first row's separator is the list's opening bracket
+            pieces[0] = separator + pieces[0][1:]
+            separator = ","
+            text = "".join(pieces)
+            del pieces  # so the row pieces are freed before the text is written
+            yield text
+        yield "[]" if separator == "[" else "\n  ]"
+    yield "{}\n" if opening == "{" else "\n}\n"
 
 
 # The density columns, and a CSV density row as csv.writer (lineterminator
@@ -315,44 +315,85 @@ DENSITY_COLUMNS = ("t", "s", "f", "tail_bound", "method")
 DENSITY_CSV_ROW = (("t",), ",", ("s",), ",", ("f",), ",", ("tail_bound",), ",", ("method",), "\r\n")
 
 
-def density_text(fmt: str, head: dict, pts, blocks, guard_tail: float) -> str:
-    """The density export as CSV or JSON text, built from column arrays.
+class DensityRows:
+    """The rows of a density export as column arrays, spelled one block of
+    grid rows at a time; ``len`` is the number of rows.
 
-    ``blocks`` holds one ``(values, guarded, tail, label)`` per method, where
+    ``grids`` holds one ``(values, guarded, tail, label)`` per method, where
     ``values`` is the len(pts) x len(pts) grid f(pts[i], pts[j]) and the rows
-    run over i, then j.  A row takes the block's ``tail`` and ``label``, except
+    run over i, then j.  A row takes its grid's ``tail`` and ``label``, except
     where ``guarded`` (None for no guard) marks a series fallback, which takes
-    ``guard_tail`` and "series".  The text is byte for byte what ``csv.writer``
-    writes for the rows t, s, f, tail_bound, method, or what ``json_report``
-    writes for ``head`` with those rows as dicts under "rows"; each coordinate,
-    value and tail is spelled once.
+    ``guard_tail`` and "series".
     """
-    axis = _float_texts(pts, fmt)
-    n = len(axis) ** 2
-    label_text = json.dumps if fmt == "json" else str
-    guard = _float_texts([guard_tail], fmt)[0], label_text("series")
-    columns = {("t",): [t for t in axis for _ in axis], ("s",): axis * len(axis)}
-    if fmt == "json":
-        template = _row_template(dict.fromkeys(DENSITY_COLUMNS))
-    else:
-        template = DENSITY_CSV_ROW
 
-    def fill(pieces: list) -> None:
-        for values, guarded, tail, label in blocks:
-            tails = _float_texts([tail], fmt) * n
-            labels = [label_text(label)] * n
-            if guarded is not None:
-                for i in np.flatnonzero(guarded).tolist():
-                    tails[i], labels[i] = guard
-            columns.update({("f",): _float_texts(values, fmt), ("tail_bound",): tails,
-                            ("method",): labels})
-            _fill_rows(pieces, n, template, columns)
+    def __init__(self, pts: np.ndarray, grids: tuple, guard_tail: float):
+        self.pts, self.grids, self.guard_tail = pts, grids, guard_tail
 
-    if fmt == "json":
-        return _report_text(head, {"rows": fill})
-    pieces = [",".join(DENSITY_COLUMNS) + "\r\n"]
-    fill(pieces)
-    return "".join(pieces)
+    def __len__(self) -> int:
+        return len(self.grids) * len(self.pts) ** 2
+
+    def pieces(self, fmt: str) -> Iterator[list[str]]:
+        """Yield the pieces of the rows as ``fmt`` spells them, one list for
+        each block of about ``density.BLOCK_POINTS`` rows: as csv.writer
+        writes the rows t, s, f, tail_bound, method, or as ``json_chunks``
+        writes them as dicts.  Each coordinate, value and tail is spelled
+        once."""
+        axis = _float_texts(self.pts, fmt)
+        n = len(axis)
+        step = max(1, density_mod.BLOCK_POINTS // n)
+        label_text = json.dumps if fmt == "json" else str
+        guard = _float_texts([self.guard_tail], fmt)[0], label_text("series")
+        if fmt == "json":
+            template = _row_template(dict.fromkeys(DENSITY_COLUMNS))
+        else:
+            template = DENSITY_CSV_ROW
+        for values, guarded, tail, label in self.grids:
+            tail_text, method = _float_texts([tail], fmt)[0], label_text(label)
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                t_axis = axis[rows]
+                count = len(t_axis) * n
+                tails, labels = [tail_text] * count, [method] * count
+                if guarded is not None:
+                    for i in np.flatnonzero(guarded[rows]).tolist():
+                        tails[i], labels[i] = guard
+                yield _rows_pieces(count, template, {
+                    ("t",): [t for t in t_axis for _ in axis],
+                    ("s",): axis * len(t_axis),
+                    ("f",): _float_texts(values[rows], fmt),
+                    ("tail_bound",): tails,
+                    ("method",): labels,
+                })
+
+
+def json_chunks(report: dict) -> Iterator[str]:
+    """``json_report``'s text of ``report``, in chunks.
+
+    Each list at the top, such as a report's checks, is written from row
+    templates: one for each run of rows with the same keys, filled from
+    columns each spelled in one pass.  A ``DensityRows`` is written one block
+    of rows at a time.  Every key is a string.
+    """
+    lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _value_rows(value)
+             for key, value in report.items()
+             if isinstance(value, (list, tuple, DensityRows))}
+    return _report_chunks({key: value for key, value in report.items() if key not in lists},
+                          lists)
+
+
+def json_report(payload: dict) -> str:
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``."""
+    return "".join(json_chunks(payload))
+
+
+def csv_chunks(report: dict) -> Iterator[str]:
+    """A density export's CSV text: the header, then its rows block by block."""
+    return chain([",".join(DENSITY_COLUMNS) + "\r\n"],
+                 map("".join, report["rows"].pieces("csv")))
+
+
+# the writer of each --format; only density takes csv
+WRITERS = {"csv": csv_chunks, "json": json_chunks}
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +424,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, summary["pass"]
 
 
-def cmd_density(cfg: RunConfig) -> tuple[str, bool]:
+def cmd_density(cfg: RunConfig) -> tuple[dict, bool]:
     """evaluate the left-right density on a grid"""
     params = SpectralParams(cfg.rank)
     pts = density_mod.interior_grid(cfg.grid_n, params)
@@ -393,24 +434,24 @@ def cmd_density(cfg: RunConfig) -> tuple[str, bool]:
     tail_tol = cfg.tol("tail")
     guard_tail = density_mod.series_tail_bound(density_mod.GUARD_SERIES_ORDER, params)
     worst_tail = 0.0
-    blocks = []
+    grids = []
     for method in methods:
         if method == "closed":
             values, guarded = density_mod.density_closed_grid(tt, ss, params)
             if guarded.any():
                 worst_tail = max(worst_tail, guard_tail)
-            blocks.append((values, guarded, 0.0, "closed"))
+            grids.append((values, guarded, 0.0, "closed"))
         else:
             values, tail = density_mod.density_series_grid(tt, ss, cfg.truncation, params)
             worst_tail = max(worst_tail, tail)
-            blocks.append((values, None, tail, "series"))
+            grids.append((values, None, tail, "series"))
     if worst_tail > tail_tol:
         raise QuadratureError(
             f"series tail bound {worst_tail} exceeds requested tolerance {tail_tol}; "
             "raise the truncation order"
         )
-    head = {"command": "density", "config": cfg.public_dict()}
-    return density_text(cfg.format, head, pts, blocks, guard_tail), True
+    rows = DensityRows(pts, tuple(grids), guard_tail)
+    return {"command": "density", "config": cfg.public_dict(), "rows": rows}, True
 
 
 def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:
@@ -596,15 +637,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         result, passed = COMMANDS[cfg.command](cfg)
-        content = result if isinstance(result, str) else json_report(result)
+        emit(cfg, WRITERS[cfg.format](result))
     except (ResourceCapError, QuadratureError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"aborted: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    try:
-        emit(cfg, content)
     except OSError as exc:
         target = cfg.output_path or "standard output"
         print(f"output error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

@@ -135,6 +135,9 @@ def sandwich_inner_closed(
 
 def pairing_closed(sign: int, n: int, m: int, norm_sq: Rational) -> Fraction:
     """The six-case closed form for <chi_n v chi_m, v>."""
+    # every nonzero case has |n - m| of 0 or 2
+    if abs(n - m) not in (0, 2):
+        return Fraction(0)
     norm_sq = Fraction(norm_sq)
     if n + m > 2 and abs(n - m) == 2:
         return Fraction(-sign) ** ((n + m) // 2) * sign * norm_sq
@@ -144,9 +147,7 @@ def pairing_closed(sign: int, n: int, m: int, norm_sq: Rational) -> Fraction:
         return -norm_sq
     if (n, m) == (1, 1):
         return -sign * norm_sq
-    if (n, m) == (0, 0):
-        return norm_sq
-    return Fraction(0)
+    return norm_sq  # (n, m) == (0, 0), the one case left
 
 
 def sandwich_expansion_indices(sign: int, n: int, m: int) -> list[tuple[int, int, int]]:

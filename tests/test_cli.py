@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,17 @@ from radialmasa import cli, density
 from radialmasa.cli import (
     COMMANDS,
     OPTIONS,
+    WRITERS,
+    DensityRows,
     RunConfig,
     atomic_write_text,
     build_parser,
     command_options,
-    density_text,
     json_report,
     main,
     resolve_config,
 )
+from radialmasa.density import CLOSED_FORM_GUARD
 from radialmasa.spectral import SpectralParams
 
 
@@ -516,6 +519,81 @@ def test_density_bytes_with_guard_rows(fmt, tmp_path, capsys, monkeypatch):
     assert_density_bytes(argv, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("block_points", [1, 5 * 33])
+@pytest.mark.parametrize("guard", [CLOSED_FORM_GUARD, 0.5])
+def test_density_bytes_across_blocks(block_points, guard, tmp_path, capsys, monkeypatch):
+    # one grid row a block, and 5 rows a block, which does not divide 33 rows;
+    # the expected bytes come from one-block kernels
+    monkeypatch.setattr(density, "CLOSED_FORM_GUARD", guard)
+    for method in ("closed", "series", "both"):
+        for fmt in ("csv", "json"):
+            argv = ["density", "--rank", "3", "--grid", "33", "--method", method, "--format", fmt]
+            out_argv = argv + ["--out", str(tmp_path / "density.out")]
+            want = row_encoder_output(argv), row_encoder_output(out_argv).encode()
+            with monkeypatch.context() as patch:
+                patch.setattr(density, "BLOCK_POINTS", block_points)
+                assert main(argv) == 0
+                assert main(out_argv) == 0
+            assert capsys.readouterr().out == want[0]
+            assert (tmp_path / "density.out").read_bytes() == want[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_memory_error_mid_stream(fmt, tmp_path, capsys, monkeypatch):
+    # one grid row a block; the third block's text cannot be allocated
+    monkeypatch.setattr(density, "BLOCK_POINTS", 8)
+    real, spelled = cli._rows_pieces, []
+
+    def third_fails(*args):
+        spelled.append(args)
+        if len(spelled) == 3:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_rows_pieces", third_fails)
+    out = tmp_path / "grid.out"
+    assert main(["density", "--rank", "2", "--grid", "8", "--format", fmt, "--out", str(out)]) == 2
+    assert one_stderr_line(capsys) == "aborted: MemoryError: out of memory\n"
+    assert len(spelled) == 3
+    assert list(tmp_path.iterdir()) == []  # neither the output nor the temp file
+
+
+def test_density_runaway_grid_fails_before_writing(tmp_path):
+    # the float grids are allocated whole before the first byte is written, so
+    # a grid past the address-space limit fails with nothing written
+    out = tmp_path / "F"
+    limit = 2 << 30
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from radialmasa.cli import main\n"
+        f"sys.exit(main(['density', '--rank', '2', '--grid', '20000', '--out', {str(out)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("aborted: MemoryError")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_export_peak_below_output_size(fmt, tmp_path):
+    # the text is written one block of rows at a time, never held whole
+    out = tmp_path / "grid.out"
+    argv = ["density", "--rank", "3", "--grid", "256", "--method", "both", "--format", fmt,
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_density_text_spells_special_floats(fmt):
     pts = np.array([-0.0, 1.5, float("nan")])
@@ -525,9 +603,8 @@ def test_density_text_spells_special_floats(fmt):
     guarded = np.zeros((3, 3), dtype=bool)
     guarded[0, 1] = guarded[2, 2] = True
     head = {"command": "density", "config": {"rank": 2}}
-    text = density_text(fmt, head, pts,
-                         [(values, guarded, -0.0, "closed"), (values, None, float("inf"), "series")],
-                         float("nan"))
+    grids = ((values, guarded, -0.0, "closed"), (values, None, float("inf"), "series"))
+    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids, float("nan"))}))
     rows = []
     for block_tail, block_label, mask in ((-0.0, "closed", guarded), (float("inf"), "series", None)):
         for i in range(3):
@@ -697,15 +774,38 @@ def test_json_report_spells_every_value_as_json_does():
 # ---------------------------------------------------------------- plumbing
 
 
+# each command at a minimal size, and the number of rows or checks it reports
+MINIMAL_RUNS = {
+    "verify": (["--max-total", "1"], None),
+    "density": (["--grid", "2", "--method", "both"], 8),
+    "pairing": (["--max-total", "1"], 3),
+    "scan": (["--grid", "16"], 0),
+    "moments": (["--max-moment", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_returns_report_and_flag(command):
+    # the benchmark's tracer reads (str | dict, bool), and len() of a dict's
+    # "rows" or "checks"
+    flags, count = MINIMAL_RUNS[command]
+    cfg = resolve_config(build_parser().parse_args([command, "--rank", "2", *flags]))
+    body, passed = COMMANDS[command](cfg)
+    assert isinstance(body, (str, dict)) and passed is True
+    if isinstance(body, dict):
+        rows = body.get("rows") or body.get("checks") or ()
+        assert len(rows) == (body["summary"]["total"] if count is None else count)
+
+
 def test_atomic_write(tmp_path):
     target = tmp_path / "file.txt"
     old_umask = os.umask(0o022)
     try:
-        atomic_write_text(str(target), "hello")
+        atomic_write_text(str(target), ["hello"])
         assert target.read_text() == "hello"
         # the mode open() would give, not the temp file's 0600
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
-        atomic_write_text(str(target), "replaced")
+        atomic_write_text(str(target), (text for text in ("re", "placed")))
         assert target.read_text() == "replaced"
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
     finally:

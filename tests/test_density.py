@@ -17,10 +17,10 @@ from radialmasa.density import (
     series_tail_bound,
     zero_scan,
 )
-from radialmasa import identities
+from radialmasa import density, identities
 from radialmasa.algebra import GradedVector, chi, inner_product, multiply
 from radialmasa.identities import pairing_closed
-from radialmasa.spectral import SpectralParams
+from radialmasa.spectral import SpectralParams, lambda_rule
 
 P2 = SpectralParams(2)
 P3 = SpectralParams(3)
@@ -79,6 +79,45 @@ def test_series_on_axes_equals_full_grid(rank):
         on_grid, grid_tail = density_series_grid(tt, ss, truncation, params)
         assert np.array_equal(on_axes, on_grid)
         assert tail == grid_tail
+
+
+def bits(values):
+    """The bits of each value, so -0.0 differs from 0.0 and NaNs compare."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("block_points", [1, 7, 5 * 33])
+def test_blocked_grids_equal_one_block(block_points, monkeypatch):
+    # a wide guard band sends many points to the 1-D series fallback
+    monkeypatch.setattr(density, "CLOSED_FORM_GUARD", 0.5)
+    a = P3.halfwidth
+    pts = interior_grid(33, P3)
+    nodes, _ = lambda_rule(32, 3)
+    cases = [
+        (pts[:, None], pts[None, :]),
+        (pts[None, :], pts[:, None]),
+        tuple(np.broadcast_arrays(pts[:, None], pts[None, :])),
+        (nodes[:, None], nodes[None, :]),
+        (pts, -pts),
+        (np.array([-a, -0.0, a]), 0.0),
+        (0.3 * a, -0.7 * a),
+        (a, 0.0),
+    ]
+
+    def evaluate():
+        out = []
+        for t, s in cases:
+            values, guarded = density_closed_grid(t, s, P3)
+            out += [bits(values), guarded, bits(density_series_grid(t, s, 60, P3)[0])]
+        return out
+
+    monkeypatch.setattr(density, "BLOCK_POINTS", 1 << 30)
+    whole = evaluate()
+    assert any(guarded.any() and not guarded.all() for guarded in whole[1::3])
+    monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
+    for got, want in zip(evaluate(), whole, strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def series_reference(t, s, truncation, params):

@@ -44,7 +44,10 @@ T(x, th, ph, r) = sum x^n sin(n th) sin((n+r) ph) after index shifts:
     sum_{n>=2} x^n sin((n-1) th) sin((n-1) ph) = x T(x,th,ph,0)
 
 with the analogous shifts (r = 1, 2, 3) for the cross products
-g_{n-1}(t) g_{n+1}(s).
+g_{n-1}(t) g_{n+1}(s).  All seven sums come from two ``trig_sums`` calls per
+block, which compute each denominator and each cosine once; every
+single-angle term is computed on the block's axes, and the guard band's
+series overwrites the closed form's values there.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import numpy as np
 from .algebra import GradedVector
 from .errors import QuadratureError
 from .identities import degree_pairs, fraction_str, pairing_closed, standard_test_vectors
-from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule, trig_sum
+from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule, trig_sums
 
 # |sin(theta)*sin(phi)| below this makes the closed form ill-conditioned;
 # those points are evaluated by the series branch instead.
@@ -208,22 +211,17 @@ def _series_block(t: np.ndarray, s: np.ndarray, truncation: int, params: Spectra
                          for positive, negative in _series_blocks(truncation)))
 
 
-def _closed_form_values(theta: np.ndarray, phi: np.ndarray, params: SpectralParams) -> np.ndarray:
-    """Closed form on angle arrays; assumes sin(theta)*sin(phi) is safely nonzero."""
+def _closed_form_values(theta, phi, sin_t, sin_p, params: SpectralParams) -> np.ndarray:
+    """Closed form on broadcastable angle arrays (on a grid, the axes) and their
+    sines; meaningful only where sin_t * sin_p is safely nonzero."""
     b = float(params.branching)
     x = 1.0 / b
     d2 = 2.0 * params.branching_ratio
     cos_t, cos_p = np.cos(theta), np.cos(phi)
-    sin_t, sin_p = np.sin(theta), np.sin(phi)
     ct, cp = d2 * cos_t, d2 * cos_p
 
-    t0 = trig_sum(x, theta, phi, 0)
-    t1 = trig_sum(x, theta, phi, 1)
-    t1r = trig_sum(x, phi, theta, 1)
-    t2 = trig_sum(x, theta, phi, 2)
-    t2r = trig_sum(x, phi, theta, 2)
-    t3 = trig_sum(x, theta, phi, 3)
-    t3r = trig_sum(x, phi, theta, 3)
+    t0, t1, t2, t3 = trig_sums(x, theta, phi, (0, 1, 2, 3))
+    t1r, t2r, t3r = trig_sums(x, phi, theta, (1, 2, 3))
 
     # diagonal family: sum_{n>=2} x^n [ct*cp sin(n th) sin(n ph) - ...]
     diag = (
@@ -245,7 +243,10 @@ def _closed_form_values(theta: np.ndarray, phi: np.ndarray, params: SpectralPara
     g2t = (t * t - params.degree) / norm2
     g2s = (s * s - params.degree) / norm2
     head = 1.0 + g1t * g1s - g2t - g2s
-    return head + (2.0 * diag - cross - cross_m) / (sin_t * sin_p)
+    # the quotient is discarded wherever the guard band applies
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = (2.0 * diag - cross - cross_m) / (sin_t * sin_p)
+    return head + tail
 
 
 def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
@@ -264,17 +265,14 @@ def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.nd
     for tb, sb, rows in _row_blocks(t, s):
         theta = np.arccos(np.clip(tb / a, -1.0, 1.0))
         phi = np.arccos(np.clip(sb / a, -1.0, 1.0))
-        guard = np.abs(np.sin(theta) * np.sin(phi)) < CLOSED_FORM_GUARD
-        theta, phi = np.broadcast_arrays(theta, phi)
+        sin_t, sin_p = np.sin(theta), np.sin(phi)
+        guard = np.abs(sin_t * sin_p) < CLOSED_FORM_GUARD
         guarded[rows] = guard
-        block = values[rows]
-        safe = ~guard
-        if np.any(safe):
-            block[safe] = _closed_form_values(theta[safe], phi[safe], params)
+        values[rows] = _closed_form_values(theta, phi, sin_t, sin_p, params)
         if np.any(guard):
             tb, sb = np.broadcast_arrays(tb, sb)
-            block[guard] = density_series_grid(tb[guard], sb[guard], GUARD_SERIES_ORDER,
-                                               params)[0]
+            values[rows][guard] = density_series_grid(tb[guard], sb[guard],
+                                                      GUARD_SERIES_ORDER, params)[0]
     return values, guarded
 
 

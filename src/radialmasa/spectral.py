@@ -18,6 +18,9 @@ measure, with the three-term recurrence
 and admit an independent trigonometric evaluation in the angle variable
 t = a*cos(theta).  Quadrature against the measure substitutes t = a*cos(theta),
 which absorbs the square-root endpoint vanishing analytically.
+
+``trig_sums`` sums x^n sin(n theta) sin((n+r) phi) in closed form for several
+shifts r at once, from shared denominators and cosines.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def chi_eval_recurrence(n: int, t, params: SpectralParams):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = np.asarray(t, dtype=float)
+    t = np.array(t, dtype=float)  # a copy: p_1 is t itself
     if np.any(params.outside(t)):
         warnings.warn("evaluating outside the spectral interval", stacklevel=2)
     ones = np.ones_like(t)
@@ -208,22 +211,40 @@ def quad_lambda(g, params: SpectralParams, tol: float = 1e-10) -> float:
     )
 
 
-def trig_sum(x, theta, phi, r):
-    """Closed form of sum_{n>=0} x**n * sin(n*theta) * sin((n+r)*phi) for |x| < 1.
+def trig_sums(x, theta, phi, rs):
+    """Closed forms of sum_{n>=0} x**n * sin(n*theta) * sin((n+r)*phi) for each
+    r in rs, |x| < 1; accepts scalars or arrays for theta and phi.
 
     Both denominators are bounded below by (1-|x|)**2, so the expression is
-    stable everywhere; accepts scalars or arrays for theta and phi.
+    stable everywhere.  They are computed once per call, and cos(r*phi) on
+    phi as given, so on grid axes it costs one axis.
     """
     if np.any(np.abs(x) >= 1):
         raise ValueError("geometric ratio must satisfy |x| < 1")
     theta = np.asarray(theta)
     phi = np.asarray(phi)
-    num_minus = np.cos(r * phi) - x * np.cos(theta + (r - 1) * phi)
-    den_minus = 1.0 - 2.0 * x * np.cos(theta - phi) + x * x
-    num_plus = np.cos(r * phi) - x * np.cos(theta - (r - 1) * phi)
-    den_plus = 1.0 - 2.0 * x * np.cos(theta + phi) + x * x
-    out = 0.5 * (num_minus / den_minus) - 0.5 * (num_plus / den_plus)
-    return out if out.shape else out[()]
+    cos_minus = np.cos(theta - phi)
+    cos_plus = np.cos(theta + phi)
+    den_minus = 1.0 - 2.0 * x * cos_minus + x * x
+    den_plus = 1.0 - 2.0 * x * cos_plus + x * x
+    # cos(theta + (r-1)*phi), cos(theta - (r-1)*phi), shared only where the
+    # argument is the same float: theta + (-1)*phi is theta - phi, theta + 0*phi is theta
+    shifted = {0: (cos_minus, cos_plus), 2: (cos_plus, cos_minus)}
+    sums = []
+    for r in rs:
+        if r not in shifted:
+            shifted[r] = ((np.cos(theta),) * 2 if r == 1 else
+                          (np.cos(theta + (r - 1) * phi), np.cos(theta - (r - 1) * phi)))
+        lead, lag = shifted[r]
+        cos_r = np.cos(r * phi)
+        out = 0.5 * ((cos_r - x * lead) / den_minus) - 0.5 * ((cos_r - x * lag) / den_plus)
+        sums.append(out if out.shape else out[()])
+    return sums
+
+
+def trig_sum(x, theta, phi, r):
+    """``trig_sums`` for one r."""
+    return trig_sums(x, theta, phi, (r,))[0]
 
 
 def trig_sum_partial(x, theta, phi, r, terms: int = 200):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,7 @@ def test_blocked_grids_equal_one_block(block_points, monkeypatch):
         out = []
         for t, s in cases:
             values, guarded = density_closed_grid(t, s, P3)
+            assert np.array_equal(bits(values), bits(closed_reference(t, s, P3)))
             out += [bits(values), guarded, bits(density_series_grid(t, s, 60, P3)[0])]
         return out
 
@@ -130,6 +132,107 @@ def series_reference(t, s, truncation, params):
     for n in range(2, truncation + 1):
         total = total + (2.0 * gt[n] * gs[n] - (gt[n - 1] * gs[n + 1] + gt[n + 1] * gs[n - 1]))
     return total
+
+
+def five_cosine_trig_sum(x, theta, phi, r):
+    """sum_{n>=0} x^n sin(n theta) sin((n+r) phi), with all five cosines of
+    its closed form computed afresh."""
+    num_minus = np.cos(r * phi) - x * np.cos(theta + (r - 1) * phi)
+    den_minus = 1.0 - 2.0 * x * np.cos(theta - phi) + x * x
+    num_plus = np.cos(r * phi) - x * np.cos(theta - (r - 1) * phi)
+    den_plus = 1.0 - 2.0 * x * np.cos(theta + phi) + x * x
+    return 0.5 * (num_minus / den_minus) - 0.5 * (num_plus / den_plus)
+
+
+def closed_reference(t, s, params):
+    """The closed form on the broadcast grid: seven separate trig sums on the
+    flattened points outside the guard band, and the order-60 series
+    (``series_reference``) inside it."""
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    a = params.halfwidth
+    theta = np.arccos(np.clip(t / a, -1.0, 1.0))
+    phi = np.arccos(np.clip(s / a, -1.0, 1.0))
+    guard = np.abs(np.sin(theta) * np.sin(phi)) < density.CLOSED_FORM_GUARD
+    safe = ~guard
+    theta, phi = theta[safe], phi[safe]
+
+    b = float(params.branching)
+    x = 1.0 / b
+    d2 = 2.0 * params.branching_ratio
+    cos_t, cos_p = np.cos(theta), np.cos(phi)
+    sin_t, sin_p = np.sin(theta), np.sin(phi)
+    ct, cp = d2 * cos_t, d2 * cos_p
+    t0 = five_cosine_trig_sum(x, theta, phi, 0)
+    t1 = five_cosine_trig_sum(x, theta, phi, 1)
+    t1r = five_cosine_trig_sum(x, phi, theta, 1)
+    t2 = five_cosine_trig_sum(x, theta, phi, 2)
+    t2r = five_cosine_trig_sum(x, phi, theta, 2)
+    t3 = five_cosine_trig_sum(x, theta, phi, 3)
+    t3r = five_cosine_trig_sum(x, phi, theta, 3)
+    diag = ct * cp * (t0 - x * sin_t * sin_p) - ct * x * t1r - cp * x * t1 + x * t0
+    cross = ct * cp * x * t2 - ct * x * t1 - cp * x * x * t3 + x * x * t2
+    cross_m = cp * ct * x * t2r - cp * x * t1r - ct * x * x * t3r + x * x * t2r
+    tt = a * cos_t
+    ss = a * cos_p
+    g1t, g1s = tt / params.degree, ss / params.degree
+    norm2 = params.degree * b
+    g2t = (tt * tt - params.degree) / norm2
+    g2s = (ss * ss - params.degree) / norm2
+    head = 1.0 + g1t * g1s - g2t - g2s
+
+    values = np.empty(t.shape)
+    values[safe] = head + (2.0 * diag - cross - cross_m) / (sin_t * sin_p)
+    values[guard] = series_reference(t[guard], s[guard], GUARD_SERIES_ORDER, params)
+    return values
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("grid_n", [7, 33, 512])
+def test_closed_matches_reference_bitwise(rank, grid_n):
+    params = SpectralParams(rank)
+    a = params.halfwidth
+    pts = interior_grid(grid_n, params)
+    ends = np.linspace(-a, a, grid_n)
+    rng = np.random.default_rng(rank)
+    cases = [
+        (pts[:, None], pts[None, :]),
+        (ends[:, None], ends[None, :]),
+        (pts[None, :], ends[:, None]),
+        (rng.uniform(-a, a, grid_n), rng.uniform(-a, a, grid_n)),
+        (pts, 0.25 * a),
+        (0.3 * a, -0.7 * a),
+        (np.float64(-a), 0.1 * a),
+    ]
+    for t, s in cases:
+        got, guarded = density_closed_grid(t, s, params)
+        want = closed_reference(t, s, params)
+        assert np.shape(got) == np.shape(want) == np.shape(guarded)
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_closed_guard_edges(rank):
+    # sin(theta) = 0 exactly at t = +-a, where the closed form divides by
+    # zero: no warning may escape, and the series must replace every such value
+    params = SpectralParams(rank)
+    a = params.halfwidth
+    axis = np.linspace(-a, a, 11)
+    assert axis[0] == -a and axis[-1] == a
+    cases = [
+        (axis[:, None], axis[None, :]),
+        (axis[[0, -1]][:, None], axis[None, :]),  # a block of endpoint rows only
+        (axis, axis[::-1]),
+    ]
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        for t, s in cases:
+            values, guarded = density_closed_grid(t, s, params)
+            t, s = np.broadcast_arrays(t, s)
+            edge = (np.abs(t) == a) | (np.abs(s) == a)
+            assert np.array_equal(guarded, edge)
+            series, _ = density_series_grid(t[edge], s[edge], GUARD_SERIES_ORDER, params)
+            assert np.array_equal(bits(values[edge]), bits(series))
+            assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -218,9 +321,10 @@ def test_closed_real_valued():
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.2, math.pi - 0.2, 50).astype(complex)
     phi = rng.uniform(0.2, math.pi - 0.2, 50).astype(complex)
-    vals = _closed_form_values(theta, phi, P2)
+    vals = _closed_form_values(theta, phi, np.sin(theta), np.sin(phi), P2)
     assert float(np.abs(vals.imag).max()) < 1e-12
-    real_vals = _closed_form_values(theta.real, phi.real, P2)
+    real_vals = _closed_form_values(theta.real, phi.real, np.sin(theta.real),
+                                    np.sin(phi.real), P2)
     assert np.allclose(vals.real, real_vals, atol=1e-12)
 
 

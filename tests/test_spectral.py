@@ -19,6 +19,7 @@ from radialmasa.spectral import (
     quad_lambda,
     trig_sum,
     trig_sum_partial,
+    trig_sums,
 )
 
 P2 = SpectralParams(2)
@@ -103,6 +104,15 @@ def test_recurrence_vectorized():
     vals = chi_eval_recurrence(3, ts, P2)
     assert vals.shape == ts.shape
     assert vals[2] == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_recurrence_returns_a_fresh_array(n):
+    ts = np.linspace(-1.0, 1.0, 5)
+    before = ts.copy()
+    vals = chi_eval_recurrence(n, ts, P2)
+    vals += 1.0
+    assert np.array_equal(ts, before)
 
 
 def test_out_of_spectrum_warns():
@@ -306,6 +316,11 @@ def test_trig_sum_x_zero():
 def test_trig_sum_requires_contraction():
     with pytest.raises(ValueError):
         trig_sum(1.0, 0.5, 0.5, 1)
+    # one check per call, whatever shifts it is asked for
+    for x in (1.0, -1.0, 1.5, np.array([0.5, 1.0])):
+        for rs in ((), (0, 1, 2, 3)):
+            with pytest.raises(ValueError, match="geometric ratio"):
+                trig_sums(x, np.linspace(0.1, 3.0, 7), 0.5, rs)
 
 
 @given(
@@ -322,9 +337,35 @@ def test_trig_sum_against_partial_sums(x, theta, phi, r):
     assert abs(closed - partial) <= bound
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def test_trig_sum_vectorized():
     thetas = np.linspace(0.1, 3.0, 7)
     vals = trig_sum(0.3, thetas, 1.0, 2)
     assert vals.shape == thetas.shape
     singles = [trig_sum(0.3, th, 1.0, 2) for th in thetas]
     assert vals == pytest.approx(singles)
+    # on a theta (k, 1) and a phi (1, m) axis, every value is the bits of
+    # the elementwise scalar call
+    thetas = np.concatenate([[0.0, math.pi], np.random.default_rng(2).uniform(0, math.pi, 40)])
+    phis = np.linspace(0.0, math.pi, 23)
+    rs = (-1, 0, 1, 2, 3, 4)
+    for x in (0.2, -0.6):
+        for r, grid in zip(rs, trig_sums(x, thetas[:, None], phis[None, :], rs), strict=True):
+            assert grid.shape == (len(thetas), len(phis))
+            singles = [[trig_sum(x, th, ph, r) for ph in phis] for th in thetas]
+            assert np.array_equal(bits(grid), bits(singles))
+
+
+@pytest.mark.parametrize("x", [0.2, 1 / 3, -0.8])
+def test_trig_sums_swapped_against_partial_sums(x):
+    rng = np.random.default_rng(6)
+    theta = rng.uniform(0, math.pi, (25, 1))
+    phi = rng.uniform(0, math.pi, (1, 15))
+    bound = abs(x) ** 201 / (1 - abs(x)) + 1e-12
+    for first, second in ((theta, phi), (phi, theta)):
+        for r, closed in enumerate(trig_sums(x, first, second, range(4))):
+            partial = trig_sum_partial(x, first, second, r, terms=200)
+            assert float(np.abs(closed - partial).max()) <= bound

@@ -315,6 +315,46 @@ DENSITY_COLUMNS = ("t", "s", "f", "tail_bound", "method")
 DENSITY_CSV_ROW = (("t",), ",", ("s",), ",", ("f",), ",", ("tail_bound",), ",", ("method",), "\r\n")
 
 
+def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]:
+    """Yield the texts of ``values``, flattened, ``size`` values at a time, as
+    ``_float_texts`` spells them, spelling each distinct bit pattern once.
+
+    The values are grouped by their int64 bits with one sort, so -0.0 and
+    0.0 stay apart.  A group is spelled at its first point and its text
+    dropped after the block that holds its last point, so between blocks
+    only the texts of groups seen both before and after are held.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    bits = flat.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    sorted_bits = bits[order]
+    # new[k]: sorted point k starts a group; new[k + 1]: it ends one
+    new = np.empty(len(flat) + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=new[1:-1])
+    del sorted_bits
+    texts = np.empty(np.count_nonzero(new[:-1]), dtype=object)
+    ids = np.empty(len(flat), dtype=np.int32)
+    ids[order] = np.cumsum(new[:-1], dtype=np.int32) - 1
+    # the stable sort puts each group's first point at its start, its last at its end
+    first, last = np.zeros(len(flat), dtype=bool), np.zeros(len(flat), dtype=bool)
+    first[order[new[:-1]]] = last[order[new[1:]]] = True
+    del order, new
+    for start in range(0, len(flat), size):
+        block = slice(start, start + size)
+        spell = first[block]
+        texts[ids[block][spell]] = _float_texts(flat[block][spell], fmt)
+        yield texts[ids[block]].tolist()
+        texts[ids[block][last[block]]] = None
+
+
+def _run_texts(run: tuple, axis: list[str], texts: dict) -> list[str]:
+    """The text of the template parts ``run`` for each s text of ``axis``,
+    with its other columns spelled by ``texts``."""
+    return ["".join([part if isinstance(part, str) else row[part] for part in run])
+            for row in ({**texts, ("s",): s} for s in axis)]
+
+
 class DensityRows:
     """The rows of a density export as column arrays, spelled one block of
     grid rows at a time; ``len`` is the number of rows.
@@ -324,6 +364,13 @@ class DensityRows:
     run over i, then j.  A row takes its grid's ``tail`` and ``label``, except
     where ``guarded`` (None for no guard) marks a series fallback, which takes
     ``guard_tail`` and "series".
+
+    Each distinct value of a grid (by its bits) is spelled once, at the
+    first block of rows that holds it, and its text is kept until the last
+    such block is written.  f is symmetric, so a value at (i, j) is held
+    until row j is written: at most about a quarter of a grid's texts are
+    live at once, some 75 bytes each (about 5 MB at grid 512), plus 6 bytes
+    a point for the group ids and the first and last marks.
     """
 
     def __init__(self, pts: np.ndarray, grids: tuple, guard_tail: float):
@@ -336,34 +383,49 @@ class DensityRows:
         """Yield the pieces of the rows as ``fmt`` spells them, one list for
         each block of about ``density.BLOCK_POINTS`` rows: as csv.writer
         writes the rows t, s, f, tail_bound, method, or as ``json_chunks``
-        writes them as dicts.  Each coordinate, value and tail is spelled
-        once."""
+        writes them as dicts.  Each coordinate and tail is spelled once, and
+        each distinct value once per grid.
+
+        The row template is folded: each run of it between the t and f
+        columns is one part, a literal or a column whose text depends only
+        on s and on whether the row is guarded, spelled once per grid.
+        """
         axis = _float_texts(self.pts, fmt)
         n = len(axis)
         step = max(1, density_mod.BLOCK_POINTS // n)
         label_text = json.dumps if fmt == "json" else str
-        guard = _float_texts([self.guard_tail], fmt)[0], label_text("series")
+        guard = {("tail_bound",): _float_texts([self.guard_tail], fmt)[0],
+                 ("method",): label_text("series")}
         if fmt == "json":
             template = _row_template(dict.fromkeys(DENSITY_COLUMNS))
         else:
             template = DENSITY_CSV_ROW
+        folded, runs = [], []
+        # t and f vary along a grid row; the text between them does not
+        for per_point, run in groupby(template, key=(("t",), ("f",)).__contains__):
+            run = tuple(run)
+            if per_point:
+                folded.extend(run)
+            elif all(isinstance(part, str) for part in run):
+                folded.append("".join(run))
+            else:
+                folded.append(run)
+                runs.append(run)
         for values, guarded, tail, label in self.grids:
-            tail_text, method = _float_texts([tail], fmt)[0], label_text(label)
-            for start in range(0, n, step):
-                rows = slice(start, start + step)
-                t_axis = axis[rows]
-                count = len(t_axis) * n
-                tails, labels = [tail_text] * count, [method] * count
-                if guarded is not None:
-                    for i in np.flatnonzero(guarded[rows]).tolist():
-                        tails[i], labels[i] = guard
-                yield _rows_pieces(count, template, {
-                    ("t",): [t for t in t_axis for _ in axis],
-                    ("s",): axis * len(t_axis),
-                    ("f",): _float_texts(values[rows], fmt),
-                    ("tail_bound",): tails,
-                    ("method",): labels,
-                })
+            plain = {("tail_bound",): _float_texts([tail], fmt)[0], ("method",): label_text(label)}
+            fragments = {run: (_run_texts(run, axis, plain), _run_texts(run, axis, guard))
+                         for run in runs}
+            blocks = _block_texts(values, step * n, fmt)
+            for start, f_texts in zip(range(0, n, step), blocks):
+                t_axis = axis[start:start + step]
+                columns = {("t",): [t for t in t_axis for _ in axis], ("f",): f_texts}
+                fallbacks = ([] if guarded is None
+                             else np.flatnonzero(guarded[start:start + step]).tolist())
+                for run, (unguarded, fallback) in fragments.items():
+                    column = columns[run] = unguarded * len(t_axis)
+                    for i in fallbacks:
+                        column[i] = fallback[i % n]
+                yield _rows_pieces(len(t_axis) * n, folded, columns)
 
 
 def json_chunks(report: dict) -> Iterator[str]:

@@ -55,8 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import iadd, isub
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,14 +200,26 @@ def density_series_grid(
 def _series_block(t: np.ndarray, s: np.ndarray, truncation: int, params: SpectralParams):
     gt = _normalized_chi_table(t, truncation + 1, params)
     gs = _normalized_chi_table(s, truncation + 1, params)
+    total, pos, neg, product = (np.empty(np.broadcast_shapes(gt.shape[1:], gs.shape[1:]))
+                                for _ in range(4))
 
-    # each product is a fresh array, so every sum accumulates in place
-    def term_sum(terms):
-        return reduce(iadd, (gt[j] * gs[k] if c == 1.0 else c * gt[j] * gs[k]
-                             for c, j, k in terms))
+    # each product goes to one reused buffer, so every sum accumulates in place
+    def term_sum(terms, out):
+        """Sum ``terms`` into ``out``: the first term written, the rest added."""
+        for n, (c, j, k) in enumerate(terms):
+            dest = product if n else out
+            np.multiply(gt[j] if c == 1.0 else c * gt[j], gs[k], out=dest)
+            if n:
+                out += product
 
-    return reduce(iadd, (isub(term_sum(positive), term_sum(negative))
-                         for positive, negative in _series_blocks(truncation)))
+    for n, (positive, negative) in enumerate(_series_blocks(truncation)):
+        block = pos if n else total
+        term_sum(positive, block)
+        term_sum(negative, neg)
+        block -= neg
+        if n:
+            total += block
+    return total
 
 
 def _closed_form_values(theta, phi, sin_t, sin_p, params: SpectralParams) -> np.ndarray:

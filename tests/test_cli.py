@@ -616,6 +616,37 @@ def test_density_text_spells_special_floats(fmt):
     assert text == encode_rows(fmt, head["config"], rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [1, 5, 12])
+def test_density_text_spells_repeated_values(fmt, block_rows, monkeypatch):
+    # values repeat across far-apart rows and blocks, and 0.0 and -0.0 (equal
+    # as floats, distinct as texts) each recur, so a text dropped before its
+    # last row or shared by equal floats of other bits shows in the bytes
+    n = 12
+    monkeypatch.setattr(density, "BLOCK_POINTS", block_rows * n)
+    rng = np.random.default_rng(14)
+    upper = rng.standard_normal((n, n))
+    specials = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 0.0, -0.0]
+    upper[0, 1:8] = upper[3, 5:12] = specials
+    values = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)  # transposed copy
+    values[n // 2:] = values[:n - n // 2][::-1]  # reflected copy
+    values[n - 1, -3:] = [-0.0, 0.0, -0.0]
+    guarded = np.zeros((n, n), dtype=bool)
+    guarded[[0, 4, n - 1], [2, 9, 0]] = True
+    pts = np.linspace(-1.0, 1.0, n)
+    grids = ((values, guarded, 0.0, "closed"), (values.T, None, 2.5e-17, "series"))
+    head = {"command": "density", "config": {"rank": 3}}
+    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids, 1e-300)}))
+    rows = []
+    for grid, mask, tail, label in grids:
+        for i in range(n):
+            for j in range(n):
+                fallback = mask is not None and mask[i, j]
+                rows.append((float(pts[i]), float(pts[j]), float(grid[i, j]),
+                             1e-300 if fallback else tail, "series" if fallback else label))
+    assert text == encode_rows(fmt, head["config"], rows)
+
+
 def test_density_tail_tolerance_violation(tmp_path, capsys):
     # truncation 2 has a large tail bound; demanding 1e-8 must abort with 2
     code = main(["density", "--rank", "2", "--grid", "2", "--method", "series",

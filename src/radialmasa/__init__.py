@@ -10,7 +10,7 @@ Four layers:
   quadrature against it, and the geometric-sine closed sum;
 * ``density`` -- the left-right density on the spectral square, whose
   series coefficients are the ``pairing_closed`` pairings: by truncated
-  series with rigorous tail bounds and by trigonometric closed form, both on
+  series with rigorous tail bounds and by its rational closed form, both on
   grids, plus pairing checks and a zero-set scan.
 
 The command line lives in ``radialmasa.cli``.

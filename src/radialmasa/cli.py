@@ -359,11 +359,9 @@ class DensityRows:
     """The rows of a density export as column arrays, spelled one block of
     grid rows at a time; ``len`` is the number of rows.
 
-    ``grids`` holds one ``(values, guarded, tail, label)`` per method, where
+    ``grids`` holds one ``(values, tail, label)`` per method, where
     ``values`` is the len(pts) x len(pts) grid f(pts[i], pts[j]) and the rows
-    run over i, then j.  A row takes its grid's ``tail`` and ``label``, except
-    where ``guarded`` (None for no guard) marks a series fallback, which takes
-    ``guard_tail`` and "series".
+    run over i, then j.  Every row of a grid takes its ``tail`` and ``label``.
 
     Each distinct value of a grid (by its bits) is spelled once, at the
     first block of rows that holds it, and its text is kept until the last
@@ -373,8 +371,8 @@ class DensityRows:
     a point for the group ids and the first and last marks.
     """
 
-    def __init__(self, pts: np.ndarray, grids: tuple, guard_tail: float):
-        self.pts, self.grids, self.guard_tail = pts, grids, guard_tail
+    def __init__(self, pts: np.ndarray, grids: tuple):
+        self.pts, self.grids = pts, grids
 
     def __len__(self) -> int:
         return len(self.grids) * len(self.pts) ** 2
@@ -388,14 +386,12 @@ class DensityRows:
 
         The row template is folded: each run of it between the t and f
         columns is one part, a literal or a column whose text depends only
-        on s and on whether the row is guarded, spelled once per grid.
+        on s, spelled once per grid.
         """
         axis = _float_texts(self.pts, fmt)
         n = len(axis)
         step = max(1, density_mod.BLOCK_POINTS // n)
         label_text = json.dumps if fmt == "json" else str
-        guard = {("tail_bound",): _float_texts([self.guard_tail], fmt)[0],
-                 ("method",): label_text("series")}
         if fmt == "json":
             template = _row_template(dict.fromkeys(DENSITY_COLUMNS))
         else:
@@ -411,20 +407,15 @@ class DensityRows:
             else:
                 folded.append(run)
                 runs.append(run)
-        for values, guarded, tail, label in self.grids:
-            plain = {("tail_bound",): _float_texts([tail], fmt)[0], ("method",): label_text(label)}
-            fragments = {run: (_run_texts(run, axis, plain), _run_texts(run, axis, guard))
-                         for run in runs}
+        for values, tail, label in self.grids:
+            texts = {("tail_bound",): _float_texts([tail], fmt)[0], ("method",): label_text(label)}
+            fragments = {run: _run_texts(run, axis, texts) for run in runs}
             blocks = _block_texts(values, step * n, fmt)
             for start, f_texts in zip(range(0, n, step), blocks):
                 t_axis = axis[start:start + step]
                 columns = {("t",): [t for t in t_axis for _ in axis], ("f",): f_texts}
-                fallbacks = ([] if guarded is None
-                             else np.flatnonzero(guarded[start:start + step]).tolist())
-                for run, (unguarded, fallback) in fragments.items():
-                    column = columns[run] = unguarded * len(t_axis)
-                    for i in fallbacks:
-                        column[i] = fallback[i % n]
+                for run, fragment in fragments.items():
+                    columns[run] = fragment * len(t_axis)
                 yield _rows_pieces(len(t_axis) * n, folded, columns)
 
 
@@ -494,25 +485,21 @@ def cmd_density(cfg: RunConfig) -> tuple[dict, bool]:
     tt, ss = pts[:, None], pts[None, :]
     methods = ("closed", "series") if cfg.method == "both" else (cfg.method,)
     tail_tol = cfg.tol("tail")
-    guard_tail = density_mod.series_tail_bound(density_mod.GUARD_SERIES_ORDER, params)
     worst_tail = 0.0
     grids = []
     for method in methods:
         if method == "closed":
-            values, guarded = density_mod.density_closed_grid(tt, ss, params)
-            if guarded.any():
-                worst_tail = max(worst_tail, guard_tail)
-            grids.append((values, guarded, 0.0, "closed"))
+            values, tail = density_mod.density_closed_grid(tt, ss, params)
         else:
             values, tail = density_mod.density_series_grid(tt, ss, cfg.truncation, params)
-            worst_tail = max(worst_tail, tail)
-            grids.append((values, None, tail, "series"))
+        worst_tail = max(worst_tail, tail)
+        grids.append((values, tail, method))
     if worst_tail > tail_tol:
         raise QuadratureError(
             f"series tail bound {worst_tail} exceeds requested tolerance {tail_tol}; "
             "raise the truncation order"
         )
-    rows = DensityRows(pts, tuple(grids), guard_tail)
+    rows = DensityRows(pts, tuple(grids))
     return {"command": "density", "config": cfg.public_dict(), "rows": rows}, True
 
 

@@ -28,7 +28,6 @@ from radialmasa.cli import (
     main,
     resolve_config,
 )
-from radialmasa.density import CLOSED_FORM_GUARD
 from radialmasa.spectral import SpectralParams
 
 
@@ -476,16 +475,11 @@ def row_encoder_output(argv):
     rows = []
     for method in ("closed", "series") if cfg.method == "both" else (cfg.method,):
         if method == "closed":
-            values, guarded = density.density_closed_grid(tt, ss, params)
-            guard_tail = density.series_tail_bound(density.GUARD_SERIES_ORDER, params)
-            flags = guarded.ravel().tolist()
-            tails = [guard_tail if g else 0.0 for g in flags]
-            labels = ["series" if g else "closed" for g in flags]
+            values, tail = density.density_closed_grid(tt, ss, params)
         else:
             values, tail = density.density_series_grid(tt, ss, cfg.truncation, params)
-            tails, labels = [tail] * values.size, ["series"] * values.size
         rows.extend(zip(tt.ravel().tolist(), ss.ravel().tolist(), values.ravel().tolist(),
-                        tails, labels))
+                        [float(tail)] * values.size, [method] * values.size))
     return encode_rows(cfg.format, cfg.public_dict(), rows)
 
 
@@ -508,23 +502,10 @@ def test_density_bytes_match_row_encoders(rank, grid, tmp_path, capsys):
             assert_density_bytes(argv, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_density_bytes_with_guard_rows(fmt, tmp_path, capsys, monkeypatch):
-    # a wide guard band puts series fallback rows among closed rows in one block
-    monkeypatch.setattr(density, "CLOSED_FORM_GUARD", 0.5)
-    pts = density.interior_grid(7, SpectralParams(3))
-    _, guarded = density.density_closed_grid(pts[:, None], pts[None, :], SpectralParams(3))
-    assert 0 < guarded.sum() < guarded.size
-    argv = ["density", "--rank", "3", "--grid", "7", "--method", "both", "--format", fmt]
-    assert_density_bytes(argv, tmp_path, capsys)
-
-
 @pytest.mark.parametrize("block_points", [1, 5 * 33])
-@pytest.mark.parametrize("guard", [CLOSED_FORM_GUARD, 0.5])
-def test_density_bytes_across_blocks(block_points, guard, tmp_path, capsys, monkeypatch):
+def test_density_bytes_across_blocks(block_points, tmp_path, capsys, monkeypatch):
     # one grid row a block, and 5 rows a block, which does not divide 33 rows;
     # the expected bytes come from one-block kernels
-    monkeypatch.setattr(density, "CLOSED_FORM_GUARD", guard)
     for method in ("closed", "series", "both"):
         for fmt in ("csv", "json"):
             argv = ["density", "--rank", "3", "--grid", "33", "--method", method, "--format", fmt]
@@ -600,19 +581,12 @@ def test_density_text_spells_special_floats(fmt):
     values = np.array([[float("nan"), float("inf"), -float("inf")],
                        [-0.0, 0.0, 1e-300],
                        [2.5, -1e300, float("nan")]])
-    guarded = np.zeros((3, 3), dtype=bool)
-    guarded[0, 1] = guarded[2, 2] = True
     head = {"command": "density", "config": {"rank": 2}}
-    grids = ((values, guarded, -0.0, "closed"), (values, None, float("inf"), "series"))
-    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids, float("nan"))}))
-    rows = []
-    for block_tail, block_label, mask in ((-0.0, "closed", guarded), (float("inf"), "series", None)):
-        for i in range(3):
-            for j in range(3):
-                fallback = mask is not None and mask[i, j]
-                rows.append((float(pts[i]), float(pts[j]), float(values[i, j]),
-                             float("nan") if fallback else block_tail,
-                             "series" if fallback else block_label))
+    grids = ((values, -0.0, "closed"), (values, float("nan"), "series"),
+             (values, float("inf"), "series"))
+    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids)}))
+    rows = [(float(pts[i]), float(pts[j]), float(values[i, j]), tail, label)
+            for _, tail, label in grids for i in range(3) for j in range(3)]
     assert text == encode_rows(fmt, head["config"], rows)
 
 
@@ -631,19 +605,12 @@ def test_density_text_spells_repeated_values(fmt, block_rows, monkeypatch):
     values = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)  # transposed copy
     values[n // 2:] = values[:n - n // 2][::-1]  # reflected copy
     values[n - 1, -3:] = [-0.0, 0.0, -0.0]
-    guarded = np.zeros((n, n), dtype=bool)
-    guarded[[0, 4, n - 1], [2, 9, 0]] = True
     pts = np.linspace(-1.0, 1.0, n)
-    grids = ((values, guarded, 0.0, "closed"), (values.T, None, 2.5e-17, "series"))
+    grids = ((values, 0.0, "closed"), (values.T, 2.5e-17, "series"))
     head = {"command": "density", "config": {"rank": 3}}
-    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids, 1e-300)}))
-    rows = []
-    for grid, mask, tail, label in grids:
-        for i in range(n):
-            for j in range(n):
-                fallback = mask is not None and mask[i, j]
-                rows.append((float(pts[i]), float(pts[j]), float(grid[i, j]),
-                             1e-300 if fallback else tail, "series" if fallback else label))
+    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids)}))
+    rows = [(float(pts[i]), float(pts[j]), float(grid[i, j]), tail, label)
+            for grid, tail, label in grids for i in range(n) for j in range(n)]
     assert text == encode_rows(fmt, head["config"], rows)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -6,8 +7,6 @@ import numpy as np
 import pytest
 
 from radialmasa.density import (
-    CLOSED_FORM_GUARD,
-    GUARD_SERIES_ORDER,
     _normalized_chi_table,
     density_closed_grid,
     density_normalization,
@@ -20,7 +19,7 @@ from radialmasa.density import (
 )
 from radialmasa import density, identities
 from radialmasa.algebra import GradedVector, chi, inner_product, multiply
-from radialmasa.identities import pairing_closed
+from radialmasa.identities import degree_pairs, pairing_closed
 from radialmasa.spectral import SpectralParams, lambda_rule
 
 P2 = SpectralParams(2)
@@ -89,8 +88,6 @@ def bits(values):
 
 @pytest.mark.parametrize("block_points", [1, 7, 5 * 33])
 def test_blocked_grids_equal_one_block(block_points, monkeypatch):
-    # a wide guard band sends many points to the 1-D series fallback
-    monkeypatch.setattr(density, "CLOSED_FORM_GUARD", 0.5)
     a = P3.halfwidth
     pts = interior_grid(33, P3)
     nodes, _ = lambda_rule(32, 3)
@@ -106,16 +103,12 @@ def test_blocked_grids_equal_one_block(block_points, monkeypatch):
     ]
 
     def evaluate():
-        out = []
-        for t, s in cases:
-            values, guarded = density_closed_grid(t, s, P3)
-            assert np.array_equal(bits(values), bits(closed_reference(t, s, P3)))
-            out += [bits(values), guarded, bits(density_series_grid(t, s, 60, P3)[0])]
-        return out
+        return [bits(grid(t, s)[0]) for t, s in cases
+                for grid in (lambda t, s: density_closed_grid(t, s, P3),
+                             lambda t, s: density_series_grid(t, s, 60, P3))]
 
     monkeypatch.setattr(density, "BLOCK_POINTS", 1 << 30)
     whole = evaluate()
-    assert any(guarded.any() and not guarded.all() for guarded in whole[1::3])
     monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
     for got, want in zip(evaluate(), whole, strict=True):
         assert got.shape == want.shape
@@ -132,107 +125,6 @@ def series_reference(t, s, truncation, params):
     for n in range(2, truncation + 1):
         total = total + (2.0 * gt[n] * gs[n] - (gt[n - 1] * gs[n + 1] + gt[n + 1] * gs[n - 1]))
     return total
-
-
-def five_cosine_trig_sum(x, theta, phi, r):
-    """sum_{n>=0} x^n sin(n theta) sin((n+r) phi), with all five cosines of
-    its closed form computed afresh."""
-    num_minus = np.cos(r * phi) - x * np.cos(theta + (r - 1) * phi)
-    den_minus = 1.0 - 2.0 * x * np.cos(theta - phi) + x * x
-    num_plus = np.cos(r * phi) - x * np.cos(theta - (r - 1) * phi)
-    den_plus = 1.0 - 2.0 * x * np.cos(theta + phi) + x * x
-    return 0.5 * (num_minus / den_minus) - 0.5 * (num_plus / den_plus)
-
-
-def closed_reference(t, s, params):
-    """The closed form on the broadcast grid: seven separate trig sums on the
-    flattened points outside the guard band, and the order-60 series
-    (``series_reference``) inside it."""
-    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    a = params.halfwidth
-    theta = np.arccos(np.clip(t / a, -1.0, 1.0))
-    phi = np.arccos(np.clip(s / a, -1.0, 1.0))
-    guard = np.abs(np.sin(theta) * np.sin(phi)) < density.CLOSED_FORM_GUARD
-    safe = ~guard
-    theta, phi = theta[safe], phi[safe]
-
-    b = float(params.branching)
-    x = 1.0 / b
-    d2 = 2.0 * params.branching_ratio
-    cos_t, cos_p = np.cos(theta), np.cos(phi)
-    sin_t, sin_p = np.sin(theta), np.sin(phi)
-    ct, cp = d2 * cos_t, d2 * cos_p
-    t0 = five_cosine_trig_sum(x, theta, phi, 0)
-    t1 = five_cosine_trig_sum(x, theta, phi, 1)
-    t1r = five_cosine_trig_sum(x, phi, theta, 1)
-    t2 = five_cosine_trig_sum(x, theta, phi, 2)
-    t2r = five_cosine_trig_sum(x, phi, theta, 2)
-    t3 = five_cosine_trig_sum(x, theta, phi, 3)
-    t3r = five_cosine_trig_sum(x, phi, theta, 3)
-    diag = ct * cp * (t0 - x * sin_t * sin_p) - ct * x * t1r - cp * x * t1 + x * t0
-    cross = ct * cp * x * t2 - ct * x * t1 - cp * x * x * t3 + x * x * t2
-    cross_m = cp * ct * x * t2r - cp * x * t1r - ct * x * x * t3r + x * x * t2r
-    tt = a * cos_t
-    ss = a * cos_p
-    g1t, g1s = tt / params.degree, ss / params.degree
-    norm2 = params.degree * b
-    g2t = (tt * tt - params.degree) / norm2
-    g2s = (ss * ss - params.degree) / norm2
-    head = 1.0 + g1t * g1s - g2t - g2s
-
-    values = np.empty(t.shape)
-    values[safe] = head + (2.0 * diag - cross - cross_m) / (sin_t * sin_p)
-    values[guard] = series_reference(t[guard], s[guard], GUARD_SERIES_ORDER, params)
-    return values
-
-
-@pytest.mark.parametrize("rank", [2, 3, 4, 5])
-@pytest.mark.parametrize("grid_n", [7, 33, 512])
-def test_closed_matches_reference_bitwise(rank, grid_n):
-    params = SpectralParams(rank)
-    a = params.halfwidth
-    pts = interior_grid(grid_n, params)
-    ends = np.linspace(-a, a, grid_n)
-    rng = np.random.default_rng(rank)
-    cases = [
-        (pts[:, None], pts[None, :]),
-        (ends[:, None], ends[None, :]),
-        (pts[None, :], ends[:, None]),
-        (rng.uniform(-a, a, grid_n), rng.uniform(-a, a, grid_n)),
-        (pts, 0.25 * a),
-        (0.3 * a, -0.7 * a),
-        (np.float64(-a), 0.1 * a),
-    ]
-    for t, s in cases:
-        got, guarded = density_closed_grid(t, s, params)
-        want = closed_reference(t, s, params)
-        assert np.shape(got) == np.shape(want) == np.shape(guarded)
-        assert np.array_equal(bits(got), bits(want))
-
-
-@pytest.mark.parametrize("rank", [2, 3, 4, 5])
-def test_closed_guard_edges(rank):
-    # sin(theta) = 0 exactly at t = +-a, where the closed form divides by
-    # zero: no warning may escape, and the series must replace every such value
-    params = SpectralParams(rank)
-    a = params.halfwidth
-    axis = np.linspace(-a, a, 11)
-    assert axis[0] == -a and axis[-1] == a
-    cases = [
-        (axis[:, None], axis[None, :]),
-        (axis[[0, -1]][:, None], axis[None, :]),  # a block of endpoint rows only
-        (axis, axis[::-1]),
-    ]
-    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
-        warnings.simplefilter("error")
-        for t, s in cases:
-            values, guarded = density_closed_grid(t, s, params)
-            t, s = np.broadcast_arrays(t, s)
-            edge = (np.abs(t) == a) | (np.abs(s) == a)
-            assert np.array_equal(guarded, edge)
-            series, _ = density_series_grid(t[edge], s[edge], GUARD_SERIES_ORDER, params)
-            assert np.array_equal(bits(values[edge]), bits(series))
-            assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -277,8 +169,8 @@ def test_grid_input_checks():
             density_closed_grid([t], [s], P2)
     # the corners, up to roundoff, are inside
     edge = a * (1 + 1e-13)
-    values, guarded = density_closed_grid([edge, -edge], [-edge, edge], P2)
-    assert guarded.all() and np.isfinite(values).all()
+    values, _ = density_closed_grid([edge, -edge], [-edge, edge], P2)
+    assert np.isfinite(values).all()
 
 
 def test_series_integrates_to_one():
@@ -297,60 +189,133 @@ def test_series_integrates_to_one():
 def test_closed_matches_series_within_tail():
     for params in (P2, P3):
         tt, ss = grid_points(params, 100)
-        closed, guarded = density_closed_grid(tt, ss, params)
-        assert not guarded.any()
+        closed, tail = density_closed_grid(tt, ss, params)
+        assert tail == 0.0 and isinstance(tail, np.float64)
         for trunc in (20, 40, 60):
             series, tail = density_series_grid(tt, ss, trunc, params)
             assert float(np.abs(series - closed).max()) <= tail + 1e-10
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_closed_matches_series_at_corners(rank):
+    # the closed square's edges and corners, where sin(theta) sin(phi) = 0,
+    # are ordinary points of the rational form: no warning, series accuracy
+    params = SpectralParams(rank)
+    a = params.halfwidth
+    cases = []
+    for n in (11, 257):
+        axis = np.linspace(-a, a, n)
+        assert axis[0] == -a and axis[-1] == a
+        cases += [(axis[:, None], axis[None, :]), (axis, axis[::-1])]
+    cases.append((axis[[0, -1]][:, None], axis[None, :]))  # a block of edge rows only
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        for t, s in cases:
+            closed, _ = density_closed_grid(t, s, params)
+            series, _ = density_series_grid(t, s, 60, params)
+            assert float(np.abs(closed - series).max()) <= 1e-14
+
+
 def test_closed_symmetric():
+    # bitwise: every t term of the kernel meets its s term in a commutative operation
     rng = np.random.default_rng(11)
-    a = P2.halfwidth * 0.999
-    ts = rng.uniform(-a, a, 200)
-    ss = rng.uniform(-a, a, 200)
-    v1, _ = density_closed_grid(ts, ss, P2)
-    v2, _ = density_closed_grid(ss, ts, P2)
-    assert float(np.abs(v1 - v2).max()) <= 1e-12
-
-
-def test_closed_real_valued():
-    # run the closed form through complex arithmetic: imaginary parts stay tiny
-    from radialmasa.density import _closed_form_values
-
-    rng = np.random.default_rng(5)
-    theta = rng.uniform(0.2, math.pi - 0.2, 50).astype(complex)
-    phi = rng.uniform(0.2, math.pi - 0.2, 50).astype(complex)
-    vals = _closed_form_values(theta, phi, np.sin(theta), np.sin(phi), P2)
-    assert float(np.abs(vals.imag).max()) < 1e-12
-    real_vals = _closed_form_values(theta.real, phi.real, np.sin(theta.real),
-                                    np.sin(phi.real), P2)
-    assert np.allclose(vals.real, real_vals, atol=1e-12)
-
-
-def test_closed_guard_band_falls_back_to_series():
-    a = P2.halfwidth
-    # sin(theta) = 0 exactly at t = a
-    values, guarded = density_closed_grid([a, 0.3], [0.0, -0.2], P2)
-    assert guarded.tolist() == [True, False]
-    direct, _ = density_series_grid(a, 0.0, GUARD_SERIES_ORDER, P2)
-    assert values[0] == direct
-
-
-def test_closed_continuous_across_guard():
-    # values just inside and just outside the guard band agree closely
-    a = P2.halfwidth
-    theta_guard = math.asin(CLOSED_FORM_GUARD)  # sin(theta) at the edge
-    t_in = a * math.cos(theta_guard * 0.5)
-    t_out = a * math.cos(theta_guard * 2.0)
-    (v_in, v_out), guarded = density_closed_grid([t_in, t_out], [0.4, 0.4], P2)
-    assert guarded.tolist() == [True, False]
-    assert v_in == pytest.approx(v_out, abs=1e-6)
+    for params in (P2, P3, SpectralParams(5)):
+        a = params.halfwidth
+        axis = np.concatenate([[-a, a, 0.0, -0.0], rng.uniform(-a, a, 60)])
+        other = np.concatenate([[a, -a], rng.uniform(-a, a, 45)])
+        on_axes, _ = density_closed_grid(axis[:, None], other[None, :], params)
+        swapped, _ = density_closed_grid(other[:, None], axis[None, :], params)
+        assert np.array_equal(bits(on_axes), bits(swapped.T))
+        grids = np.broadcast_arrays(axis[:, None], other[None, :])
+        on_grid, _ = density_closed_grid(*grids, params)
+        swapped, _ = density_closed_grid(*grids[::-1], params)
+        assert np.array_equal(bits(on_grid), bits(swapped))
+        ts, ss = rng.uniform(-a, a, 200), rng.uniform(-a, a, 200)
+        assert np.array_equal(bits(density_closed_grid(ts, ss, params)[0]),
+                              bits(density_closed_grid(ss, ts, params)[0]))
 
 
 def test_closed_center_value():
     assert density_closed_grid(0.0, 0.0, P2)[0] == pytest.approx(2.0, abs=1e-12)
     assert density_closed_grid(0.0, 0.0, P3)[0] == pytest.approx(1.5, abs=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 8])
+def test_closed_bounds_and_extremes(rank):
+    # ((N-1)/N)^5 <= f <= N/(N-1) on the closed square, with the maximum at the
+    # centre and the minimum at the anti-diagonal corners
+    params = SpectralParams(rank)
+    a, n = params.halfwidth, rank
+    low, high, corner = ((n - 1) / n) ** 5, n / (n - 1), (n - 1) / n
+    for (t, s), want in (((0.0, 0.0), high), ((a, a), corner), ((-a, -a), corner),
+                         ((a, -a), low), ((-a, a), low)):
+        assert abs(density_closed_grid(t, s, params)[0] - want) <= 8 * EPS * want
+    axis = np.linspace(-a, a, 401)
+    values, _ = density_closed_grid(axis[:, None], axis[None, :], params)
+    assert values.min() >= low * (1 - 8 * EPS)
+    assert values.max() <= high * (1 + 8 * EPS)
+
+
+def exact_closed_form(t: Fraction, s: Fraction, rank: int) -> Fraction:
+    """The rational closed form of the module docstring, in exact arithmetic."""
+    n, b = rank, 2 * rank - 1
+    return (Fraction(n - 1, n) * (4 * n * n - t * t) * (4 * n * n - s * s)
+            / ((b * b - 1) ** 2 + b * (t * t + s * s) - (b * b + 1) * t * s))
+
+
+def exact_series(t: Fraction, s: Fraction, truncation: int, rank: int) -> Fraction:
+    """sum c(j, k) g_j(t) g_k(s) over j + k <= 2*truncation, in exact arithmetic."""
+    params = SpectralParams(rank)
+
+    def table(x):
+        g = [Fraction(1), x / params.degree]
+        while len(g) <= 2 * truncation:
+            g.append((x * g[-1] - g[-2]) / params.branching)
+        return g
+
+    gt, gs = table(t), table(s)
+    return sum(c * gt[j] * gs[k] for c, j, k in exact_coefficients(truncation))
+
+
+@functools.lru_cache(maxsize=None)
+def exact_coefficients(truncation: int) -> list:
+    """The nonzero (c(j, k), j, k) with j + k <= 2*truncation."""
+    return [(c, j, k) for j, k in degree_pairs(2 * truncation)
+            if (c := pairing_closed(-1, j, k, 1))]
+
+
+def exact_axis(params):
+    """Float points of the closed interval: the ends, points near them, where
+    sin(theta) is small, and the centre."""
+    a = params.halfwidth
+    return np.array([-a, -0.9999 * a, -0.61 * a, -0.0, 0.27 * a, 0.93 * a, 0.999 * a, a])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_exact_series_sums_to_closed_form(rank):
+    # the closed form is the series' sum: at float points read exactly, the
+    # exact partial sum at truncation 40 is within the series tail bound of it
+    params = SpectralParams(rank)
+    bound = series_tail_bound(40, params)
+    axis = [Fraction(x) for x in exact_axis(params)]
+    for t in axis:
+        for s in axis[::2]:
+            gap = exact_series(t, s, 40, rank) - exact_closed_form(t, s, rank)
+            assert abs(gap) <= bound, (t, s)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_closed_within_16_eps_of_exact(rank):
+    params = SpectralParams(rank)
+    axis = exact_axis(params)
+    values, _ = density_closed_grid(axis[:, None], axis[None, :], params)
+    for i, t in enumerate(axis):
+        for j, s in enumerate(axis):
+            want = exact_closed_form(Fraction(t), Fraction(s), rank)
+            assert abs(Fraction(values[i, j]) - want) <= 16 * Fraction(EPS) * want, (t, s)
 
 
 # ---------------------------------------------------------------- pairing

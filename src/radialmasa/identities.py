@@ -84,7 +84,9 @@ def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:
 
 def _check(lemma: str, params: dict, lhs, rhs, t0: float, spell=fraction_str) -> CheckReport:
     """The report of one check begun at ``t0``, its sides written by ``spell``."""
-    return CheckReport(lemma, params, spell(lhs), spell(rhs), lhs == rhs,
+    passed = lhs == rhs  # equal sides spell alike, so a passing check spells one
+    text = spell(lhs)
+    return CheckReport(lemma, params, text, text if passed else spell(rhs), passed,
                        (time.perf_counter() - t0) * 1000.0)
 
 
@@ -216,27 +218,47 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
     return [v for vs in standard_test_vectors(rank).values() for v in vs]
 
 
-def inner_block(tables: list[SandwichTable], vec_i: int, vec_j: int) -> list[CheckReport]:
+def inner_block(tables: list[SandwichTable], vec_i: int, vec_j: int,
+                dots: dict | None = None) -> list[CheckReport]:
     """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form for one ordered
     pair of test vectors and every pair of degree pairs.
 
     ``tables[i]`` is the ``sandwich_table`` of the i-th test vector; every
-    block checks the degree pairs its table holds.
+    block checks the degree pairs its table holds.  ``dots`` holds the
+    brute-force value of each unordered pair of (vector index, n, m) keys:
+    the coefficients are real, so the pairing is symmetric and blocks that
+    share ``dots`` dot each pair once, mismatched totals included.  The closed
+    form depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated and
+    spelled once per such key, and each distinct lhs value is spelled once.
     """
     rank = tables[vec_i][0][0].rank
     vectors = all_test_vectors(rank)
     v, v2 = vectors[vec_i], vectors[vec_j]
+    dots = {} if dots is None else dots
     pairs = degree_pairs(len(tables[vec_i]) - 1)
-    left = {(n, m): component(tables[vec_i], n, m) for n, m in pairs}
-    right = {(n, m): component(tables[vec_j], n, m) for n, m in pairs}
+    left = [((vec_i, n, m), component(tables[vec_i], n, m)) for n, m in pairs]
+    right = [((vec_j, n, m), component(tables[vec_j], n, m)) for n, m in pairs]
+    closed: dict[tuple[int, int, int], tuple[Fraction, str]] = {}  # form -> (value, text)
+    texts: dict[Rational, str] = {}  # lhs -> text: ints on int64 parts, cheap to hash
     reports = []
-    for (n, m), (n2, m2) in product(pairs, repeat=2):
+    for (key, x), (key2, y) in product(left, right):
         t0 = time.perf_counter()
-        lhs = left[n, m].inner(right[n2, m2])
-        rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
+        (_, n, m), (_, n2, m2) = key, key2
+        pair = (key, key2) if key <= key2 else (key2, key)
+        lhs = dots.get(pair)
+        if lhs is None:
+            lhs = dots[pair] = x.inner(y)
+        form = (n + m, n2 + m2, abs(n - n2))
+        if form not in closed:
+            rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
+            closed[form] = rhs, fraction_str(rhs)
+        rhs, rhs_text = closed[form]
+        if lhs not in texts:
+            texts[lhs] = fraction_str(lhs)
         params = {"rank": rank, "sign": v.sign, "sign2": v2.sign,
                   "vec": vec_i, "vec2": vec_j, "n": n, "m": m, "n2": n2, "m2": m2}
-        reports.append(_check("sandwich_inner", params, lhs, rhs, t0))
+        reports.append(CheckReport("sandwich_inner", params, texts[lhs], rhs_text, lhs == rhs,
+                                   (time.perf_counter() - t0) * 1000.0))
     return reports
 
 
@@ -267,11 +289,12 @@ def pairing_block(tables: list[SandwichTable], vec_i: int) -> list[CheckReport]:
     v_graded = table[0][0]  # chi_0 v chi_0
     rank = v_graded.rank
     v = all_test_vectors(rank)[vec_i]
+    norm_sq = v.norm_sq()
     reports = []
     for n, m in degree_pairs(len(table) - 1):
         t0 = time.perf_counter()
         lhs = table[n][m].inner(v_graded)
-        rhs = pairing_closed(v.sign, n, m, v.norm_sq())
+        rhs = pairing_closed(v.sign, n, m, norm_sq)
         params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
         reports.append(_check("pairing_cases", params, lhs, rhs, t0))
     return reports
@@ -287,9 +310,10 @@ def run_identity_sweep(rank: int, max_total: int = 6, cap: int | None = None) ->
     """
     tables = [sandwich_table(v, max_total, cap) for v in all_test_vectors(rank)]
     indices = range(len(tables))
+    dots: dict = {}
     reports: list[CheckReport] = []
     for i, j in product(indices, repeat=2):
-        reports.extend(inner_block(tables, i, j))
+        reports.extend(inner_block(tables, i, j, dots))
     for i in indices:
         reports.extend(expansion_block(tables, i))
     for i in indices:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from radialmasa.algebra import GradedVector, chi, inner_product, multiply
+from radialmasa.algebra import GradedVector, InversionEigenvector, chi, inner_product, multiply
 from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
@@ -217,6 +219,86 @@ def test_sweep_triples_match_dict_product(monkeypatch, rank, max_total):
         for n, m in degree_pairs(max_total):
             whole = multiply(multiply(chi(n, rank), v.element), chi(m, rank))
             assert table[n][m] == GradedVector.from_element(whole)
+
+
+def assert_lhs_are_fresh_dots(reports, fresh):
+    """Each sandwich_inner lhs against its own dot of components of ``fresh`` tables."""
+    for r in reports:
+        p = r.params
+        brute = component(fresh[p["vec"]], p["n"], p["m"]).inner(
+            component(fresh[p["vec2"]], p["n2"], p["m2"]))
+        assert r.lhs == fraction_str(brute), p
+
+
+@pytest.mark.parametrize("rank, max_total", [(2, 4), (3, 3), (4, 2)])
+def test_shared_dots_match_independent_dots(rank, max_total):
+    # every sandwich_inner lhs, shared across mirrored checks and blocks, against
+    # its own dot of freshly built components; mismatched totals included
+    reports = [r for r in run_identity_sweep(rank, max_total) if r.lemma == "sandwich_inner"]
+    fresh = tables(rank, max_total)
+    count = len(fresh) * len(degree_pairs(max_total))
+    assert len(reports) == count * count
+    assert {(r.params["vec"], r.params["vec2"]) for r in reports} == set(
+        product(range(len(fresh)), repeat=2))
+    assert_lhs_are_fresh_dots(reports, fresh)
+
+
+def test_inner_blocks_dot_each_unordered_pair_once(monkeypatch):
+    built, calls, inside = [], [], []
+    monkeypatch.setattr(
+        identities, "sandwich_table", lambda *args: built.append(sandwich_table(*args)) or built[-1]
+    )
+    real_block, real_inner = identities.inner_block, GradedVector.inner
+
+    def counted_block(*args):
+        inside.append(True)
+        try:
+            return real_block(*args)
+        finally:
+            inside.pop()
+
+    def counted_inner(self, other):
+        if inside:  # pairing and expansion checks call inner too
+            calls.append((self, other))
+        return real_inner(self, other)
+
+    monkeypatch.setattr(identities, "inner_block", counted_block)
+    monkeypatch.setattr(GradedVector, "inner", counted_inner)
+    run_identity_sweep(2, max_total=3)
+    # a component shares the array of its table's top part, which names its key
+    names = {id(component(table, n, m).parts[n + m + 1]): (vec, n, m)
+             for vec, table in enumerate(built) for n, m in degree_pairs(3)}
+    assert len(names) == len(built) * len(degree_pairs(3))
+    dotted = [tuple(sorted(names[id(part)] for x in pair for part in x.parts.values()))
+              for pair in calls]
+    keys = sorted(names.values())
+    assert sorted(dotted) == [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+
+
+def test_shared_dots_on_fraction_parts():
+    # Fraction coefficients keep every part an object array, which the int64
+    # sweeps never reach; the shared texts still equal independent dots
+    third = InversionEigenvector.from_letter_coeffs(2, {1: Fraction(1, 3), -1: Fraction(-1, 3)}, -1)
+    fresh = [sandwich_table(third, 3), sandwich_table(vec(2, -1, 1), 3)]
+    assert component(fresh[0], 1, 1).parts[3].dtype == object
+    dots = {}
+    reports = [r for i, j in product(range(2), repeat=2) for r in inner_block(fresh, i, j, dots)]
+    assert len(reports) == 4 * len(degree_pairs(3)) ** 2
+    assert any(r.lhs.endswith("/9") for r in reports)
+    assert_lhs_are_fresh_dots(reports, fresh)
+
+
+# the exact columns of verify at sizes the benchmark does not run, hashed as
+# perfbench/run.py hashes them
+@pytest.mark.parametrize("rank, max_total, checks, sha256", [
+    (4, 4, 3720, "304b2e76e2505bb841f252a2c86c301c94bb4a02abeaf1a1bfd8bc700f73f67b"),
+    (2, 6, 7224, "21277df5fbcd2d5031121ddc31c82e6f64c5e85122f9dfb0b8ea43c5da9c9f33"),
+])
+def test_sweep_rows_match_recorded_digest(rank, max_total, checks, sha256):
+    rows = [[r.lemma, r.params, r.lhs, r.rhs] for r in run_identity_sweep(rank, max_total)]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert len(rows) == checks
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_verify_report_matches_sweep(tmp_path):

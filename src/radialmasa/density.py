@@ -54,6 +54,9 @@ measures, so that bimodule is coarse.
 The kernel uses only + - * /, with every t term paired with the matching
 s term, so the closed grid is bitwise symmetric under (t, s) exchange and
 finite on the whole closed square, corners included.
+
+``pairing_sweep`` checks each c(j, k) against ``identities.pairing_exact`` and,
+by the one quadrature function ``chi_pair_integral``, against the density.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GradedVector
 from .errors import QuadratureError
-from .identities import degree_pairs, fraction_str, pairing_closed, standard_test_vectors
+from .identities import (
+    degree_pairs, fraction_str, pairing_closed, pairing_exact, standard_test_vectors)
 from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule
 
 # Points per block of leading-axis rows in the grid functions, and per block
@@ -247,74 +250,37 @@ def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.fl
 # ----------------------------------------------------------------------
 
 
-def pairing_exact(
-    rank: int, max_total: int, cap: int | None = None
-) -> dict[tuple[int, int], Fraction]:
-    """{(j, k): <chi_j v chi_k, v> / |v|^2} for every j + k <= max_total,
-    computed in the group algebra (sign -1 vector).
-
-    chi_j is self-adjoint and v* = sign v, so the pairing is
-    <v chi_k, chi_j v> = sign <v chi_k, (v chi_j)*>: one ``times_chi`` pass
-    over v gives every v chi_k, and each j takes one adjoint of v chi_j.
-    """
-    v = standard_test_vectors(rank)[-1][0]
-    right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)
-    norm_sq = Fraction(v.norm_sq())
-    values = {}
-    for j in range(max_total + 1):
-        left = right[j].adjoint()
-        for k in range(max_total - j + 1):
-            values[j, k] = v.sign * Fraction(right[k].inner(left)) / norm_sq
-    return values
-
-
-class _DensityQuadrature:
-    """Shared doubling tensor-product quadrature of moments against the density."""
-
-    MIN_ORDER = 32
-    MAX_ORDER = 512
-
-    def __init__(self, params: SpectralParams):
-        self.params = params
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _level(self, order: int):
-        if order not in self._levels:
-            t, w = lambda_rule(order, self.params.rank)
-            grid_vals, _ = density_closed_grid(t[:, None], t[None, :], self.params)
-            self._levels[order] = (t, w, grid_vals)
-        return self._levels[order]
-
-    def chi_pair_integral(self, j: int, k: int, tol: float) -> float:
-        """integral of p_j(t) p_k(s) f(t,s) dlambda(t) dlambda(s)."""
-        prev = None
-        order = self.MIN_ORDER
-        while order <= self.MAX_ORDER:
-            t, w, grid = self._level(order)
-            left = w * chi_eval_recurrence(j, t, self.params)
-            right = w * chi_eval_recurrence(k, t, self.params)
-            est = float(left @ grid @ right)
-            if prev is not None and abs(est - prev) <= tol:
-                return est
-            prev = est
-            order *= 2
-        raise QuadratureError(f"density pairing quadrature did not reach {tol}")
+def chi_pair_integral(j: int, k: int, params: SpectralParams, tol: float) -> float:
+    """integral of p_j(t) p_k(s) f(t,s) dlambda(t) dlambda(s) by a tensor
+    ``lambda_rule``, its order doubled from 32 until two estimates agree
+    within ``tol``; past order 512 it raises ``QuadratureError``."""
+    prev = None
+    for order in (32, 64, 128, 256, 512):
+        t, w = lambda_rule(order, params.rank)
+        grid, _ = density_closed_grid(t[:, None], t[None, :], params)
+        left = w * chi_eval_recurrence(j, t, params)
+        right = w * chi_eval_recurrence(k, t, params)
+        est = float(left @ grid @ right)
+        if prev is not None and abs(est - prev) <= tol:
+            return est
+        prev = est
+    raise QuadratureError(f"density pairing quadrature did not reach {tol}")
 
 
 def pairing_sweep(
     params: SpectralParams, max_total: int = 6, tol: float = 1e-6, cap: int | None = None
 ) -> list[PairingReport]:
-    """Every pairing with j + k <= max_total three ways: exact group algebra,
-    case formula, and quadrature against the density.  Exact equality on the
-    algebraic side, tolerance on the quadrature side; one quadrature serves
-    every check."""
-    quad = _DensityQuadrature(params)
+    """Every pairing with j + k <= max_total three ways: ``pairing_exact`` of the
+    sign -1 vector over |v|^2, case formula, and quadrature against the density.
+    Exact equality on the algebraic side, tolerance on the quadrature side."""
+    v = standard_test_vectors(params.rank)[-1][0]
+    norm_sq = Fraction(v.norm_sq())
+    exact = pairing_exact(v, max_total, cap)
     reports = []
-    exact = pairing_exact(params.rank, max_total, cap)
     for j, k in degree_pairs(max_total):
-        value_exact = exact[j, k]
+        value_exact = exact[j, k] / norm_sq
         value_case = pairing_closed(-1, j, k, Fraction(1))
-        value_quad = quad.chi_pair_integral(j, k, tol / 2.0)
+        value_quad = chi_pair_integral(j, k, params, tol / 2.0)
         passed = value_exact == value_case and abs(value_quad - float(value_case)) <= tol
         reports.append(PairingReport(j, k, value_exact, value_case, value_quad, tol, passed))
     return reports
@@ -322,8 +288,7 @@ def pairing_sweep(
 
 def density_normalization(params: SpectralParams, tol: float = 1e-8) -> float:
     """integral of f against the product measure; equals 1 for a density."""
-    quad = _DensityQuadrature(params)
-    return quad.chi_pair_integral(0, 0, tol / 2.0)
+    return chi_pair_integral(0, 0, params, tol / 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,8 @@ the coefficient of x chi_m at a word u as the sum of x over the sphere of
 radius m around u in the Cayley tree, by row sums of reshaped parts.
 chi_n v comes from v chi_n by inverting every word: chi_n is self-adjoint
 and v* = sign v, so chi_n v = sign (v chi_n)*, a permutation of positions
-(``GradedVector.adjoint``).  Row n is one more pass over chi_n v.  The
+(``GradedVector.adjoint``).  Row n is one more pass over chi_n v.
+``pairing_exact`` reads <chi_j v chi_k, v> off row 0 and the same adjoint.  The
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
 the expansion check compares two graded vectors length by length.  This
@@ -47,6 +48,7 @@ from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, in
 
 # table[n][m] = chi_n v chi_m by length, as ``sandwich_table`` builds it
 SandwichTable = list[list[GradedVector]]
+TestedVector = tuple[InversionEigenvector, SandwichTable]  # what the sweep's blocks take
 
 
 def fraction_str(value: Rational) -> str:
@@ -204,6 +206,20 @@ def component(table: SandwichTable, r: int, s: int) -> GradedVector:
     return table[r][s].project_length(r + s + 1)
 
 
+def pairing_exact(v: InversionEigenvector, max_total: int,
+                  cap: int | None = None) -> dict[tuple[int, int], Rational]:
+    """{(j, k): <chi_j v chi_k, v> = sign <v chi_k, (v chi_j)*>} for every
+    j + k <= max_total, exact: one ``times_chi`` pass over v and one adjoint per
+    j, as in ``sandwich_table``, with the sign applied to the scalar."""
+    right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)
+    values = {}
+    for j in range(max_total + 1):
+        left = right[j].adjoint()
+        for k in range(max_total - j + 1):
+            values[j, k] = v.sign * right[k].inner(left)
+    return values
+
+
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
@@ -218,12 +234,12 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
     return [v for vs in standard_test_vectors(rank).values() for v in vs]
 
 
-def inner_block(tables: list[SandwichTable], vec_i: int, vec_j: int,
+def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
                 dots: dict | None = None) -> list[CheckReport]:
     """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form for one ordered
     pair of test vectors and every pair of degree pairs.
 
-    ``tables[i]`` is the ``sandwich_table`` of the i-th test vector; every
+    ``tested[i]`` is the i-th test vector with its ``sandwich_table``; every
     block checks the degree pairs its table holds.  ``dots`` holds the
     brute-force value of each unordered pair of (vector index, n, m) keys:
     the coefficients are real, so the pairing is symmetric and blocks that
@@ -231,13 +247,12 @@ def inner_block(tables: list[SandwichTable], vec_i: int, vec_j: int,
     form depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated and
     spelled once per such key, and each distinct lhs value is spelled once.
     """
-    rank = tables[vec_i][0][0].rank
-    vectors = all_test_vectors(rank)
-    v, v2 = vectors[vec_i], vectors[vec_j]
+    (v, table), (v2, table2) = tested[vec_i], tested[vec_j]
+    rank = v.element.rank
     dots = {} if dots is None else dots
-    pairs = degree_pairs(len(tables[vec_i]) - 1)
-    left = [((vec_i, n, m), component(tables[vec_i], n, m)) for n, m in pairs]
-    right = [((vec_j, n, m), component(tables[vec_j], n, m)) for n, m in pairs]
+    pairs = degree_pairs(len(table) - 1)
+    left = [((vec_i, n, m), component(table, n, m)) for n, m in pairs]
+    right = [((vec_j, n, m), component(table2, n, m)) for n, m in pairs]
     closed: dict[tuple[int, int, int], tuple[Fraction, str]] = {}  # form -> (value, text)
     texts: dict[Rational, str] = {}  # lhs -> text: ints on int64 parts, cheap to hash
     reports = []
@@ -262,12 +277,11 @@ def inner_block(tables: list[SandwichTable], vec_i: int, vec_j: int,
     return reports
 
 
-def expansion_block(tables: list[SandwichTable], vec_i: int) -> list[CheckReport]:
+def expansion_block(tested: list[TestedVector], vec_i: int) -> list[CheckReport]:
     """Brute-force chi_n v chi_m against its expansion over sandwich components,
     for one test vector."""
-    table = tables[vec_i]
-    rank = table[0][0].rank
-    v = all_test_vectors(rank)[vec_i]
+    v, table = tested[vec_i]
+    rank = v.element.rank
     reports = []
     for n, m in degree_pairs(len(table) - 1):
         t0 = time.perf_counter()
@@ -282,13 +296,12 @@ def expansion_block(tables: list[SandwichTable], vec_i: int) -> list[CheckReport
     return reports
 
 
-def pairing_block(tables: list[SandwichTable], vec_i: int) -> list[CheckReport]:
+def pairing_block(tested: list[TestedVector], vec_i: int) -> list[CheckReport]:
     """Brute-force <chi_n v chi_m, v> against the six-case closed form, for one
     test vector."""
-    table = tables[vec_i]
+    v, table = tested[vec_i]
     v_graded = table[0][0]  # chi_0 v chi_0
-    rank = v_graded.rank
-    v = all_test_vectors(rank)[vec_i]
+    rank = v.element.rank
     norm_sq = v.norm_sq()
     reports = []
     for n, m in degree_pairs(len(table) - 1):
@@ -304,18 +317,18 @@ def run_identity_sweep(rank: int, max_total: int = 6, cap: int | None = None) ->
     """Every check of the three families, over all test vectors and all degree
     pairs with n + m <= max_total.
 
-    One ``sandwich_table`` per test vector serves the whole sweep.  The order
-    is fixed: inner products for every ordered pair of vectors, then
-    expansions for every vector, then pairings for every vector.
+    One ``sandwich_table`` per test vector serves the whole sweep, handed to
+    the blocks with its vector.  The order is fixed: inner products for every
+    ordered pair of vectors, then expansions and then pairings for every vector.
     """
-    tables = [sandwich_table(v, max_total, cap) for v in all_test_vectors(rank)]
-    indices = range(len(tables))
+    tested = [(v, sandwich_table(v, max_total, cap)) for v in all_test_vectors(rank)]
+    indices = range(len(tested))
     dots: dict = {}
     reports: list[CheckReport] = []
     for i, j in product(indices, repeat=2):
-        reports.extend(inner_block(tables, i, j, dots))
+        reports.extend(inner_block(tested, i, j, dots))
     for i in indices:
-        reports.extend(expansion_block(tables, i))
+        reports.extend(expansion_block(tested, i))
     for i in indices:
-        reports.extend(pairing_block(tables, i))
+        reports.extend(pairing_block(tested, i))
     return reports

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -8,18 +10,20 @@ import pytest
 
 from radialmasa.density import (
     _normalized_chi_table,
+    chi_pair_integral,
     density_closed_grid,
     density_normalization,
     density_series_grid,
     interior_grid,
-    pairing_exact,
     pairing_sweep,
     series_tail_bound,
     zero_scan,
 )
 from radialmasa import density, identities
 from radialmasa.algebra import GradedVector, chi, inner_product, multiply
-from radialmasa.identities import degree_pairs, pairing_closed
+from radialmasa.cli import main
+from radialmasa.errors import QuadratureError
+from radialmasa.identities import degree_pairs, pairing_closed, pairing_exact
 from radialmasa.spectral import SpectralParams, lambda_rule
 
 P2 = SpectralParams(2)
@@ -322,7 +326,10 @@ def test_closed_within_16_eps_of_exact(rank):
 
 
 def test_pairing_exact_values():
-    values = pairing_exact(2, 6)
+    # the sign -1 vector's table over |v|^2: the density's series coefficients
+    v = identities.standard_test_vectors(2)[-1][0]
+    norm_sq = v.norm_sq()
+    values = {key: Fraction(value, norm_sq) for key, value in pairing_exact(v, 6).items()}
     assert set(values) == set(identities.degree_pairs(6))
     assert values[0, 0] == 1
     assert values[1, 1] == 1
@@ -334,13 +341,32 @@ def test_pairing_exact_values():
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_pairing_exact_matches_triple_product(rank):
-    # the two half products against the whole chi_j v chi_k paired with v
-    v = identities.standard_test_vectors(rank)[-1][0]
-    values = pairing_exact(rank, 4)
-    for j, k in identities.degree_pairs(4):
-        triple = multiply(multiply(chi(j, rank), v.element), chi(k, rank))
-        whole = Fraction(inner_product(triple, v.element))
-        assert values[j, k] == whole / Fraction(v.norm_sq())
+    # the two half products against the whole chi_j v chi_k paired with v, for
+    # every standard vector of both signs
+    for vectors in identities.standard_test_vectors(rank).values():
+        for v in vectors:
+            values = pairing_exact(v, 4)
+            assert set(values) == set(identities.degree_pairs(4))
+            for j, k in identities.degree_pairs(4):
+                triple = multiply(multiply(chi(j, rank), v.element), chi(k, rank))
+                assert values[j, k] == inner_product(triple, v.element), (v, j, k)
+
+
+# the exact columns of pairing --max-total 6, hashed as perfbench/run.py hashes
+# them, recorded at ranks 3 and 5, which the benchmark does not run; the
+# normalized table does not depend on the rank, so both equal its rank 4 digest
+PAIRING_ROWS_SHA256 = "e7134510dc268a67e72ea2adafa6fecf4057e199d62a8f8312caf7a6a449b3f6"
+
+
+@pytest.mark.parametrize("rank", [3, 5])
+def test_pairing_rows_match_recorded_digest(tmp_path, rank):
+    out = tmp_path / "pairing.json"
+    assert main(["pairing", "--rank", str(rank), "--max-total", "6", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    rows = [[c["j"], c["k"], c["value_exact"], c["value_case"]] for c in report["checks"]]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert len(rows) == 28
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRING_ROWS_SHA256
 
 
 def test_pairing_sweep_runs_one_letter_pass(monkeypatch):
@@ -385,13 +411,21 @@ def test_normalization():
 
 def test_marginal_moments_match_cases():
     # integral of p_j(t) * f against the product measure = (j, 0) case value
-    from radialmasa.density import _DensityQuadrature
-
-    quad = _DensityQuadrature(P2)
     for j in range(7):
-        val = quad.chi_pair_integral(j, 0, 1e-7)
+        val = chi_pair_integral(j, 0, P2, 1e-7)
         expected = float(pairing_closed(-1, j, 0, Fraction(1)))
         assert abs(val - expected) <= 1e-6, j
+
+
+def test_chi_pair_integral_doubles_to_its_last_order(monkeypatch):
+    # a tolerance no two estimates meet runs orders 32 to 512, then raises
+    orders = []
+    real = density.lambda_rule
+    monkeypatch.setattr(density, "lambda_rule",
+                        lambda order, rank: orders.append(order) or real(order, rank))
+    with pytest.raises(QuadratureError):
+        chi_pair_integral(1, 1, P2, -1.0)
+    assert orders == [32, 64, 128, 256, 512]
 
 
 # ---------------------------------------------------------------- zero scan

@@ -35,9 +35,10 @@ def vec_index(sign, idx=0):
     return (0 if sign == -1 else 2) + idx
 
 
-def tables(rank, max_total):
-    """The sweep's tables: one ``sandwich_table`` per test vector, in sweep order."""
-    return [sandwich_table(v, max_total) for v in all_test_vectors(rank)]
+def with_tables(rank, max_total):
+    """What the sweep hands its blocks: each test vector with its ``sandwich_table``,
+    in sweep order."""
+    return [(v, sandwich_table(v, max_total)) for v in all_test_vectors(rank)]
 
 
 def row(reports, **params):
@@ -76,7 +77,7 @@ def test_inner_closed_known_value():
 
 
 def test_inner_closed_sign_mismatch_is_zero():
-    block = inner_block(tables(2, 2), vec_index(-1), vec_index(1))
+    block = inner_block(with_tables(2, 2), vec_index(-1), vec_index(1))
     report = row(block, n=1, m=1, n2=1, m2=1)
     assert (report.params["sign"], report.params["sign2"]) == (-1, 1)
     assert report.passed
@@ -84,7 +85,7 @@ def test_inner_closed_sign_mismatch_is_zero():
 
 
 def test_inner_closed_degree_mismatch_is_zero():
-    block = inner_block(tables(2, 3), vec_index(-1), vec_index(-1))
+    block = inner_block(with_tables(2, 3), vec_index(-1), vec_index(-1))
     report = row(block, n=2, m=1, n2=1, m2=1)
     assert report.passed
     assert report.lhs == "0/1"
@@ -97,7 +98,7 @@ def test_inner_alternates_for_plus_sign():
     brute = component(table, 1, 0).inner(component(table, 0, 1))
     assert brute == -v.norm_sq()
     assert sandwich_inner_closed(v, v, 1, 0, 0, 1) == brute
-    block = inner_block(tables(2, 1), vec_index(1), vec_index(1))
+    block = inner_block(with_tables(2, 1), vec_index(1), vec_index(1))
     report = row(block, n=1, m=0, n2=0, m2=1)
     assert report.passed
 
@@ -106,7 +107,7 @@ def test_inner_alternates_for_plus_sign():
 
 
 def test_expansion_trivial_case():
-    report = row(expansion_block(tables(2, 0), vec_index(-1)), n=0, m=0)
+    report = row(expansion_block(with_tables(2, 0), vec_index(-1)), n=0, m=0)
     assert report.passed
 
 
@@ -127,7 +128,7 @@ def test_expansion_indices_never_negative():
 def test_expansion_direct_small_cases():
     for rank in (2, 3):
         for sign in (-1, 1):
-            block = expansion_block(tables(rank, 5), vec_index(sign))
+            block = expansion_block(with_tables(rank, 5), vec_index(sign))
             for n, m in [(1, 1), (3, 2), (0, 4)]:
                 report = row(block, n=n, m=m)
                 assert report.passed, report.params
@@ -152,7 +153,7 @@ def test_pairing_case_values():
 def test_pairing_brute_force_matches():
     for rank in (2, 3):
         for sign in (-1, 1):
-            block = pairing_block(tables(rank, 4), vec_index(sign))
+            block = pairing_block(with_tables(rank, 4), vec_index(sign))
             for n, m in [(0, 0), (1, 1), (2, 0), (2, 2), (2, 1), (3, 1), (4, 0)]:
                 report = row(block, n=n, m=m)
                 assert report.passed, report.params
@@ -222,11 +223,12 @@ def test_sweep_triples_match_dict_product(monkeypatch, rank, max_total):
 
 
 def assert_lhs_are_fresh_dots(reports, fresh):
-    """Each sandwich_inner lhs against its own dot of components of ``fresh`` tables."""
+    """Each sandwich_inner lhs against its own dot of components of the tables of
+    ``fresh`` (vector, table) pairs."""
     for r in reports:
         p = r.params
-        brute = component(fresh[p["vec"]], p["n"], p["m"]).inner(
-            component(fresh[p["vec2"]], p["n2"], p["m2"]))
+        brute = component(fresh[p["vec"]][1], p["n"], p["m"]).inner(
+            component(fresh[p["vec2"]][1], p["n2"], p["m2"]))
         assert r.lhs == fraction_str(brute), p
 
 
@@ -235,7 +237,7 @@ def test_shared_dots_match_independent_dots(rank, max_total):
     # every sandwich_inner lhs, shared across mirrored checks and blocks, against
     # its own dot of freshly built components; mismatched totals included
     reports = [r for r in run_identity_sweep(rank, max_total) if r.lemma == "sandwich_inner"]
-    fresh = tables(rank, max_total)
+    fresh = with_tables(rank, max_total)
     count = len(fresh) * len(degree_pairs(max_total))
     assert len(reports) == count * count
     assert {(r.params["vec"], r.params["vec2"]) for r in reports} == set(
@@ -277,14 +279,16 @@ def test_inner_blocks_dot_each_unordered_pair_once(monkeypatch):
 
 def test_shared_dots_on_fraction_parts():
     # Fraction coefficients keep every part an object array, which the int64
-    # sweeps never reach; the shared texts still equal independent dots
+    # sweeps never reach; the shared texts still equal independent dots, and
+    # each block checks its tables against the closed forms of their own vectors
     third = InversionEigenvector.from_letter_coeffs(2, {1: Fraction(1, 3), -1: Fraction(-1, 3)}, -1)
-    fresh = [sandwich_table(third, 3), sandwich_table(vec(2, -1, 1), 3)]
-    assert component(fresh[0], 1, 1).parts[3].dtype == object
+    fresh = [(v, sandwich_table(v, 3)) for v in (third, vec(2, -1, 1))]
+    assert component(fresh[0][1], 1, 1).parts[3].dtype == object
     dots = {}
     reports = [r for i, j in product(range(2), repeat=2) for r in inner_block(fresh, i, j, dots)]
     assert len(reports) == 4 * len(degree_pairs(3)) ** 2
     assert any(r.lhs.endswith("/9") for r in reports)
+    assert all(r.passed for r in reports)
     assert_lhs_are_fresh_dots(reports, fresh)
 
 

@@ -25,7 +25,7 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import density as density_mod
 from . import identities
 from .algebra import CAP_ENV_VAR, active_cap, radial_moment_exact
 from .errors import QuadratureError, ResourceCapError
-from .identities import fraction_str
+from .identities import JsonRecord, fraction_str, rounded_ms
 from .spectral import SpectralParams, quad_lambda
 
 DEFAULT_SCAN_TOLS = (1e-1, 1e-3, 1e-5)
@@ -199,9 +199,9 @@ def _json_value(value, indent: str) -> str:
 def _spell(column: list, indent: str) -> list[str]:
     """Each value of ``column`` as ``_json_value`` spells it.
 
-    A column of one scalar type is spelled in one pass: ints by str, bools
-    before ints, floats by ``_float_texts``, each distinct string by
-    json.dumps once.
+    A column of one scalar type is spelled in one pass: bools before ints,
+    floats by ``_float_texts``, each distinct int by str and each distinct
+    string by json.dumps once.
     """
     kinds = set(map(type, column))
     if kinds == {str}:
@@ -210,7 +210,8 @@ def _spell(column: list, indent: str) -> list[str]:
     if kinds == {bool}:
         return ["true" if value else "false" for value in column]
     if kinds == {int}:
-        return list(map(str, column))
+        spelled = {value: str(value) for value in set(column)}
+        return list(map(spelled.__getitem__, column))
     if kinds == {float}:
         return _float_texts(column, "json")
     return [_json_value(value, indent) for value in column]
@@ -276,10 +277,55 @@ def _run_pieces(run: list) -> list[str]:
     return _rows_pieces(len(run), template, columns)
 
 
-def _value_rows(rows: list) -> Iterator[list[str]]:
+def _value_rows(rows: Iterable) -> Iterator[list[str]]:
     """Yield the pieces of ``rows``, one list for each run of rows of one shape."""
     for _, run in groupby(rows, key=_shape):
         yield _run_pieces(list(run))
+
+
+def _record_pieces(run: list) -> list[str]:
+    """The pieces of a run of report records of one class and one key layout.
+
+    The template comes from the first record's declared keys, a keyed map
+    spelled out one column per key (an empty map is a value of its own).
+    Each column is read straight from the records and spelled in one pass.
+    """
+    first = run[0]
+    fields = type(first).JSON_FIELDS
+    skeleton = {key: dict.fromkeys(getattr(first, attr)) if keyed else None
+                for key, attr, _, keyed in fields}
+    columns = {}
+    for key, attr, convert, _ in fields:
+        values = list(map(attrgetter(attr), run))
+        if convert is not None:
+            values = list(map(convert, values))
+        if skeleton[key]:
+            for name in skeleton[key]:
+                columns[(key, name)] = _spell(list(map(itemgetter(name), values)),
+                                            ROW_INDENT + "    ")
+        else:
+            columns[(key,)] = _spell(values, ROW_INDENT + "  ")
+    return _rows_pieces(len(run), _row_template(skeleton), columns)
+
+
+def _record_rows(records: Iterable, cls: type) -> Iterator[list[str]]:
+    """Yield the pieces of ``records`` of class ``cls``, one list for each
+    run whose keyed map has the same keys."""
+    maps = [attrgetter(attr) for _, attr, _, keyed in cls.JSON_FIELDS if keyed]
+    if not maps:
+        yield _record_pieces(list(records))
+        return
+    (read,) = maps  # a record has at most one keyed map
+    # dict key views compare as sets, and a template sorts its keys
+    for _, run in groupby(records, key=lambda record: read(record).keys()):
+        yield _record_pieces(list(run))
+
+
+def _list_rows(rows: Iterable) -> Iterator[list[str]]:
+    """Yield the pieces of a top-level list: report records from their
+    declared columns, any other rows from templates of their keys."""
+    for cls, run in groupby(rows, key=type):
+        yield from _record_rows(run, cls) if issubclass(cls, JsonRecord) else _value_rows(run)
 
 
 def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
@@ -423,11 +469,14 @@ def json_chunks(report: dict) -> Iterator[str]:
     """``json_report``'s text of ``report``, in chunks.
 
     Each list at the top, such as a report's checks, is written from row
-    templates: one for each run of rows with the same keys, filled from
-    columns each spelled in one pass.  A ``DensityRows`` is written one block
-    of rows at a time.  Every key is a string.
+    templates filled from columns each spelled in one pass.  Report objects
+    (``JsonRecord``) are written from their declared columns, read straight
+    from the objects, one template for each run of one class whose keyed
+    map has the same keys; dicts from one template for each run of rows with
+    the same keys.  A ``DensityRows`` is written one block of rows at a
+    time.  Every key is a string.
     """
-    lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _value_rows(value)
+    lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _list_rows(value)
              for key, value in report.items()
              if isinstance(value, (list, tuple, DensityRows))}
     return _report_chunks({key: value for key, value in report.items() if key not in lists},
@@ -435,7 +484,8 @@ def json_chunks(report: dict) -> Iterator[str]:
 
 
 def json_report(payload: dict) -> str:
-    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``."""
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    each report object in a top-level list written as its ``to_json_dict()``."""
     return "".join(json_chunks(payload))
 
 
@@ -457,7 +507,7 @@ WRITERS = {"csv": csv_chunks, "json": json_chunks}
 def _report(cfg: RunConfig, t0: float, **body) -> dict:
     """A command's report: its command and config, ``body``, and the time since ``t0``."""
     return {"command": cfg.command, "config": cfg.public_dict(), **body,
-            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
+            "elapsed_ms": rounded_ms((time.perf_counter() - t0) * 1000.0)}
 
 
 def _summary(passed: list) -> dict:
@@ -473,7 +523,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         reports[0].rhs = reports[0].rhs + " (perturbed)"
         reports[0].passed = False
     summary = _summary([r.passed for r in reports])
-    payload = _report(cfg, t0, checks=[r.to_json_dict() for r in reports], summary=summary)
+    payload = _report(cfg, t0, checks=reports, summary=summary)
     return payload, summary["pass"]
 
 
@@ -512,7 +562,7 @@ def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:
     norm_ok = abs(norm - 1.0) <= cfg.tol("norm")
     # the normalization counts as one more check
     summary = _summary([r.passed for r in reports] + [norm_ok])
-    payload = _report(cfg, t0, checks=[r.to_json_dict() for r in reports],
+    payload = _report(cfg, t0, checks=reports,
                       normalization={"value": norm, "tol": cfg.tol("norm"), "pass": norm_ok},
                       summary=summary)
     return payload, summary["pass"]

@@ -70,7 +70,8 @@ import numpy as np
 
 from .errors import QuadratureError
 from .identities import (
-    degree_pairs, fraction_str, pairing_closed, pairing_exact, standard_test_vectors)
+    JsonField, JsonRecord, degree_pairs, fraction_str, pairing_closed, pairing_exact,
+    standard_test_vectors)
 from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule
 
 # Points per block of leading-axis rows in the grid functions, and per block
@@ -80,7 +81,7 @@ BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
-class PairingReport:
+class PairingReport(JsonRecord):
     """Three-way evaluation of the pairing of two radial word sums against
     the normalized test vector: exact group algebra, case formula, and
     double quadrature against the density."""
@@ -93,16 +94,15 @@ class PairingReport:
     quad_tol: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "k": self.k,
-            "value_exact": fraction_str(self.value_exact),
-            "value_case": fraction_str(self.value_case),
-            "value_quad": self.value_quad,
-            "quad_tol": self.quad_tol,
-            "pass": self.passed,
-        }
+    JSON_FIELDS = (
+        JsonField("j", "j"),
+        JsonField("k", "k"),
+        JsonField("value_exact", "value_exact", fraction_str),
+        JsonField("value_case", "value_case", fraction_str),
+        JsonField("value_quad", "value_quad"),
+        JsonField("quad_tol", "quad_tol"),
+        JsonField("pass", "passed"),
+    )
 
 
 def series_tail_bound(truncation: int, params: SpectralParams) -> float:

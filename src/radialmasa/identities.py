@@ -39,10 +39,12 @@ the group algebra and equality is still exact.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
+from typing import ClassVar, NamedTuple
 
 from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, inner_product
 
@@ -57,8 +59,37 @@ def fraction_str(value: Rational) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def rounded_ms(ms: float) -> float:
+    """A time in milliseconds as the reports give it: to the microsecond."""
+    return round(ms, 3)
+
+
+class JsonField(NamedTuple):
+    """One key of a report's JSON object: the attribute it is read from, the
+    function that makes the attribute's value the key's (None: the value as
+    it is), and whether that value is a map written one column per key (at
+    most one field of a record is keyed)."""
+
+    key: str
+    attr: str
+    convert: Callable | None = None
+    keyed: bool = False
+
+
+class JsonRecord:
+    """A report written as one JSON object, with the keys ``JSON_FIELDS``
+    declares.  ``to_json_dict`` gives that object, and the CLI's writer reads
+    the same declaration to write a list of records column by column."""
+
+    JSON_FIELDS: ClassVar[tuple[JsonField, ...]] = ()
+
+    def to_json_dict(self) -> dict:
+        return {key: getattr(self, attr) if convert is None else convert(getattr(self, attr))
+                for key, attr, convert, _ in self.JSON_FIELDS}
+
+
 @dataclass
-class CheckReport:
+class CheckReport(JsonRecord):
     """Outcome of one exact identity check."""
 
     lemma: str
@@ -68,15 +99,14 @@ class CheckReport:
     passed: bool
     elapsed_ms: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+    JSON_FIELDS = (
+        JsonField("lemma", "lemma"),
+        JsonField("params", "params", keyed=True),
+        JsonField("lhs", "lhs"),
+        JsonField("rhs", "rhs"),
+        JsonField("pass", "passed"),
+        JsonField("elapsed_ms", "elapsed_ms", rounded_ms),
+    )
 
 
 def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:

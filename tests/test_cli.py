@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from radialmasa.cli import (
     main,
     resolve_config,
 )
+from radialmasa.density import PairingReport
+from radialmasa.identities import CheckReport
 from radialmasa.spectral import SpectralParams
 
 
@@ -733,8 +736,9 @@ def test_moments_tolerance_failure(tmp_path):
 
 
 def json_oracle(payload):
-    """The encoder json_report replaces, kept as the oracle for its bytes."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The encoder json_report replaces, kept as the oracle for its bytes;
+    report objects are encoded as their to_json_dict()."""
+    return json.dumps(payload, default=lambda o: o.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -744,11 +748,48 @@ def json_oracle(payload):
     ["pairing", "--rank", "2"],
     ["scan", "--rank", "2", "--grid", "32", "--scan-tols", "0.5,1e-3"],
     ["moments", "--rank", "3"],
+    ["pairing", "--rank", "3", "--max-total", "4"],
 ])
 def test_json_report_matches_json_dumps(argv):
     cfg = resolve_config(build_parser().parse_args(argv))
     payload, _ = COMMANDS[cfg.command](cfg)
     assert json_report(payload) == json_oracle(payload)
+
+
+def check_report(lemma="sandwich_inner", params=None, lhs="1/2", rhs=None, elapsed_ms=0.25):
+    params = {"rank": 2, "n": 1, "m": 0} if params is None else params
+    return CheckReport(lemma, params, lhs, lhs if rhs is None else rhs, rhs is None, elapsed_ms)
+
+
+def pairing_report(value_quad):
+    return PairingReport(1, 2, Fraction(-3, 4), Fraction(-3, 4), value_quad, 1e-6, False)
+
+
+@pytest.mark.parametrize("checks", [
+    # the lemma and the params keys change, then change back (keys in another order)
+    [check_report(), check_report(params={"rank": 2, "n": 2, "m": 5}),
+     check_report("pairing_cases", {"vec": 1}), check_report(params={"m": 3, "n": 4, "rank": -2})],
+    # a failed check whose sides differ, as --inject-error makes one
+    [check_report(rhs="1/2 (perturbed)"), check_report(lhs="-7/3")],
+    [check_report(elapsed_ms=ms) for ms in (0.0005, 1e-9, 12345.6785, 0.0, 0.0015, 2, 1e300)],
+    # params values of several types, an empty map, and a map inside the map
+    [check_report(params={"rank": True, "n": "1", "m": 1.5}), check_report(params={}),
+     check_report(params={"rank": {"b": [1, {}], "a": None}}),
+     check_report(params={"rank": 1 << 70})],
+    [pairing_report(value) for value in (float("nan"), float("inf"), -float("inf"), -0.0)],
+    [pairing_report(0.5), check_report(), pairing_report(1e-300), {"k": 0}, check_report()],
+    [],
+], ids=["layouts", "failed", "elapsed_ms", "params", "nonfinite", "mixed", "empty"])
+def test_json_report_writes_report_objects_as_json_does(checks):
+    payload = {"checks": checks, "summary": {"total": len(checks)}, "elapsed_ms": 1.5}
+    assert json_report(payload) == json_oracle(payload)
+
+
+def test_record_runs_follow_the_params_keys():
+    # keys that change and change back make three runs, not two
+    checks = [check_report(), check_report("pairing_cases", {"vec": 1}),
+              check_report(params={"m": 3, "n": 4, "rank": 2})]
+    assert len(list(cli._list_rows(checks))) == 3
 
 
 def test_json_report_spells_every_value_as_json_does():

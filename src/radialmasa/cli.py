@@ -136,7 +136,7 @@ class RunConfig:
             raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {active_cap()}")
 
     def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command].get(name, 1e-8))
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command][name])
 
     def public_dict(self) -> dict:
         # json writes the scan_tols tuple as a list
@@ -217,14 +217,6 @@ def _spell(column: list, indent: str) -> list[str]:
     return [_json_value(value, indent) for value in column]
 
 
-def _shape(value):
-    """The keys of ``value`` and of every dict in it: what its template depends on."""
-    if not (isinstance(value, dict) and value):
-        return None
-    return tuple([(key, _shape(item)) if isinstance(item, dict) else key
-                  for key, item in value.items()])
-
-
 def _layout(value, indent: str, path: tuple, parts: list) -> None:
     """Append the text of ``value`` at ``indent`` to ``parts``: each nonempty
     dict spelled out with its keys sorted, each other value its path of keys."""
@@ -263,24 +255,6 @@ def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
     for k, part in enumerate(template):
         pieces[k::step] = [part] * n if isinstance(part, str) else columns[part]
     return pieces
-
-
-def _run_pieces(run: list) -> list[str]:
-    """The pieces of a run of rows of one shape, laid out by one template."""
-    template = _row_template(run[0])
-    columns = {}
-    for path in template[1::2]:
-        column = run
-        for key in path:
-            column = map(itemgetter(key), column)
-        columns[path] = _spell(list(column), ROW_INDENT + "  " * len(path))
-    return _rows_pieces(len(run), template, columns)
-
-
-def _value_rows(rows: Iterable) -> Iterator[list[str]]:
-    """Yield the pieces of ``rows``, one list for each run of rows of one shape."""
-    for _, run in groupby(rows, key=_shape):
-        yield _run_pieces(list(run))
 
 
 def _record_pieces(run: list) -> list[str]:
@@ -323,9 +297,12 @@ def _record_rows(records: Iterable, cls: type) -> Iterator[list[str]]:
 
 def _list_rows(rows: Iterable) -> Iterator[list[str]]:
     """Yield the pieces of a top-level list: report records from their
-    declared columns, any other rows from templates of their keys."""
+    declared columns, each other row as json.dumps spells it."""
     for cls, run in groupby(rows, key=type):
-        yield from _record_rows(run, cls) if issubclass(cls, JsonRecord) else _value_rows(run)
+        if issubclass(cls, JsonRecord):
+            yield from _record_rows(run, cls)
+        else:
+            yield from ([",\n" + ROW_INDENT + _json_value(row, ROW_INDENT)] for row in run)
 
 
 def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
@@ -468,13 +445,12 @@ class DensityRows:
 def json_chunks(report: dict) -> Iterator[str]:
     """``json_report``'s text of ``report``, in chunks.
 
-    Each list at the top, such as a report's checks, is written from row
-    templates filled from columns each spelled in one pass.  Report objects
-    (``JsonRecord``) are written from their declared columns, read straight
-    from the objects, one template for each run of one class whose keyed
-    map has the same keys; dicts from one template for each run of rows with
-    the same keys.  A ``DensityRows`` is written one block of rows at a
-    time.  Every key is a string.
+    Report objects (``JsonRecord``) in a top-level list, such as a report's
+    checks, are written from row templates filled from their declared
+    columns, read straight from the objects and each spelled in one pass:
+    one template for each run of one class whose keyed map has the same
+    keys.  Any other row is spelled by json.dumps.  A ``DensityRows`` is
+    written one block of rows at a time.  Every key is a string.
     """
     lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _list_rows(value)
              for key, value in report.items()

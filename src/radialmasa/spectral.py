@@ -182,22 +182,15 @@ def lambda_rule(order: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-# Gauss-Legendre orders ``quad_lambda`` doubles through
-QUAD_MIN_ORDER = 16
-QUAD_MAX_ORDER = 2048
-
-
 def quad_lambda(g, params: SpectralParams, tol: float = 1e-10) -> float:
     """Integrate a vectorized continuous function against the spectral measure.
 
-    The Gauss-Legendre order doubles from ``QUAD_MIN_ORDER`` until two
-    successive estimates agree within tol (or within the roundoff floor set
-    by the integrand scale), and QuadratureError is raised past
-    ``QUAD_MAX_ORDER``.
+    The Gauss-Legendre order doubles from 16 until two successive estimates
+    agree within tol (or within the roundoff floor set by the integrand
+    scale); past order 2048 it raises QuadratureError.
     """
     prev = None
-    order = QUAD_MIN_ORDER
-    while order <= QUAD_MAX_ORDER:
+    for order in (16, 32, 64, 128, 256, 512, 1024, 2048):
         t, w = lambda_rule(order, params.rank)
         vals = np.asarray(g(t), dtype=float)
         est = math.fsum((vals * w).tolist())
@@ -205,10 +198,7 @@ def quad_lambda(g, params: SpectralParams, tol: float = 1e-10) -> float:
         if prev is not None and abs(est - prev) <= max(tol, 64 * np.finfo(float).eps * scale):
             return est
         prev = est
-        order *= 2
-    raise QuadratureError(
-        f"quadrature did not converge to {tol} within order {QUAD_MAX_ORDER}"
-    )
+    raise QuadratureError(f"quadrature did not converge to {tol} within order 2048")
 
 
 def trig_sum(x, theta, phi, r):

@@ -160,8 +160,8 @@ def test_criterion_7_series_vs_closed_form():
             params = SpectralParams(rank)
             pts = interior_grid(200, params)
             tt, ss = pts[:, None], pts[None, :]
-            closed, guarded = density_closed_grid(tt, ss, params)
-            assert not guarded.any()
+            closed, tail = density_closed_grid(tt, ss, params)
+            assert tail == 0.0
             series, tail = density_series_grid(tt, ss, 60, params)
             assert float(np.abs(series - closed).max()) <= tail + 1e-10
             # tail bound validated against refinement where it is resolvable

@@ -749,6 +749,7 @@ def json_oracle(payload):
     ["scan", "--rank", "2", "--grid", "32", "--scan-tols", "0.5,1e-3"],
     ["moments", "--rank", "3"],
     ["pairing", "--rank", "3", "--max-total", "4"],
+    ["moments", "--rank", "2", "--max-moment", "24"],
 ])
 def test_json_report_matches_json_dumps(argv):
     cfg = resolve_config(build_parser().parse_args(argv))

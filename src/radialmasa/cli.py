@@ -115,6 +115,14 @@ class RunConfig:
                 raise ValueError(f"{key} must be at least {opt.low}, got {value}")
             if opt.choices and value not in opt.choices:
                 raise ValueError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+        # every command but verify evaluates floats, whose largest constant is
+        # the closed form's (4N^2)^2
+        if self.command != "verify":
+            try:
+                float(2 * self.rank) ** 4
+            except OverflowError:
+                raise ValueError("rank too large for float evaluation: "
+                                 "(2 * rank)**4 overflows a float") from None
         if self.command == "scan" and self.grid_n < 16:
             raise ValueError("scan needs a grid of at least 16")
         if self.command == "scan" and not self.scan_tols:
@@ -260,16 +268,17 @@ def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
 def _record_pieces(run: list) -> list[str]:
     """The pieces of a run of report records of one class and one key layout.
 
-    The template comes from the first record's declared keys, a keyed map
-    spelled out one column per key (an empty map is a value of its own).
-    Each column is read straight from the records and spelled in one pass.
+    The template comes from the first record's ``json_fields``, a map with
+    columns spelled out one column per key (an empty map is a value of its
+    own).  Each column is read straight from the records and spelled in one
+    pass.
     """
     first = run[0]
-    fields = type(first).JSON_FIELDS
-    skeleton = {key: dict.fromkeys(getattr(first, attr)) if keyed else None
-                for key, attr, _, keyed in fields}
+    json_fields = first.json_fields()
+    skeleton = {key: dict.fromkeys(getattr(first, attr)) if has_columns else None
+                for key, attr, _, has_columns in json_fields}
     columns = {}
-    for key, attr, convert, _ in fields:
+    for key, attr, convert, _ in json_fields:
         values = list(map(attrgetter(attr), run))
         if convert is not None:
             values = list(map(convert, values))
@@ -284,12 +293,12 @@ def _record_pieces(run: list) -> list[str]:
 
 def _record_rows(records: Iterable, cls: type) -> Iterator[list[str]]:
     """Yield the pieces of ``records`` of class ``cls``, one list for each
-    run whose keyed map has the same keys."""
-    maps = [attrgetter(attr) for _, attr, _, keyed in cls.JSON_FIELDS if keyed]
+    run whose map with columns has the same keys."""
+    maps = [attrgetter(attr) for _, attr, _, has_columns in cls.json_fields() if has_columns]
     if not maps:
         yield _record_pieces(list(records))
         return
-    (read,) = maps  # a record has at most one keyed map
+    (read,) = maps  # a record has at most one map with columns
     # dict key views compare as sets, and a template sorts its keys
     for _, run in groupby(records, key=lambda record: read(record).keys()):
         yield _record_pieces(list(run))
@@ -448,8 +457,8 @@ def json_chunks(report: dict) -> Iterator[str]:
     Report objects (``JsonRecord``) in a top-level list, such as a report's
     checks, are written from row templates filled from their declared
     columns, read straight from the objects and each spelled in one pass:
-    one template for each run of one class whose keyed map has the same
-    keys.  Any other row is spelled by json.dumps.  A ``DensityRows`` is
+    one template for each run of one class whose map with columns has the
+    same keys.  Any other row is spelled by json.dumps.  A ``DensityRows`` is
     written one block of rows at a time.  Every key is a string.
     """
     lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _list_rows(value)

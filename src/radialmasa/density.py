@@ -62,7 +62,7 @@ by the one quadrature function ``chi_pair_integral``, against the density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .identities import (
-    JsonField, JsonRecord, degree_pairs, fraction_str, pairing_closed, pairing_exact,
+    JsonRecord, degree_pairs, fraction_str, pairing_closed, pairing_exact,
     standard_test_vectors)
 from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule
 
@@ -88,21 +88,11 @@ class PairingReport(JsonRecord):
 
     j: int
     k: int
-    value_exact: Fraction
-    value_case: Fraction
+    value_exact: Fraction = field(metadata={"convert": fraction_str})
+    value_case: Fraction = field(metadata={"convert": fraction_str})
     value_quad: float
     quad_tol: float
-    passed: bool
-
-    JSON_FIELDS = (
-        JsonField("j", "j"),
-        JsonField("k", "k"),
-        JsonField("value_exact", "value_exact", fraction_str),
-        JsonField("value_case", "value_case", fraction_str),
-        JsonField("value_quad", "value_quad"),
-        JsonField("quad_tol", "quad_tol"),
-        JsonField("pass", "passed"),
-    )
+    passed: bool = field(metadata={"key": "pass"})
 
 
 def series_tail_bound(truncation: int, params: SpectralParams) -> float:
@@ -169,15 +159,19 @@ def _row_blocks(t: np.ndarray, s: np.ndarray):
 @lru_cache(maxsize=None)
 def _series_blocks(truncation: int) -> tuple:
     """The nonzero c(j, k) with j + k <= 2*truncation as the summation blocks
-    of the module docstring: (positive, negative) terms (|c|, j, k) by j."""
+    of the module docstring: (positive, negative) terms (|c|, j, k) by j.
+
+    Every nonzero c(j, k) has |j - k| of 0 or 2 (``pairing_closed``), so only
+    the even totals T and j from T/2 - 1 to T/2 + 1 are visited."""
     blocks: dict[int, tuple[list, list]] = {}
-    for j, k in degree_pairs(2 * truncation):
-        c = pairing_closed(-1, j, k, 1)
-        if c:
-            positive, negative = blocks.setdefault(max(j + k, 2), ([], []))
-            (negative if c < 0 else positive).append((float(abs(c)), j, k))
-    return tuple(tuple(tuple(sorted(terms, key=lambda term: term[1])) for terms in block)
-                 for block in blocks.values())
+    for total in range(0, 2 * truncation + 1, 2):
+        positive, negative = blocks.setdefault(max(total, 2), ([], []))
+        half = total // 2
+        for j in range(max(half - 1, 0), min(half + 1, total) + 1):
+            c = pairing_closed(-1, j, total - j, 1)
+            if c:
+                (negative if c < 0 else positive).append((float(abs(c)), j, total - j))
+    return tuple((tuple(positive), tuple(negative)) for positive, negative in blocks.values())
 
 
 def density_series_grid(
@@ -296,26 +290,21 @@ def density_normalization(params: SpectralParams, tol: float = 1e-8) -> float:
 # ----------------------------------------------------------------------
 
 
+def _repr_keys(fractions: dict[float, float]) -> dict[str, float]:
+    """A map from tolerances keyed by their reprs, as the scan report writes it."""
+    return {repr(tol): frac for tol, frac in fractions.items()}
+
+
 @dataclass(frozen=True)
-class ZeroScanReport:
+class ZeroScanReport(JsonRecord):
     """Near-zero census of the density on an interior grid."""
 
     grid_n: int
     rank: int
-    fractions: dict[float, float]
+    fractions: dict[float, float] = field(metadata={"convert": _repr_keys})
     min_abs: float
-    argmin: tuple[float, float]
+    argmin: tuple[float, float] = field(metadata={"convert": list})
     max_abs: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "rank": self.rank,
-            "fractions": {repr(tol): frac for tol, frac in self.fractions.items()},
-            "min_abs": self.min_abs,
-            "argmin": list(self.argmin),
-            "max_abs": self.max_abs,
-        }
 
 
 def interior_grid(grid_n: int, params: SpectralParams) -> np.ndarray:

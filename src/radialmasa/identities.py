@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
-from typing import ClassVar, NamedTuple
 
 from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, inner_product
 
@@ -64,28 +63,25 @@ def rounded_ms(ms: float) -> float:
     return round(ms, 3)
 
 
-class JsonField(NamedTuple):
-    """One key of a report's JSON object: the attribute it is read from, the
-    function that makes the attribute's value the key's (None: the value as
-    it is), and whether that value is a map written one column per key (at
-    most one field of a record is keyed)."""
-
-    key: str
-    attr: str
-    convert: Callable | None = None
-    keyed: bool = False
-
-
 class JsonRecord:
-    """A report written as one JSON object, with the keys ``JSON_FIELDS``
-    declares.  ``to_json_dict`` gives that object, and the CLI's writer reads
-    the same declaration to write a list of records column by column."""
+    """A report dataclass written as one JSON object, one key per field.
 
-    JSON_FIELDS: ClassVar[tuple[JsonField, ...]] = ()
+    A field's key is its name and its value the attribute as it is, unless
+    the field's ``metadata`` gives a ``key``, a ``convert`` function for the
+    value, or ``columns``: the value is a map written one column per key (at
+    most one field of a record has columns).  ``json_fields`` reads that off
+    the fields; ``to_json_dict`` and the CLI's writer of a list of records
+    both read it."""
+
+    @classmethod
+    def json_fields(cls) -> list[tuple[str, str, Callable | None, bool]]:
+        """(key, attribute, convert, columns) for each field, in field order."""
+        return [(f.metadata.get("key", f.name), f.name, f.metadata.get("convert"),
+                 f.metadata.get("columns", False)) for f in fields(cls)]
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, attr) if convert is None else convert(getattr(self, attr))
-                for key, attr, convert, _ in self.JSON_FIELDS}
+                for key, attr, convert, _ in self.json_fields()}
 
 
 @dataclass
@@ -93,20 +89,11 @@ class CheckReport(JsonRecord):
     """Outcome of one exact identity check."""
 
     lemma: str
-    params: dict
+    params: dict = field(metadata={"columns": True})
     lhs: str
     rhs: str
-    passed: bool
-    elapsed_ms: float = 0.0
-
-    JSON_FIELDS = (
-        JsonField("lemma", "lemma"),
-        JsonField("params", "params", keyed=True),
-        JsonField("lhs", "lhs"),
-        JsonField("rhs", "rhs"),
-        JsonField("pass", "passed"),
-        JsonField("elapsed_ms", "elapsed_ms", rounded_ms),
-    )
+    passed: bool = field(metadata={"key": "pass"})
+    elapsed_ms: float = field(default=0.0, metadata={"convert": rounded_ms})
 
 
 def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:

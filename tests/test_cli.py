@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -69,6 +70,25 @@ def test_config_validation():
 def test_rank_one_rejected(capsys):
     assert main(["verify", "--rank", "1"]) == 2
     assert "rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["density", "scan", "moments"])
+@pytest.mark.parametrize("rank", [10**77, 10**200], ids=["10**77", "10**200"])
+def test_rank_past_float_range_rejected(command, rank, tmp_path, capsys):
+    # (4N^2)^2, the closed form's largest constant, overflows a float from N ~ 5.8e76
+    out = tmp_path / "out"
+    assert main([command, "--rank", str(rank), "--out", str(out)]) == 2
+    assert "rank" in one_stderr_line(capsys)
+    assert not out.exists()
+
+
+def test_rank_at_float_range_runs(tmp_path):
+    out = tmp_path / "f.csv"
+    argv = ["density", "--rank", str(10**76), "--grid", "3", "--method", "both"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 18
+    assert all(math.isfinite(float(row["f"])) for row in rows)
 
 
 def test_config_file_merge(tmp_path):
@@ -639,7 +659,10 @@ def test_scan_command(tmp_path):
     code, payload = run_json(tmp_path, ["scan", "--rank", "2", "--grid", "64"])
     assert code == 0
     report = payload["report"]
+    assert set(report) == {"grid_n", "rank", "fractions", "min_abs", "argmin", "max_abs"}
     assert set(report["fractions"]) == {"0.1", "0.001", "1e-05"}
+    assert isinstance(report["argmin"], list) and len(report["argmin"]) == 2
+    assert all(type(x) is float for x in report["argmin"])
     assert payload["summary"]["monotone"] is True
 
 

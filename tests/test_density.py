@@ -153,6 +153,24 @@ def test_series_matches_reference_loop_bitwise(rank, truncation):
         assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
+def enumerated_series_blocks(truncation):
+    """The series' summation blocks from every (j, k) with j + k <= 2*truncation:
+    (positive, negative) terms (|c|, j, k), each sorted by j."""
+    blocks = {}
+    for j, k in degree_pairs(2 * truncation):
+        c = pairing_closed(-1, j, k, 1)
+        if c:
+            positive, negative = blocks.setdefault(max(j + k, 2), ([], []))
+            (negative if c < 0 else positive).append((float(abs(c)), j, k))
+    return tuple(tuple(tuple(sorted(terms, key=lambda term: term[1])) for terms in block)
+                 for block in blocks.values())
+
+
+def test_series_blocks_match_full_enumeration():
+    for truncation in range(1, 41):
+        assert density._series_blocks(truncation) == enumerated_series_blocks(truncation)
+
+
 def test_series_center_value():
     # f(0,0) = N/(N-1): the bracketed terms telescope to a geometric series
     assert density_series_grid(0.0, 0.0, 60, P2)[0] == pytest.approx(2.0, abs=1e-12)
@@ -400,6 +418,7 @@ def test_pairing_sweep_all_pass():
 def test_pairing_report_serialization():
     (report,) = [r for r in pairing_sweep(P2, max_total=2) if (r.j, r.k) == (1, 1)]
     blob = report.to_json_dict()
+    assert set(blob) == {"j", "k", "value_exact", "value_case", "value_quad", "quad_tol", "pass"}
     assert blob["value_exact"] == "1/1"
     assert blob["pass"] is True
 
@@ -453,6 +472,13 @@ def test_zero_scan_empty_tolerances():
     report = zero_scan(32, [], P2)
     assert report.fractions == {}
     assert report.min_abs > 0
+
+
+def test_zero_scan_report_serialization():
+    report = zero_scan(32, [1e-1, 1e-5], P2)
+    blob = report.to_json_dict()
+    assert blob["fractions"] == {"0.1": report.fractions[1e-1], "1e-05": report.fractions[1e-5]}
+    assert blob["argmin"] == list(report.argmin)
 
 
 def test_zero_scan_not_identically_zero():

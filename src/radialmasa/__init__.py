@@ -45,10 +45,8 @@ from .identities import (
     standard_test_vectors,
 )
 from .spectral import (
-    AngleCoordinate,
     SpectralParams,
     chi_eval_recurrence,
-    chi_eval_trig,
     kesten_density,
     quad_lambda,
     trig_sum,

@@ -22,7 +22,18 @@ intermediate bounded.
 Both grid functions evaluate one block of about ``BLOCK_POINTS`` points
 (whole rows of the leading axis) at a time into one preallocated output,
 so each block's temporaries stay in cache.  Every operation is
-elementwise, so the blocking leaves each value's bits unchanged.
+elementwise, so the blocking leaves each value's bits unchanged.  On one
+axis, passed as the column ``t[:, None]`` and the row ``s[None, :]`` with
+the same bits, the grid is symmetric and only one triangle is evaluated:
+each block of rows [r0, r1) on the columns from r0 on, about n(n + 1)/2
+points in all, and its columns past r1 are copied into rows past r1 as
+its transpose.  That copy is bitwise exact.  Both kernels give f(t, s)
+and f(s, t) the same bits (the series by its summation order above, the
+closed form by its pairing of t and s terms below), so the copied value
+f(t_i, s_j) has the bits of f(s_j, t_i), which is the value f(t_j, s_i)
+it stands for, since t_j is s_j and s_i is t_i bit for bit.  Any other
+input, such as axes that differ only in the sign of a zero, is evaluated
+in full.
 
 Closed form.  With N the rank, b = 2N - 1, x = 1/b, t = a*cos(theta) and
 s = a*cos(phi), past j + k = 2 the only nonzero coefficients are
@@ -138,22 +149,39 @@ def _check_points(t, s, params: SpectralParams) -> None:
         raise ValueError("point outside the closed spectral square")
 
 
-def _row_blocks(t: np.ndarray, s: np.ndarray):
-    """Yield (t part, s part, out index) for each block of about BLOCK_POINTS
-    points, in whole rows of the leading axis of the broadcast shape.
+def _grid(t: np.ndarray, s: np.ndarray, kernel, table=np.asarray) -> np.ndarray:
+    """``kernel(table(t), table(s))`` on the broadcast shape of ``t`` and ``s``,
+    one block of about BLOCK_POINTS points (whole rows of the leading axis) at
+    a time into one preallocated output.  ``table`` maps an input to the
+    arrays the kernel reads, its last axes those of the input, and the
+    kernel gives (x, y) and (y, x) the same bits.
 
-    An input that broadcasts along that axis is passed whole, so the chi
-    table of an axis is built from the axis alone.  A 0-d shape is one block.
+    An input that spans the leading axis is tabled a block at a time, any
+    other once.  When ``t`` is a column axis and ``s`` a row axis with the
+    same bits, rows [r0, r1) are evaluated only on columns >= r0 and
+    ``values[r1:, r0:r1]`` is copied from ``values[r0:r1, r1:].T`` (see the
+    module docstring).  Any other input is evaluated in full.
     """
     shape = np.broadcast_shapes(t.shape, s.shape)
+    values = np.empty(shape)
     if not shape:
-        yield t, s, ...
-        return
+        values[()] = kernel(table(t), table(s))
+        return values
+    n = shape[0]
+    mirror = t.shape == (n, 1) and s.shape == (1, n) and t.tobytes() == s.tobytes()
+    spans = [x.ndim == len(shape) and x.shape[0] == n for x in (t, s)]
+    tables = [None if span else table(x) for x, span in zip((t, s), spans)]
     step = max(1, BLOCK_POINTS // max(1, math.prod(shape[1:])))
-    for start in range(0, shape[0], step):
-        rows = slice(start, start + step)
-        yield (*(x[rows] if x.ndim == len(shape) and x.shape[0] == shape[0] else x
-                 for x in (t, s)), rows)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        tb, sb = (table(x[rows]) if span else whole
+                  for x, span, whole in zip((t, s), spans, tables))
+        if mirror:
+            values[rows, r0:] = kernel(tb, sb[..., r0:])
+            values[r0 + step:, rows] = values[rows, r0 + step:].T
+        else:
+            values[rows] = kernel(tb, sb)
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -180,22 +208,22 @@ def density_series_grid(
     """Truncated series on broadcastable arrays; returns (values, tail_bound).
 
     On a grid, pass the axes ``t[:, None], s[None, :]``: each chi table then
-    holds one axis, and the values are the same bits as on broadcast grids.
+    holds one axis, the s table is built once, and on one axis the grid is
+    mirrored (``_grid``); the values are the same bits as on broadcast grids.
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_points(t, s, params)
-    values = np.empty(np.broadcast_shapes(t.shape, s.shape))
-    for tb, sb, rows in _row_blocks(t, s):
-        values[rows] = _series_block(tb, sb, truncation, params)
+    blocks = _series_blocks(truncation)
+    values = _grid(t, s, lambda gt, gs: _series_sum(gt, gs, blocks),
+                   lambda x: _normalized_chi_table(x, truncation + 1, params))
     return (values if values.ndim else values[()]), series_tail_bound(truncation, params)
 
 
-def _series_block(t: np.ndarray, s: np.ndarray, truncation: int, params: SpectralParams):
-    gt = _normalized_chi_table(t, truncation + 1, params)
-    gs = _normalized_chi_table(s, truncation + 1, params)
+def _series_sum(gt: np.ndarray, gs: np.ndarray, blocks: tuple) -> np.ndarray:
+    """The series of ``blocks`` on the chi tables ``gt`` and ``gs``."""
     total, pos, neg, product = (np.empty(np.broadcast_shapes(gt.shape[1:], gs.shape[1:]))
                                 for _ in range(4))
 
@@ -208,7 +236,7 @@ def _series_block(t: np.ndarray, s: np.ndarray, truncation: int, params: Spectra
             if n:
                 out += product
 
-    for n, (positive, negative) in enumerate(_series_blocks(truncation)):
+    for n, (positive, negative) in enumerate(blocks):
         block = pos if n else total
         term_sum(positive, block)
         term_sum(negative, neg)
@@ -223,20 +251,22 @@ def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.fl
 
     The values are exact up to roundoff on the whole closed square.  On a
     grid, pass the axes ``t[:, None], s[None, :]``: the squares and
-    4N^2 - t^2 are then computed once per axis.
+    4N^2 - t^2 are then computed on the axes, and on one axis the grid is
+    mirrored (``_grid``).
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     _check_points(t, s, params)
     n, b = params.rank, float(params.branching)
     d2, k = 4.0 * n * n, (b * b - 1.0) ** 2
-    values = np.empty(np.broadcast_shapes(t.shape, s.shape))
-    for tb, sb, rows in _row_blocks(t, s):
+
+    def kernel(tb, sb):
         t2, s2 = tb * tb, sb * sb
-        values[rows] = ((n - 1) / n) * ((d2 - t2) * (d2 - s2)) / (
+        return ((n - 1) / n) * ((d2 - t2) * (d2 - s2)) / (
             (k + b * (t2 + s2)) - (b * b + 1.0) * (tb * sb))
+
     # a numpy scalar, not 0.0: the benchmark tracer calls .sum() on this item
-    return values, np.float64(0.0)
+    return _grid(t, s, kernel), np.float64(0.0)
 
 
 # ----------------------------------------------------------------------

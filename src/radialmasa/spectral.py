@@ -10,14 +10,13 @@ density
 derived from the classical moment generating function by Stieltjes
 inversion and validated here against exact walk counts, never assumed.
 The length-n word sums become orthogonal polynomials p_n(t) under this
-measure, with the three-term recurrence
+measure, evaluated by the three-term recurrence
 
     p_0 = 1,  p_1 = t,  p_2 = t**2 - 2N,
-    p_{k+1} = t * p_k - (2N-1) * p_{k-1}   (k >= 2),
+    p_{k+1} = t * p_k - (2N-1) * p_{k-1}   (k >= 2).
 
-and admit an independent trigonometric evaluation in the angle variable
-t = a*cos(theta).  Quadrature against the measure substitutes t = a*cos(theta),
-which absorbs the square-root endpoint vanishing analytically.
+Quadrature against the measure substitutes t = a*cos(theta), which absorbs
+the square-root endpoint vanishing analytically.
 
 ``trig_sum`` sums x^n sin(n theta) sin((n+r) phi) in closed form; it is the
 step from the density's series to its rational closed form.
@@ -34,10 +33,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
-
-# |sin theta| below this switches the trigonometric evaluation to its
-# endpoint-limit branch.
-ENDPOINT_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,27 +72,6 @@ class SpectralParams:
         return np.logical_not(np.abs(t) <= self.halfwidth * (1 + 1e-12))
 
 
-@dataclass(frozen=True)
-class AngleCoordinate:
-    """A point of the spectrum in both coordinates: t = halfwidth * cos(theta)."""
-
-    theta: float
-    t: float
-
-    @classmethod
-    def from_t(cls, t: float, params: SpectralParams) -> "AngleCoordinate":
-        a = params.halfwidth
-        if params.outside(t):
-            raise ValueError(f"t={t} outside the spectrum [-{a}, {a}]")
-        return cls(theta=math.acos(min(1.0, max(-1.0, t / a))), t=float(t))
-
-    @classmethod
-    def from_theta(cls, theta: float, params: SpectralParams) -> "AngleCoordinate":
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta={theta} outside [0, pi]")
-        return cls(theta=float(theta), t=params.halfwidth * math.cos(theta))
-
-
 def chi_eval_recurrence(n: int, t, params: SpectralParams):
     """Evaluate p_n(t) by the three-term recurrence; accepts scalars or arrays.
 
@@ -117,31 +91,6 @@ def chi_eval_recurrence(n: int, t, params: SpectralParams):
         coeff = params.degree if k == 1 else params.branching
         prev, cur = cur, t * cur - coeff * prev
     return cur if t.shape else float(cur)
-
-
-def chi_eval_trig(n: int, angle: AngleCoordinate, params: SpectralParams) -> float:
-    """Evaluate p_n via the angle-variable closed form,
-
-        p_n(t) = b**(n/2) * (2*cos(theta)*sin(n*theta)
-                             - (degree/b)*sin((n-1)*theta)) / sin(theta),
-
-    with the explicit limit sin(k*theta)/sin(theta) -> k * cos(theta)**(k+1)
-    at the endpoints instead of a small-denominator division.
-    """
-    if n < 1:
-        raise ValueError("the trigonometric form needs n >= 1")
-    b = params.branching
-    inv_ratio = params.degree / b
-    theta = angle.theta
-    scale = float(b) ** (n / 2.0)
-    sin_theta = math.sin(theta)
-    if abs(sin_theta) < ENDPOINT_GUARD:
-        c = 1.0 if math.cos(theta) > 0 else -1.0
-        # sin(k*theta)/sin(theta) -> k * c**(k+1) at theta in {0, pi}
-        return scale * (2.0 * c * n * c ** (n + 1) - inv_ratio * (n - 1) * c**n)
-    return scale * (
-        2.0 * math.cos(theta) * math.sin(n * theta) - inv_ratio * math.sin((n - 1) * theta)
-    ) / sin_theta
 
 
 def kesten_density(t, params: SpectralParams):

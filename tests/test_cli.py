@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialmasa import cli, density
 from radialmasa.cli import (
@@ -637,11 +639,58 @@ def test_density_text_spells_repeated_values(fmt, block_rows, monkeypatch):
     assert text == encode_rows(fmt, head["config"], rows)
 
 
-def test_density_tail_tolerance_violation(tmp_path, capsys):
+# a small pool, so bit patterns repeat across far-apart rows: both zeros,
+# NaNs of both signs, both infinities, the least subnormal and a few finite
+# values
+VALUE_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1, -2.5, 1e300]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [2, 3, 5])
+def test_density_rows_bytes_property(fmt, block_rows, data):
+    # n is not a multiple of the block rows, so the last block is short
+    n = data.draw(st.integers(1, 13).filter(lambda n: n % block_rows), label="n")
+    values = st.sampled_from(VALUE_POOL)
+    pts = data.draw(st.lists(values, min_size=n, max_size=n), label="pts")
+    grids = []
+    for label in data.draw(st.lists(st.sampled_from(["closed", "series"]), min_size=1,
+                                    max_size=2), label="labels"):
+        grid = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n),
+                                  label="grid")).reshape(n, n)
+        if data.draw(st.booleans(), label="symmetric"):
+            grid = np.where(np.triu(np.ones((n, n), dtype=bool)), grid, grid.T)
+        grids.append((grid, data.draw(values, label="tail"), label))
+    head = {"command": "density", "config": {"rank": 3}}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "BLOCK_POINTS", block_rows * n)
+        text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(np.array(pts), tuple(grids))}))
+    rows = [(pts[i], pts[j], float(grid[i, j]), tail, label)
+            for grid, tail, label in grids for i in range(n) for j in range(n)]
+    assert text == encode_rows(fmt, head["config"], rows)
+
+
+def test_density_tail_tolerance_violation(tmp_path, capsys, monkeypatch):
     # truncation 2 has a large tail bound; demanding 1e-8 must abort with 2
     code = main(["density", "--rank", "2", "--grid", "2", "--method", "series",
                  "--truncation", "2", "--tol", "tail=1e-8"])
     assert code == 2
+    tail = density.series_tail_bound(2, SpectralParams(2))
+    assert one_stderr_line(capsys) == (
+        f"aborted: series tail bound {tail} exceeds requested tolerance 1e-08; "
+        "raise the truncation order\n")
+
+    # the bound is checked before any grid is evaluated
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(density, "density_closed_grid", evaluated)
+    monkeypatch.setattr(density, "density_series_grid", evaluated)
+    for method in ("series", "both"):
+        assert main(["density", "--rank", "2", "--grid", "2048", "--method", method,
+                     "--truncation", "2"]) == 2
+        assert one_stderr_line(capsys).startswith(f"aborted: series tail bound {tail} ")
 
 
 # ---------------------------------------------------------------- pairing / scan / moments

@@ -119,6 +119,93 @@ def test_blocked_grids_equal_one_block(block_points, monkeypatch):
         assert np.array_equal(got, want)
 
 
+GRIDS = {
+    "closed": density_closed_grid,
+    "series": lambda t, s, params: density_series_grid(t, s, 60, params),
+}
+
+
+def counted_points(monkeypatch):
+    """A list that collects the number of points of each kernel call."""
+    points, real = [], density._grid
+
+    def counting(t, s, kernel, *table):
+        def counted(tb, sb):
+            out = kernel(tb, sb)
+            points.append(np.size(out))
+            return out
+        return real(t, s, counted, *table)
+
+    monkeypatch.setattr(density, "_grid", counting)
+    return points
+
+
+def symmetric_axes(params):
+    a = params.halfwidth
+    return [interior_grid(33, params), lambda_rule(32, params.rank)[0],
+            np.array([-a, -0.0, 0.0, 0.25 * a, a]), np.array([0.5])]
+
+
+@pytest.mark.parametrize("block_points", [1, 7, 5 * 33, 1 << 30])
+def test_mirrored_grids_equal_full_evaluation(block_points, monkeypatch):
+    # the triangle and its transposed copy against every point evaluated
+    monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
+    for params in (P2, P3, SpectralParams(5)):
+        for axis in symmetric_axes(params):
+            full = np.broadcast_arrays(axis[:, None], axis[None, :])
+            for grid in GRIDS.values():
+                mirrored = grid(axis[:, None], axis[None, :], params)[0]
+                assert np.array_equal(bits(mirrored), bits(grid(*full, params)[0]))
+
+
+@pytest.mark.parametrize("block_points", [1, 5 * 33, 1 << 30])
+def test_mirrored_grid_evaluates_one_triangle(block_points, monkeypatch):
+    monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
+    points = counted_points(monkeypatch)
+    n = 33
+    axis = interior_grid(n, P3)
+    step = max(1, block_points // n)
+    # rows [r0, r0 + step) on the columns from r0 on
+    want = sum(min(step, n - r0) * (n - r0) for r0 in range(0, n, step))
+    assert n * (n + 1) // 2 <= want < n * (n + 1) // 2 + step * n
+    for name, grid in GRIDS.items():
+        points.clear()
+        grid(axis[:, None], axis[None, :], P3)
+        assert sum(points) == want, name
+    if step == 1:
+        assert want == n * (n + 1) // 2
+
+
+def test_axes_differing_in_any_bit_evaluated_in_full(monkeypatch):
+    # one grid row a block, so a mirrored grid evaluates exactly one triangle
+    monkeypatch.setattr(density, "BLOCK_POINTS", 1)
+    points = counted_points(monkeypatch)
+    axis = interior_grid(9, P3)
+    axis[4] = 0.0  # the centre point
+    other = axis.copy()
+    other[4] = -0.0  # equal as a float, not bit for bit
+    for grid in GRIDS.values():
+        for t, s in [(axis, other), (other, axis), (axis, axis[:8]), (axis[:8], axis[:8] + 1e-3)]:
+            points.clear()
+            on_axes = grid(t[:, None], s[None, :], P3)[0]
+            assert sum(points) == len(t) * len(s)
+            full = np.broadcast_arrays(t[:, None], s[None, :])
+            assert np.array_equal(bits(on_axes), bits(grid(*full, P3)[0]))
+        points.clear()
+        grid(axis[:, None], axis[None, :], P3)
+        assert sum(points) == 9 * 10 // 2
+
+
+def test_scan_and_pairing_grids_are_mirrored(monkeypatch):
+    monkeypatch.setattr(density, "BLOCK_POINTS", 1)
+    points = counted_points(monkeypatch)
+    zero_scan(64, [1e-3], P3)
+    assert sum(points) == 64 * 65 // 2
+    points.clear()
+    chi_pair_integral(0, 0, P3, 1.0)  # orders 32 and 64 agree within 1
+    assert sum(points) == 32 * 33 // 2 + 64 * 65 // 2
+
+
 def series_reference(t, s, truncation, params):
     """The series as one explicit loop over n, with its coefficients written
     out: the head 1 + g_1 g_1 - g_2 - g_2, then

@@ -10,10 +10,8 @@ from scipy.integrate import quad as scipy_quad
 from radialmasa.algebra import chi_support_size, radial_moment_exact
 from radialmasa.errors import QuadratureError
 from radialmasa.spectral import (
-    AngleCoordinate,
     SpectralParams,
     chi_eval_recurrence,
-    chi_eval_trig,
     kesten_density,
     lambda_rule,
     quad_lambda,
@@ -36,21 +34,6 @@ def test_derived_constants():
     assert 0 < P2.branching_ratio < 1
     with pytest.raises(ValueError):
         SpectralParams(1)
-
-
-def test_angle_coordinate_consistency():
-    for t in np.linspace(-P2.halfwidth, P2.halfwidth, 17):
-        ang = AngleCoordinate.from_t(t, P2)
-        assert math.cos(ang.theta) == pytest.approx(t / P2.halfwidth, abs=1e-12)
-        assert math.sin(ang.theta) == pytest.approx(
-            math.sqrt(P2.halfwidth**2 - t * t) / P2.halfwidth, abs=1e-12
-        )
-    with pytest.raises(ValueError):
-        AngleCoordinate.from_t(P2.halfwidth + 0.1, P2)
-    with pytest.raises(ValueError):
-        AngleCoordinate.from_t(math.nan, P2)
-    with pytest.raises(ValueError):
-        AngleCoordinate.from_theta(-0.1, P2)
 
 
 # ---------------------------------------------------------------- recurrence evaluation
@@ -156,41 +139,6 @@ def test_endpoint_positivity_exact():
             nxt = cur.times_halfwidth().minus_scaled(prev, coeff)
             prev, cur = cur, nxt
             assert cur.is_positive(), f"rank {rank}, degree {k + 1}"
-
-
-# ---------------------------------------------------------------- trig evaluation
-
-
-def test_trig_linear_is_t():
-    for theta in np.linspace(0, math.pi, 21):
-        ang = AngleCoordinate.from_theta(theta, P2)
-        assert chi_eval_trig(1, ang, P2) == pytest.approx(ang.t, abs=1e-12)
-
-
-def test_trig_quadratic_at_zero():
-    ang = AngleCoordinate.from_theta(math.pi / 2, P2)
-    assert chi_eval_trig(2, ang, P2) == pytest.approx(-4.0, abs=1e-12)
-
-
-def test_trig_matches_recurrence_grid():
-    # 10^3-point grid including the endpoint-limit branch
-    for params in (P2, P3):
-        thetas = np.linspace(0.0, math.pi, 1000)
-        for n in range(1, 11):
-            for theta in thetas:
-                ang = AngleCoordinate.from_theta(theta, params)
-                trig = chi_eval_trig(n, ang, params)
-                rec = chi_eval_recurrence(n, ang.t, params)
-                assert abs(trig - rec) <= 1e-9 * max(1.0, abs(rec))
-
-
-def test_trig_endpoint_branch():
-    for params in (P2, P3):
-        for n in range(1, 13):
-            lo = chi_eval_trig(n, AngleCoordinate.from_theta(0.0, params), params)
-            hi = chi_eval_trig(n, AngleCoordinate.from_theta(math.pi, params), params)
-            assert lo == pytest.approx(chi_eval_recurrence(n, params.halfwidth, params), rel=1e-12)
-            assert hi == pytest.approx(chi_eval_recurrence(n, -params.halfwidth, params), rel=1e-12)
 
 
 def test_amplitude_bound():

@@ -642,7 +642,13 @@ def test_density_text_spells_repeated_values(fmt, block_rows, monkeypatch):
 # a small pool, so bit patterns repeat across far-apart rows: both zeros,
 # NaNs of both signs, both infinities, the least subnormal and a few finite
 # values
-VALUE_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1, -2.5, 1e300]
+# The export spells values with 2^-27 <= |x| < 2^51 by floatrepr's kernel and
+# the rest by repr: full-precision values on both sides of that split, and
+# each edge with its lower neighbour.
+VALUE_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.1, -2.5, 1e300,
+              0.7071067811865476, -1.2345678901234568e-05, 2.0**-27,
+              math.nextafter(2.0**-27, 0.0), 2.0**51, math.nextafter(2.0**51, 0.0),
+              -123456789.01234567, 3.0000000000000004e-09]
 
 
 @settings(max_examples=40, deadline=None)

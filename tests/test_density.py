@@ -427,6 +427,76 @@ def test_closed_within_16_eps_of_exact(rank):
             assert abs(Fraction(values[i, j]) - want) <= 16 * Fraction(EPS) * want, (t, s)
 
 
+# Polynomials as {exponents: Fraction coefficient} dicts, with no zero
+# coefficient kept, so two polynomials are equal exactly when their dicts are.
+
+
+def poly(*terms) -> dict:
+    """The sum of the (coefficient, exponents) ``terms``."""
+    out = {}
+    for coef, exps in terms:
+        out[exps] = out.get(exps, 0) + Fraction(coef)
+    return {exps: coef for exps, coef in out.items() if coef}
+
+
+def poly_add(*polys) -> dict:
+    return poly(*((coef, exps) for p in polys for exps, coef in p.items()))
+
+
+def poly_mul(*polys) -> dict:
+    out = {(0,) * len(next(iter(polys[0]))): Fraction(1)}
+    for p in polys:
+        out = poly(*((c * d, tuple(x + y for x, y in zip(e, f)))
+                     for e, c in out.items() for f, d in p.items()))
+    return out
+
+
+def poly_scale(p: dict, coef) -> dict:
+    return poly(*((coef * c, exps) for exps, c in p.items()))
+
+
+def bracket(rank: int) -> dict:
+    """The closed form's denominator (b^2 - 1)^2 + b (t^2 + s^2) - (b^2 + 1) ts,
+    in t^i s^j keyed (i, j)."""
+    b = 2 * rank - 1
+    return poly(((b * b - 1) ** 2, (0, 0)), (b, (2, 0)), (b, (0, 2)), (-(b * b + 1), (1, 1)))
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_trig_denominators_give_the_bracket(rank):
+    # b^4 (1 - 2x cos(theta - phi) + x^2)(1 - 2x cos(theta + phi) + x^2) is the
+    # bracket once cos(theta - phi) + cos(theta + phi) = 2ts/a^2 and
+    # cos(theta - phi) cos(theta + phi) = (t^2 + s^2)/a^2 - 1, with a^2 = 4b and
+    # x = 1/b.  The product is expanded in (t, s, cos(theta - phi), cos(theta + phi)).
+    b = 2 * rank - 1
+    x, a2 = Fraction(1, b), 4 * b
+    product = poly_mul(poly((1 + x * x, (0, 0, 0, 0)), (-2 * x, (0, 0, 1, 0))),
+                       poly((1 + x * x, (0, 0, 0, 0)), (-2 * x, (0, 0, 0, 1))))
+    cos_sum = poly((Fraction(2, a2), (1, 1)))
+    cos_product = poly((Fraction(1, a2), (2, 0)), (Fraction(1, a2), (0, 2)), (-1, (0, 0)))
+    # the product is symmetric in the two cosines, so it is a polynomial in their sum and product
+    assert set(product) == {(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)}
+    assert product[0, 0, 1, 0] == product[0, 0, 0, 1]
+    substituted = poly_add(poly((product[0, 0, 0, 0], (0, 0))),
+                           poly_scale(cos_sum, product[0, 0, 1, 0]),
+                           poly_scale(cos_product, product[0, 0, 1, 1]))
+    assert poly_scale(substituted, b**4) == bracket(rank)
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_upper_bound_expansion(rank):
+    # N^2 bracket - (N - 1)^2 (4N^2 - t^2)(4N^2 - s^2)
+    #   = N^2 [(4N^2 - 6N + 3)(t^2 + s^2) - (b^2 + 1) ts] - (N - 1)^2 t^2 s^2
+    n, b = rank, 2 * rank - 1
+    d2 = 4 * n * n
+    numerator = poly_mul(poly((d2, (0, 0)), (-1, (2, 0))), poly((d2, (0, 0)), (-1, (0, 2))))
+    left = poly_add(poly_scale(bracket(rank), n * n), poly_scale(numerator, -(n - 1) ** 2))
+    c = 4 * n * n - 6 * n + 3
+    right = poly((n * n * c, (2, 0)), (n * n * c, (0, 2)), (-n * n * (b * b + 1), (1, 1)),
+                 (-(n - 1) ** 2, (2, 2)))
+    assert left == right
+
+
 # ---------------------------------------------------------------- pairing
 
 

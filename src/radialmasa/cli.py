@@ -190,16 +190,11 @@ JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 ROW_INDENT = "    "
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each value, one value at a time."""
-    return list(map(repr, values.tolist()))
-
-
-def _float_texts(values, fmt: str, spell=_reprs) -> list[str]:
-    """Each value as the format's encoder spells it: its repr, as ``spell``
-    gives it, or json's name for a non-finite value."""
+def _float_texts(values, fmt: str) -> list[str]:
+    """Each value as the format's encoder spells it: its repr, as
+    ``floatrepr.repr_texts`` gives it, or json's name for a non-finite value."""
     values = np.asarray(values, dtype=float).ravel()
-    texts = spell(values)
+    texts = repr_texts(values)
     if fmt == "json" and not np.isfinite(values).all():
         texts = [JSON_NONFINITE.get(text, text) for text in texts]
     return texts
@@ -215,11 +210,8 @@ def _spell(column: list, indent: str) -> list[str]:
     """Each value of ``column`` as ``_json_value`` spells it.
 
     A column of one scalar type is spelled in one pass: bools before ints,
-    floats by ``_float_texts`` with ``repr``, each distinct int by str and
-    each distinct string by json.dumps once.  Report floats stay with
-    ``repr``: most are short decimals, such as the rounded ``elapsed_ms``,
-    on which ``floatrepr.repr_texts`` is slower than ``repr``, since its
-    search for the shortest digits makes one array pass per dropped digit.
+    each distinct float (by its bits) by ``_float_texts``, each distinct int
+    by str and each distinct string by json.dumps once.
     """
     kinds = set(map(type, column))
     if kinds == {str}:
@@ -231,7 +223,9 @@ def _spell(column: list, indent: str) -> list[str]:
         spelled = {value: str(value) for value in set(column)}
         return list(map(spelled.__getitem__, column))
     if kinds == {float}:
-        return _float_texts(column, "json")
+        # by bits, so -0.0 and 0.0 stay apart
+        bits, ids = np.unique(np.array(column).view(np.int64), return_inverse=True)
+        return np.array(_float_texts(bits.view(np.float64), "json"), dtype=object)[ids].tolist()
     return [_json_value(value, indent) for value in column]
 
 
@@ -361,10 +355,9 @@ def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]
     """Yield the texts of ``values``, flattened, ``size`` values at a time, as
     ``_float_texts`` spells them, spelling each distinct bit pattern once.
 
-    A block's new values are spelled together by ``floatrepr.repr_texts``,
-    which gives repr's texts from integer array arithmetic: a density value
-    has 16 or 17 significant digits, and on such values its array passes
-    take a fraction of the time of one repr call per value.
+    A block's new values are spelled together, so ``floatrepr.repr_texts``
+    gives their repr texts in whole-array passes rather than one repr call
+    per value.
 
     The values are grouped by their int64 bits with one unstable sort, so
     -0.0 and 0.0 stay apart.  The sort leaves a group's points in any order,
@@ -398,7 +391,7 @@ def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]
     for start in range(0, len(flat), size):
         block = slice(start, start + size)
         spell = first[block]
-        texts[ids[block][spell]] = _float_texts(flat[block][spell], fmt, repr_texts)
+        texts[ids[block][spell]] = _float_texts(flat[block][spell], fmt)
         yield texts[ids[block]].tolist()
         texts[ids[block][last[block]]] = None
 
@@ -418,9 +411,8 @@ class DensityRows:
     ``values`` is the len(pts) x len(pts) grid f(pts[i], pts[j]) and the rows
     run over i, then j.  Every row of a grid takes its ``tail`` and ``label``.
 
-    The axis and each block's new values are spelled by
-    ``floatrepr.repr_texts``, a whole array at a time, which gives the
-    texts repr gives; each grid's one tail is spelled by repr.  Each
+    The axis and each block's new values are spelled by ``_float_texts``,
+    a whole array at a time, as is each grid's one tail.  Each
     distinct value of a grid (by its bits) is spelled once, at the
     first block of rows that holds it, and its text is kept until the last
     such block is written.  The grid functions evaluate one triangle of a
@@ -451,7 +443,7 @@ class DensityRows:
         columns is one part, a literal or a column whose text depends only
         on s, spelled once per grid.
         """
-        axis = _float_texts(self.pts, fmt, repr_texts)
+        axis = _float_texts(self.pts, fmt)
         n = len(axis)
         step = max(1, density_mod.BLOCK_POINTS // n)
         label_text = json.dumps if fmt == "json" else str

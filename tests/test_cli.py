@@ -855,7 +855,9 @@ def pairing_report(value_quad):
     [check_report(params={"rank": True, "n": "1", "m": 1.5}), check_report(params={}),
      check_report(params={"rank": {"b": [1, {}], "a": None}}),
      check_report(params={"rank": 1 << 70})],
-    [pairing_report(value) for value in (float("nan"), float("inf"), -float("inf"), -0.0)],
+    # both zeros and repeated values, each distinct float spelled once by its bits
+    [pairing_report(value) for value in (float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                                         -0.0, 0.5, float("nan"), 0.0)],
     [pairing_report(0.5), check_report(), pairing_report(1e-300), {"k": 0}, check_report()],
     [],
 ], ids=["layouts", "failed", "elapsed_ms", "params", "nonfinite", "mixed", "empty"])

@@ -25,7 +25,6 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import chain, groupby
-from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from . import identities
 from .algebra import CAP_ENV_VAR, active_cap, radial_moment_exact
 from .errors import QuadratureError, ResourceCapError
 from .floatrepr import repr_texts
-from .identities import JsonRecord, fraction_str, rounded_ms
+from .identities import RecordTable, fraction_str, rounded_ms
 from .spectral import SpectralParams, quad_lambda
 
 DEFAULT_SCAN_TOLS = (1e-1, 1e-3, 1e-5)
@@ -269,53 +268,42 @@ def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
     return pieces
 
 
-def _record_pieces(run: list) -> list[str]:
-    """The pieces of a run of report records of one class and one key layout.
+def _table_rows(table: RecordTable) -> Iterator[list[str]]:
+    """Yield the pieces of the records of ``table``, one list for each run of
+    its nonempty blocks whose map with columns has the same keys.
 
-    The template comes from the first record's ``json_fields``, a map with
-    columns spelled out one column per key (an empty map is a value of its
-    own).  Each column is read straight from the records and spelled in one
-    pass.
+    The template comes from the class's ``json_fields``, a map with columns
+    spelled out one column per key (an empty map is a value of its own).
+    Each column is joined over the run's blocks and spelled in one pass.
     """
-    first = run[0]
-    json_fields = first.json_fields()
-    skeleton = {key: dict.fromkeys(getattr(first, attr)) if has_columns else None
-                for key, attr, _, has_columns in json_fields}
-    columns = {}
-    for key, attr, convert, _ in json_fields:
-        values = list(map(attrgetter(attr), run))
-        if convert is not None:
-            values = list(map(convert, values))
-        if skeleton[key]:
-            for name in skeleton[key]:
-                columns[(key, name)] = _spell(list(map(itemgetter(name), values)),
-                                            ROW_INDENT + "    ")
-        else:
-            columns[(key,)] = _spell(values, ROW_INDENT + "  ")
-    return _rows_pieces(len(run), _row_template(skeleton), columns)
-
-
-def _record_rows(records: Iterable, cls: type) -> Iterator[list[str]]:
-    """Yield the pieces of ``records`` of class ``cls``, one list for each
-    run whose map with columns has the same keys."""
-    maps = [attrgetter(attr) for _, attr, _, has_columns in cls.json_fields() if has_columns]
-    if not maps:
-        yield _record_pieces(list(records))
-        return
-    (read,) = maps  # a record has at most one map with columns
+    json_fields = table.cls.json_fields()
+    maps = [attr for _, attr, _, has_columns in json_fields if has_columns]
+    blocks = filter(RecordTable.block_len, table.blocks)
     # dict key views compare as sets, and a template sorts its keys
-    for _, run in groupby(records, key=lambda record: read(record).keys()):
-        yield _record_pieces(list(run))
+    for _, group in groupby(blocks, key=lambda block: [block[attr].keys() for attr in maps]):
+        run = RecordTable(table.cls, list(group))
+        skeleton = {key: dict.fromkeys(run.blocks[0][attr]) if has_columns else None
+                    for key, attr, _, has_columns in json_fields}
+        columns = {}
+        for key, attr, convert, has_columns in json_fields:
+            if skeleton[key]:
+                for name in skeleton[key]:
+                    columns[(key, name)] = _spell(run.column(attr, name), ROW_INDENT + "    ")
+                continue
+            values = [{}] * len(run) if has_columns else run.column(attr)
+            if convert is not None:
+                values = list(map(convert, values))
+            columns[(key,)] = _spell(values, ROW_INDENT + "  ")
+        yield _rows_pieces(len(run), _row_template(skeleton), columns)
 
 
-def _list_rows(rows: Iterable) -> Iterator[list[str]]:
-    """Yield the pieces of a top-level list: report records from their
-    declared columns, each other row as json.dumps spells it."""
-    for cls, run in groupby(rows, key=type):
-        if issubclass(cls, JsonRecord):
-            yield from _record_rows(run, cls)
-        else:
-            yield from ([",\n" + ROW_INDENT + _json_value(row, ROW_INDENT)] for row in run)
+def _list_rows(rows) -> Iterator[list[str]]:
+    """Yield the pieces of a top-level list: a ``RecordTable``'s records from
+    their columns, each row of any other list as json.dumps spells it."""
+    if isinstance(rows, RecordTable):
+        yield from _table_rows(rows)
+    else:
+        yield from ([",\n" + ROW_INDENT + _json_value(row, ROW_INDENT)] for row in rows)
 
 
 def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
@@ -480,23 +468,24 @@ class DensityRows:
 def json_chunks(report: dict) -> Iterator[str]:
     """``json_report``'s text of ``report``, in chunks.
 
-    Report objects (``JsonRecord``) in a top-level list, such as a report's
-    checks, are written from row templates filled from their declared
-    columns, read straight from the objects and each spelled in one pass:
-    one template for each run of one class whose map with columns has the
-    same keys.  Any other row is spelled by json.dumps.  A ``DensityRows`` is
+    A top-level ``RecordTable``, such as a report's checks, is written from
+    row templates filled from its columns, as its class's ``json_fields``
+    declares them, each column spelled in one pass: one template for each
+    run of blocks whose map with columns has the same keys.  A row of any
+    other top-level list is spelled by json.dumps.  A ``DensityRows`` is
     written one block of rows at a time.  Every key is a string.
     """
     lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _list_rows(value)
              for key, value in report.items()
-             if isinstance(value, (list, tuple, DensityRows))}
+             if isinstance(value, (list, tuple, DensityRows, RecordTable))}
     return _report_chunks({key: value for key, value in report.items() if key not in lists},
                           lists)
 
 
 def json_report(payload: dict) -> str:
     """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
-    each report object in a top-level list written as its ``to_json_dict()``."""
+    each top-level ``RecordTable`` written as the list of its records'
+    ``to_json_dict()``."""
     return "".join(json_chunks(payload))
 
 
@@ -529,12 +518,13 @@ def _summary(passed: list) -> dict:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """exact identity sweeps in the group algebra"""
     t0 = time.perf_counter()
-    reports = identities.run_identity_sweep(cfg.rank, cfg.max_total, cfg.cap)
-    if cfg.inject_error and reports:
-        reports[0].rhs = reports[0].rhs + " (perturbed)"
-        reports[0].passed = False
-    summary = _summary([r.passed for r in reports])
-    payload = _report(cfg, t0, checks=reports, summary=summary)
+    checks = identities.run_identity_sweep(cfg.rank, cfg.max_total, cfg.cap)
+    if cfg.inject_error and len(checks):
+        first = checks.blocks[0]  # shared with the first block's own table
+        first["rhs"][0] += " (perturbed)"
+        first["passed"][0] = False
+    summary = _summary(checks.column("passed"))
+    payload = _report(cfg, t0, checks=checks, summary=summary)
     return payload, summary["pass"]
 
 
@@ -570,12 +560,12 @@ def cmd_pairing(cfg: RunConfig) -> tuple[dict, bool]:
     """exact / case / quadrature pairing agreement"""
     t0 = time.perf_counter()
     params = SpectralParams(cfg.rank)
-    reports = density_mod.pairing_sweep(params, cfg.max_total, cfg.tol("quad"), cfg.cap)
+    checks = density_mod.pairing_sweep(params, cfg.max_total, cfg.tol("quad"), cfg.cap)
     norm = density_mod.density_normalization(params, cfg.tol("norm"))
     norm_ok = abs(norm - 1.0) <= cfg.tol("norm")
     # the normalization counts as one more check
-    summary = _summary([r.passed for r in reports] + [norm_ok])
-    payload = _report(cfg, t0, checks=reports,
+    summary = _summary(checks.column("passed") + [norm_ok])
+    payload = _report(cfg, t0, checks=checks,
                       normalization={"value": norm, "tol": cfg.tol("norm"), "pass": norm_ok},
                       summary=summary)
     return payload, summary["pass"]

@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .identities import (
-    JsonRecord, degree_pairs, fraction_str, pairing_closed, pairing_exact,
+    JsonRecord, RecordTable, degree_pairs, fraction_str, pairing_closed, pairing_exact,
     standard_test_vectors)
 from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule
 
@@ -293,21 +293,24 @@ def chi_pair_integral(j: int, k: int, params: SpectralParams, tol: float) -> flo
 
 def pairing_sweep(
     params: SpectralParams, max_total: int = 6, tol: float = 1e-6, cap: int | None = None
-) -> list[PairingReport]:
+) -> RecordTable:
     """Every pairing with j + k <= max_total three ways: ``pairing_exact`` of the
     sign -1 vector over |v|^2, case formula, and quadrature against the density.
-    Exact equality on the algebraic side, tolerance on the quadrature side."""
+    Exact equality on the algebraic side, tolerance on the quadrature side.
+    The checks are one block of a ``PairingReport`` table."""
     v = standard_test_vectors(params.rank)[-1][0]
     norm_sq = Fraction(v.norm_sq())
     exact = pairing_exact(v, max_total, cap)
-    reports = []
-    for j, k in degree_pairs(max_total):
-        value_exact = exact[j, k] / norm_sq
-        value_case = pairing_closed(-1, j, k, Fraction(1))
-        value_quad = chi_pair_integral(j, k, params, tol / 2.0)
-        passed = value_exact == value_case and abs(value_quad - float(value_case)) <= tol
-        reports.append(PairingReport(j, k, value_exact, value_case, value_quad, tol, passed))
-    return reports
+    pairs = degree_pairs(max_total)
+    value_exact = [exact[j, k] / norm_sq for j, k in pairs]
+    value_case = [pairing_closed(-1, j, k, Fraction(1)) for j, k in pairs]
+    value_quad = [chi_pair_integral(j, k, params, tol / 2.0) for j, k in pairs]
+    passed = [e == c and abs(q - float(c)) <= tol
+              for e, c, q in zip(value_exact, value_case, value_quad)]
+    return RecordTable(PairingReport, [{
+        "j": [j for j, _ in pairs], "k": [k for _, k in pairs], "value_exact": value_exact,
+        "value_case": value_case, "value_quad": value_quad, "quad_tol": [tol] * len(pairs),
+        "passed": passed}])
 
 
 def density_normalization(params: SpectralParams, tol: float = 1e-8) -> float:

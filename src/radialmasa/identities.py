@@ -13,7 +13,8 @@ computation against a closed form, with exact rational equality:
 The brute force side is always the oracle; the closed forms never feed
 back into it.  ``run_identity_sweep`` is the one driver: it builds one
 ``sandwich_table`` per test vector and runs one block of checks per test
-vector (or ordered pair of them) for each family off those tables.
+vector (or ordered pair of them) for each family off those tables.  Each
+block returns its checks by column, as a ``RecordTable`` of ``CheckReport``.
 
 A table holds each triple product chi_n v chi_m as a ``GradedVector``: one
 exact coefficient array per word length, indexed by word position.  Row 0,
@@ -39,10 +40,10 @@ the group algebra and equality is still exact.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from numbers import Rational
 
 from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, inner_product
@@ -70,7 +71,7 @@ class JsonRecord:
     the field's ``metadata`` gives a ``key``, a ``convert`` function for the
     value, or ``columns``: the value is a map written one column per key (at
     most one field of a record has columns).  ``json_fields`` reads that off
-    the fields; ``to_json_dict`` and the CLI's writer of a list of records
+    the fields; ``to_json_dict`` and the CLI's writer of a ``RecordTable``
     both read it."""
 
     @classmethod
@@ -96,17 +97,51 @@ class CheckReport(JsonRecord):
     elapsed_ms: float = field(default=0.0, metadata={"convert": rounded_ms})
 
 
+class RecordTable:
+    """Records of one ``JsonRecord`` class, kept by column in blocks: each maps
+    a field's attribute to a list of one value per record, or the field with
+    columns to a map of such lists.  Tables share the blocks they are built
+    from.  ``len`` counts the records; iterating builds each record only then.
+    """
+
+    def __init__(self, cls: type, blocks: list[dict]):
+        self.cls, self.blocks = cls, blocks
+
+    @staticmethod
+    def block_len(block: dict) -> int:
+        return next(len(column) for column in block.values() if isinstance(column, list))
+
+    def __len__(self) -> int:
+        return sum(map(self.block_len, self.blocks))
+
+    def __iter__(self) -> Iterator[JsonRecord]:
+        for block in self.blocks:
+            for i in range(self.block_len(block)):
+                yield self.cls(**{attr: {key: values[i] for key, values in column.items()}
+                                  if isinstance(column, dict) else column[i]
+                                  for attr, column in block.items()})
+
+    def column(self, attr: str, key: str | None = None) -> list:
+        """One column over every block, in order: the field ``attr``'s, or the
+        ``key`` column of ``attr`` when that is the field with columns."""
+        return list(chain.from_iterable(block[attr] if key is None else block[attr][key]
+                                        for block in self.blocks))
+
+
+def _check_table(lemma: str, params: dict, checks: list[tuple]) -> RecordTable:
+    """A one-block table of ``lemma`` from (lhs, rhs, passed, elapsed_ms) checks;
+    a ``params`` value that is not a list is the same for every check."""
+    size = len(checks)
+    lhs, rhs, passed, elapsed_ms = map(list, zip(*checks))
+    params = {key: value if isinstance(value, list) else [value] * size
+              for key, value in params.items()}
+    return RecordTable(CheckReport, [{"lemma": [lemma] * size, "params": params, "lhs": lhs,
+                                      "rhs": rhs, "passed": passed, "elapsed_ms": elapsed_ms}])
+
+
 def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:
     # Stable summary for element-valued sides; equal elements get equal digests.
     return f"{len(x)} terms, norm_sq={fraction_str(x.norm_sq())}"
-
-
-def _check(lemma: str, params: dict, lhs, rhs, t0: float, spell=fraction_str) -> CheckReport:
-    """The report of one check begun at ``t0``, its sides written by ``spell``."""
-    passed = lhs == rhs  # equal sides spell alike, so a passing check spells one
-    text = spell(lhs)
-    return CheckReport(lemma, params, text, text if passed else spell(rhs), passed,
-                       (time.perf_counter() - t0) * 1000.0)
 
 
 def standard_test_vectors(rank: int) -> dict[int, list[InversionEigenvector]]:
@@ -252,7 +287,7 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
 
 
 def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
-                dots: dict | None = None) -> list[CheckReport]:
+                dots: dict | None = None) -> RecordTable:
     """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form for one ordered
     pair of test vectors and every pair of degree pairs.
 
@@ -261,18 +296,19 @@ def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
     brute-force value of each unordered pair of (vector index, n, m) keys:
     the coefficients are real, so the pairing is symmetric and blocks that
     share ``dots`` dot each pair once, mismatched totals included.  The closed
-    form depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated and
-    spelled once per such key, and each distinct lhs value is spelled once.
+    form depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated once
+    per such key, and kept as an int when it is one, so it compares with an
+    int dot without ``Fraction``'s slow path.  Each distinct value of either
+    side is spelled once.
     """
     (v, table), (v2, table2) = tested[vec_i], tested[vec_j]
-    rank = v.element.rank
     dots = {} if dots is None else dots
     pairs = degree_pairs(len(table) - 1)
     left = [((vec_i, n, m), component(table, n, m)) for n, m in pairs]
     right = [((vec_j, n, m), component(table2, n, m)) for n, m in pairs]
-    closed: dict[tuple[int, int, int], tuple[Fraction, str]] = {}  # form -> (value, text)
-    texts: dict[Rational, str] = {}  # lhs -> text: ints on int64 parts, cheap to hash
-    reports = []
+    closed: dict[tuple[int, int, int], tuple[Rational, str]] = {}  # form -> (value, text)
+    texts: dict[Rational, str] = {}  # value -> text: ints on int64 parts, cheap to hash
+    checks = []
     for (key, x), (key2, y) in product(left, right):
         t0 = time.perf_counter()
         (_, n, m), (_, n2, m2) = key, key2
@@ -283,69 +319,79 @@ def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
         form = (n + m, n2 + m2, abs(n - n2))
         if form not in closed:
             rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
-            closed[form] = rhs, fraction_str(rhs)
+            rhs = rhs.numerator if rhs.denominator == 1 else rhs
+            if rhs not in texts:
+                texts[rhs] = fraction_str(rhs)
+            closed[form] = rhs, texts[rhs]
         rhs, rhs_text = closed[form]
         if lhs not in texts:
             texts[lhs] = fraction_str(lhs)
-        params = {"rank": rank, "sign": v.sign, "sign2": v2.sign,
-                  "vec": vec_i, "vec2": vec_j, "n": n, "m": m, "n2": n2, "m2": m2}
-        reports.append(CheckReport("sandwich_inner", params, texts[lhs], rhs_text, lhs == rhs,
-                                   (time.perf_counter() - t0) * 1000.0))
-    return reports
+        checks.append((texts[lhs], rhs_text, lhs == rhs, (time.perf_counter() - t0) * 1000.0))
+    ns, ms = [n for n, _ in pairs], [m for _, m in pairs]
+    params = {"rank": v.element.rank, "sign": v.sign, "sign2": v2.sign, "vec": vec_i,
+              "vec2": vec_j, "n": [n for n in ns for _ in pairs],
+              "m": [m for m in ms for _ in pairs], "n2": ns * len(pairs), "m2": ms * len(pairs)}
+    return _check_table("sandwich_inner", params, checks)
 
 
-def expansion_block(tested: list[TestedVector], vec_i: int) -> list[CheckReport]:
+def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Callable,
+                  spell: Callable = fraction_str) -> RecordTable:
+    """One check of ``lemma`` per degree pair (n, m) of test vector ``vec_i``:
+    ``check(n, m)`` gives the brute-force and closed-form sides, for ``spell``."""
+    v, table = tested[vec_i]
+    pairs = degree_pairs(len(table) - 1)
+    checks = []
+    for n, m in pairs:
+        t0 = time.perf_counter()
+        lhs, rhs = check(n, m)
+        passed = lhs == rhs  # equal sides spell alike, so a passing check spells one
+        text = spell(lhs)
+        checks.append((text, text if passed else spell(rhs), passed,
+                       (time.perf_counter() - t0) * 1000.0))
+    params = {"rank": v.element.rank, "sign": v.sign, "vec": vec_i,
+              "n": [n for n, _ in pairs], "m": [m for _, m in pairs]}
+    return _check_table(lemma, params, checks)
+
+
+def expansion_block(tested: list[TestedVector], vec_i: int) -> RecordTable:
     """Brute-force chi_n v chi_m against its expansion over sandwich components,
     for one test vector."""
     v, table = tested[vec_i]
-    rank = v.element.rank
-    reports = []
-    for n, m in degree_pairs(len(table) - 1):
-        t0 = time.perf_counter()
-        lhs = table[n][m]
-        rhs = GradedVector.combination(
-            rank,
-            [(coeff, component(table, r, s))
-             for coeff, r, s in sandwich_expansion_indices(v.sign, n, m)],
-        )
-        params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
-        reports.append(_check("sandwich_expansion", params, lhs, rhs, t0, _element_digest))
-    return reports
+
+    def check(n: int, m: int) -> tuple[GradedVector, GradedVector]:
+        terms = sandwich_expansion_indices(v.sign, n, m)
+        return table[n][m], GradedVector.combination(
+            v.element.rank, [(coeff, component(table, r, s)) for coeff, r, s in terms])
+
+    return _degree_block("sandwich_expansion", tested, vec_i, check, _element_digest)
 
 
-def pairing_block(tested: list[TestedVector], vec_i: int) -> list[CheckReport]:
+def pairing_block(tested: list[TestedVector], vec_i: int) -> RecordTable:
     """Brute-force <chi_n v chi_m, v> against the six-case closed form, for one
     test vector."""
     v, table = tested[vec_i]
     v_graded = table[0][0]  # chi_0 v chi_0
-    rank = v.element.rank
     norm_sq = v.norm_sq()
-    reports = []
-    for n, m in degree_pairs(len(table) - 1):
-        t0 = time.perf_counter()
-        lhs = table[n][m].inner(v_graded)
-        rhs = pairing_closed(v.sign, n, m, norm_sq)
-        params = {"rank": rank, "sign": v.sign, "vec": vec_i, "n": n, "m": m}
-        reports.append(_check("pairing_cases", params, lhs, rhs, t0))
-    return reports
+
+    def check(n: int, m: int) -> tuple[Rational, Fraction]:
+        return table[n][m].inner(v_graded), pairing_closed(v.sign, n, m, norm_sq)
+
+    return _degree_block("pairing_cases", tested, vec_i, check)
 
 
-def run_identity_sweep(rank: int, max_total: int = 6, cap: int | None = None) -> list[CheckReport]:
+def run_identity_sweep(rank: int, max_total: int = 6, cap: int | None = None) -> RecordTable:
     """Every check of the three families, over all test vectors and all degree
     pairs with n + m <= max_total.
 
     One ``sandwich_table`` per test vector serves the whole sweep, handed to
     the blocks with its vector.  The order is fixed: inner products for every
     ordered pair of vectors, then expansions and then pairings for every vector.
+    The sweep's table holds the blocks' own columns.
     """
     tested = [(v, sandwich_table(v, max_total, cap)) for v in all_test_vectors(rank)]
     indices = range(len(tested))
     dots: dict = {}
-    reports: list[CheckReport] = []
-    for i, j in product(indices, repeat=2):
-        reports.extend(inner_block(tested, i, j, dots))
-    for i in indices:
-        reports.extend(expansion_block(tested, i))
-    for i in indices:
-        reports.extend(pairing_block(tested, i))
-    return reports
+    tables = [inner_block(tested, i, j, dots) for i, j in product(indices, repeat=2)]
+    tables += [expansion_block(tested, i) for i in indices]
+    tables += [pairing_block(tested, i) for i in indices]
+    return RecordTable(CheckReport, [block for table in tables for block in table.blocks])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialmasa import cli, density
+from radialmasa import cli, density, identities
 from radialmasa.cli import (
     COMMANDS,
     OPTIONS,
@@ -33,7 +33,7 @@ from radialmasa.cli import (
     resolve_config,
 )
 from radialmasa.density import PairingReport
-from radialmasa.identities import CheckReport
+from radialmasa.identities import CheckReport, RecordTable, all_test_vectors, degree_pairs
 from radialmasa.spectral import SpectralParams
 
 
@@ -814,9 +814,10 @@ def test_moments_tolerance_failure(tmp_path):
 
 
 def json_oracle(payload):
-    """The encoder json_report replaces, kept as the oracle for its bytes;
-    report objects are encoded as their to_json_dict()."""
-    return json.dumps(payload, default=lambda o: o.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    """The encoder json_report replaces, kept as the oracle for its bytes; a
+    record table is encoded as the list of its records' to_json_dict()."""
+    return json.dumps(payload, default=lambda table: [r.to_json_dict() for r in table],
+                      indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -828,6 +829,8 @@ def json_oracle(payload):
     ["moments", "--rank", "3"],
     ["pairing", "--rank", "3", "--max-total", "4"],
     ["moments", "--rank", "2", "--max-moment", "24"],
+    # the benchmark's verify run, 7,224 checks
+    ["verify", "--rank", "3", "--max-total", "5"],
 ])
 def test_json_report_matches_json_dumps(argv):
     cfg = resolve_config(build_parser().parse_args(argv))
@@ -844,33 +847,125 @@ def pairing_report(value_quad):
     return PairingReport(1, 2, Fraction(-3, 4), Fraction(-3, 4), value_quad, 1e-6, False)
 
 
-@pytest.mark.parametrize("checks", [
+def record_table(blocks, cls=CheckReport):
+    """A table of ``cls`` whose blocks hold the records of ``blocks`` by column;
+    the records of a block share their params keys."""
+    def columns(records):
+        block = {}
+        for _, attr, _, has_columns in cls.json_fields():
+            values = [getattr(record, attr) for record in records]
+            if has_columns:
+                keys = values[0] if values else {}
+                values = {key: [value[key] for value in values] for key in keys}
+            block[attr] = values
+        return block
+    return RecordTable(cls, [columns(records) for records in blocks])
+
+
+@pytest.mark.parametrize("tables", [
     # the lemma and the params keys change, then change back (keys in another order)
-    [check_report(), check_report(params={"rank": 2, "n": 2, "m": 5}),
-     check_report("pairing_cases", {"vec": 1}), check_report(params={"m": 3, "n": 4, "rank": -2})],
+    {"checks": [[check_report(), check_report(params={"rank": 2, "n": 2, "m": 5})],
+                [check_report("pairing_cases", {"vec": 1})],
+                [check_report(params={"m": 3, "n": 4, "rank": -2})], [check_report()]]},
     # a failed check whose sides differ, as --inject-error makes one
-    [check_report(rhs="1/2 (perturbed)"), check_report(lhs="-7/3")],
-    [check_report(elapsed_ms=ms) for ms in (0.0005, 1e-9, 12345.6785, 0.0, 0.0015, 2, 1e300)],
+    {"checks": [[check_report(rhs="1/2 (perturbed)"), check_report(lhs="-7/3")]]},
+    {"checks": [[check_report(elapsed_ms=ms)]
+                for ms in (0.0005, 1e-9, 12345.6785, 0.0, 0.0015, 2, 1e300)]},
     # params values of several types, an empty map, and a map inside the map
-    [check_report(params={"rank": True, "n": "1", "m": 1.5}), check_report(params={}),
-     check_report(params={"rank": {"b": [1, {}], "a": None}}),
-     check_report(params={"rank": 1 << 70})],
+    {"checks": [[check_report(params={"rank": True, "n": "1", "m": 1.5})],
+                [check_report(params={}), check_report(params={})],
+                [check_report(params={"rank": {"b": [1, {}], "a": None}})],
+                [check_report(params={"rank": 1 << 70})]]},
     # both zeros and repeated values, each distinct float spelled once by its bits
-    [pairing_report(value) for value in (float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
-                                         -0.0, 0.5, float("nan"), 0.0)],
-    [pairing_report(0.5), check_report(), pairing_report(1e-300), {"k": 0}, check_report()],
-    [],
+    {"pairings": [[pairing_report(value) for value in (float("nan"), float("inf"), -float("inf"),
+                                                       -0.0, 0.0, -0.0, 0.5)],
+                  [pairing_report(float("nan")), pairing_report(0.0)]]},
+    # tables of both classes in one report, and empty blocks
+    {"pairings": [[pairing_report(0.5)], [], [pairing_report(1e-300)]],
+     "checks": [[], [check_report()], [check_report()]]},
+    {"checks": [], "pairings": [[]]},
 ], ids=["layouts", "failed", "elapsed_ms", "params", "nonfinite", "mixed", "empty"])
-def test_json_report_writes_report_objects_as_json_does(checks):
-    payload = {"checks": checks, "summary": {"total": len(checks)}, "elapsed_ms": 1.5}
+def test_json_report_writes_report_objects_as_json_does(tables):
+    payload = {key: record_table(blocks, PairingReport if key == "pairings" else CheckReport)
+               for key, blocks in tables.items()}
+    payload.update(summary={"total": sum(map(len, payload.values()))}, elapsed_ms=1.5)
     assert json_report(payload) == json_oracle(payload)
 
 
 def test_record_runs_follow_the_params_keys():
-    # keys that change and change back make three runs, not two
-    checks = [check_report(), check_report("pairing_cases", {"vec": 1}),
-              check_report(params={"m": 3, "n": 4, "rank": 2})]
+    # keys that change and change back make three runs, not two; consecutive
+    # blocks with the same keys, in any order, make one
+    checks = record_table([[check_report()], [check_report("pairing_cases", {"vec": 1})],
+                           [check_report(params={"m": 3, "n": 4, "rank": 2})], [check_report()]])
     assert len(list(cli._list_rows(checks))) == 3
+
+
+# JSON values for the params columns: maps inside the map, and strings json
+# must escape
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+ELAPSED_MS = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e300, 0.0015]) | st.floats()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_table_writes_as_json_does(data):
+    # random params layouts, the empty one included, drawn per block from a
+    # small pool, so consecutive blocks share a layout or do not; empty blocks
+    layouts = data.draw(st.lists(st.lists(st.text(max_size=3), unique=True, max_size=4),
+                                 min_size=1, max_size=3))
+    blocks = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        layout = data.draw(st.sampled_from(layouts))
+        size = data.draw(st.integers(0, 3))
+        texts = st.lists(st.text(), min_size=size, max_size=size)
+        blocks.append({
+            "lemma": data.draw(texts),
+            "params": {key: data.draw(st.lists(JSON_VALUES, min_size=size, max_size=size))
+                       for key in layout},
+            "lhs": data.draw(texts),
+            "rhs": data.draw(texts),
+            "passed": data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+            "elapsed_ms": data.draw(st.lists(ELAPSED_MS, min_size=size, max_size=size)),
+        })
+    payload = {"checks": RecordTable(CheckReport, blocks)}
+    assert json_report(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_block_tables_hold_what_the_tracer_reads(monkeypatch, rank):
+    # the benchmark's tracer wraps the three block functions by name, keeps
+    # what each returns, counts len() of it and, after the command, reads
+    # .passed off its rows, where --inject-error must show once
+    lemmas = {"inner_block": "sandwich_inner", "expansion_block": "sandwich_expansion",
+              "pairing_block": "pairing_cases"}
+    kept = {name: [] for name in lemmas}
+    for name, results in kept.items():
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name,
+                            lambda *args, real=real, results=results:
+                            results.append(real(*args)) or results[-1])
+    argv = ["verify", "--rank", str(rank), "--max-total", "5", "--inject-error"]
+    payload, passed = COMMANDS["verify"](resolve_config(build_parser().parse_args(argv)))
+    assert passed is False
+    vectors = len(all_test_vectors(rank))
+    assert [len(results) for results in kept.values()] == [vectors * vectors, vectors, vectors]
+    for name, results in kept.items():
+        assert {len(table) for table in results} == {441 if name == "inner_block" else 21}
+        assert {row.lemma for table in results for row in table} == {lemmas[name]}
+    failed = [row for results in kept.values() for table in results for row in table
+              if not row.passed]
+    assert len(failed) == 1
+    assert failed[0] == next(iter(kept["inner_block"][0]))
+    assert failed[0].rhs.endswith(" (perturbed)")
+    count = sum(len(table) for results in kept.values() for table in results)
+    assert len(payload["checks"]) == payload["summary"]["total"] == count
+    argv = ["pairing", "--rank", str(rank), "--max-total", "5"]
+    payload, _ = COMMANDS["pairing"](resolve_config(build_parser().parse_args(argv)))
+    assert len(payload["checks"]) == len(degree_pairs(5)) == payload["summary"]["total"] - 1
 
 
 def test_json_report_spells_every_value_as_json_does():

@@ -115,6 +115,9 @@ class RunConfig:
                 raise ValueError(f"{key} must be at least {opt.low}, got {value}")
             if opt.choices and value not in opt.choices:
                 raise ValueError(f"{key} must be one of {', '.join(opt.choices)}, got {value!r}")
+            # without --cap, the environment's cap, parsed again where it is used
+            if key == "cap" and value is None and active_cap() < 1:
+                raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {active_cap()}")
         # every command but verify evaluates floats, whose largest constant is
         # the closed form's (4N^2)^2
         if self.command != "verify":
@@ -139,9 +142,6 @@ class RunConfig:
                 )
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
-        # the environment's cap, parsed again where it is used
-        if self.cap is None and active_cap() < 1:
-            raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {active_cap()}")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[self.command][name])
@@ -209,8 +209,8 @@ def _spell(column: list, indent: str) -> list[str]:
     """Each value of ``column`` as ``_json_value`` spells it.
 
     A column of one scalar type is spelled in one pass: bools before ints,
-    each distinct float (by its bits) by ``_float_texts``, each distinct int
-    by str and each distinct string by json.dumps once.
+    the floats as one ``_block_texts`` block, each distinct int by str and
+    each distinct string by json.dumps once.
     """
     kinds = set(map(type, column))
     if kinds == {str}:
@@ -222,9 +222,7 @@ def _spell(column: list, indent: str) -> list[str]:
         spelled = {value: str(value) for value in set(column)}
         return list(map(spelled.__getitem__, column))
     if kinds == {float}:
-        # by bits, so -0.0 and 0.0 stay apart
-        bits, ids = np.unique(np.array(column).view(np.int64), return_inverse=True)
-        return np.array(_float_texts(bits.view(np.float64), "json"), dtype=object)[ids].tolist()
+        return next(_block_texts(column, len(column), "json"))
     return [_json_value(value, indent) for value in column]
 
 
@@ -277,42 +275,34 @@ def _table_rows(table: RecordTable) -> Iterator[list[str]]:
     Each column is joined over the run's blocks and spelled in one pass.
     """
     json_fields = table.cls.json_fields()
-    maps = [attr for _, attr, _, has_columns in json_fields if has_columns]
     blocks = filter(RecordTable.block_len, table.blocks)
     # dict key views compare as sets, and a template sorts its keys
-    for _, group in groupby(blocks, key=lambda block: [block[attr].keys() for attr in maps]):
+    for _, group in groupby(blocks, key=lambda block: [
+            column.keys() for column in block.values() if isinstance(column, dict)]):
         run = RecordTable(table.cls, list(group))
-        skeleton = {key: dict.fromkeys(run.blocks[0][attr]) if has_columns else None
-                    for key, attr, _, has_columns in json_fields}
+        first = run.blocks[0]
+        skeleton = {key: dict.fromkeys(first[attr]) if isinstance(first[attr], dict) else None
+                    for key, attr, _ in json_fields}
         columns = {}
-        for key, attr, convert, has_columns in json_fields:
+        for key, attr, convert in json_fields:
             if skeleton[key]:
                 for name in skeleton[key]:
                     columns[(key, name)] = _spell(run.column(attr, name), ROW_INDENT + "    ")
                 continue
-            values = [{}] * len(run) if has_columns else run.column(attr)
+            values = run.column(attr) if skeleton[key] is None else [{}] * len(run)
             if convert is not None:
                 values = list(map(convert, values))
             columns[(key,)] = _spell(values, ROW_INDENT + "  ")
         yield _rows_pieces(len(run), _row_template(skeleton), columns)
 
 
-def _list_rows(rows) -> Iterator[list[str]]:
-    """Yield the pieces of a top-level list: a ``RecordTable``'s records from
-    their columns, each row of any other list as json.dumps spells it."""
-    if isinstance(rows, RecordTable):
-        yield from _table_rows(rows)
-    else:
-        yield from ([",\n" + ROW_INDENT + _json_value(row, ROW_INDENT)] for row in rows)
-
-
 def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
     """Yield, in chunks, the text json.dumps(indent=2, sort_keys=True) gives
     ``head`` with the lists of ``lists`` added, and a newline.
 
-    Each value of ``head`` goes through json.dumps.  Each list is given as an
-    iterable of the pieces of its rows, one nonempty list of pieces per
-    chunk, each row starting with the list separator.
+    Each value of ``head``, plain lists included, goes through json.dumps.
+    Each list of ``lists`` is an iterable of the pieces of its rows, one
+    nonempty list of pieces per chunk, each row starting with the separator.
     """
     opening = "{"
     for key in sorted([*head, *lists]):
@@ -468,16 +458,15 @@ class DensityRows:
 def json_chunks(report: dict) -> Iterator[str]:
     """``json_report``'s text of ``report``, in chunks.
 
-    A top-level ``RecordTable``, such as a report's checks, is written from
-    row templates filled from its columns, as its class's ``json_fields``
-    declares them, each column spelled in one pass: one template for each
-    run of blocks whose map with columns has the same keys.  A row of any
-    other top-level list is spelled by json.dumps.  A ``DensityRows`` is
-    written one block of rows at a time.  Every key is a string.
+    A top-level ``RecordTable``, such as verify's checks, is written from
+    row templates filled from its columns, each spelled in one pass: one
+    template for each run of blocks whose map-valued column (the map with
+    columns) has the same keys.  A ``DensityRows`` is written one block of
+    rows at a time.  Every other value, such as the moments checks, a plain
+    list, goes through json.dumps.  Every key is a string.
     """
-    lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _list_rows(value)
-             for key, value in report.items()
-             if isinstance(value, (list, tuple, DensityRows, RecordTable))}
+    lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _table_rows(value)
+             for key, value in report.items() if isinstance(value, (DensityRows, RecordTable))}
     return _report_chunks({key: value for key, value in report.items() if key not in lists},
                           lists)
 

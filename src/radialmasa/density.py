@@ -17,7 +17,7 @@ terms), each sum in ascending j; a term is g_j(t) g_k(s) when |c| = 1 and
 (|c| g_j(t)) g_k(s) otherwise.  This fixed order makes the values exactly
 symmetric under (t, s) exchange.  The normalized values satisfy g_0 = 1,
 g_1 = t/degree, g_{k+1} = (t*g_k - g_{k-1})/branching, which keeps every
-intermediate bounded.
+intermediate bounded; ``spectral.chi_table`` gives them.
 
 Both grid functions evaluate one block of about ``BLOCK_POINTS`` points
 (whole rows of the leading axis) at a time into one preallocated output,
@@ -83,7 +83,7 @@ from .errors import QuadratureError
 from .identities import (
     JsonRecord, RecordTable, degree_pairs, fraction_str, pairing_closed, pairing_exact,
     standard_test_vectors)
-from .spectral import SpectralParams, chi_eval_recurrence, lambda_rule
+from .spectral import SpectralParams, chi_table, lambda_rule
 
 # Points per block of leading-axis rows in the grid functions, and per block
 # of grid rows in the CLI export: small enough that a block's temporaries
@@ -109,8 +109,8 @@ class PairingReport(JsonRecord):
 def series_tail_bound(truncation: int, params: SpectralParams) -> float:
     """Rigorous bound on the series tail beyond index ``truncation``.
 
-    Each normalized value obeys |g_n| <= 3n * b**(-n/2) (from
-    |sin n theta| <= n sin theta and 2*branching_ratio < 2), so the n-th
+    With b = 2N - 1, each normalized value obeys |g_n| <= 3n * b**(-n/2)
+    (from |sin n theta| <= n sin theta and b/N < 2), so the n-th
     series term is bounded by 36 n^2 b^-n and the tail by the exact
     geometric-polynomial sum
 
@@ -129,19 +129,6 @@ def series_tail_bound(truncation: int, params: SpectralParams) -> float:
         + 2.0 * k1 * x / one_minus**2
         + x * (1.0 + x) / one_minus**3
     )
-
-
-def _normalized_chi_table(t: np.ndarray, max_n: int, params: SpectralParams) -> np.ndarray:
-    """g_n(t) = p_n(t)/|p_n|^2 for n = 0..max_n, shape (max_n+1,) + t.shape."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((max_n + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if max_n >= 1:
-        out[1] = t / params.degree
-    b = float(params.branching)
-    for k in range(1, max_n):
-        out[k + 1] = (t * out[k] - out[k - 1]) / b
-    return out
 
 
 def _check_points(t, s, params: SpectralParams) -> None:
@@ -218,7 +205,7 @@ def density_series_grid(
     _check_points(t, s, params)
     blocks = _series_blocks(truncation)
     values = _grid(t, s, lambda gt, gs: _series_sum(gt, gs, blocks),
-                   lambda x: _normalized_chi_table(x, truncation + 1, params))
+                   lambda x: chi_table(x, truncation + 1, params, normalized=True))
     return (values if values.ndim else values[()]), series_tail_bound(truncation, params)
 
 
@@ -282,8 +269,8 @@ def chi_pair_integral(j: int, k: int, params: SpectralParams, tol: float) -> flo
     for order in (32, 64, 128, 256, 512):
         t, w = lambda_rule(order, params.rank)
         grid, _ = density_closed_grid(t[:, None], t[None, :], params)
-        left = w * chi_eval_recurrence(j, t, params)
-        right = w * chi_eval_recurrence(k, t, params)
+        p = chi_table(t, max(j, k), params)
+        left, right = w * p[j], w * p[k]
         est = float(left @ grid @ right)
         if prev is not None and abs(est - prev) <= tol:
             return est

@@ -31,13 +31,13 @@ stays below 2^61: r in quarter units below 2^56, 2 c below 2^60, D below
 10^18.  Every other value (+-0, subnormals, nan, +-inf and the magnitudes
 outside the domain) is spelled by ``repr`` itself, one value at a time.
 
-The tests (``tests/test_floatrepr.py``, against ``repr``) pin the nearer
-multiple, the tie to the even digit and the narrower gap below a power of
-two: without that gap 2^-25 and 2^-24 come out one digit short.  No test
-can pin the inclusion of the ends for even m: in units of 2^-(s+2) the
-ends are 4r + 2c and 4r - 2c (or 4r - c), none a multiple of 4 as c is
-odd, so neither end is ever an integer and the rule decides no value.  It
-is kept because it defines the round-trip interval.
+In units of 2^-(s+2) the ends of the interval are 4r + 2c and 4r - 2c (or
+4r - c), none a multiple of 4 as c is odd, so neither end is ever an
+integer: whether an end is included decides no value, and the kernel takes
+the integers strictly inside.  The tests (``tests/test_floatrepr.py``,
+against ``repr``) pin that, the nearer multiple, the tie to the even digit
+and the narrower gap below a power of two: without that gap 2^-25 and
+2^-24 come out one digit short.
 """
 
 from __future__ import annotations
@@ -133,17 +133,12 @@ def _scaled(m: np.ndarray, c: np.ndarray, s: np.ndarray):
 
 def _interval(m: np.ndarray, c: np.ndarray, s: np.ndarray, d: np.ndarray, r: np.ndarray):
     """The least and the greatest integer in the round-trip interval of
-    v = d + r / 2^s, worked in units of 2^-(s+2)."""
+    v = d + r / 2^s, worked in units of 2^-(s+2), where no end is one."""
     s2 = s + _TWO
-    unit = (_ONE << s2) - _ONE
     quarters = r << _TWO
     hi4 = c.astype(np.int64) << _ONE
     lo4 = hi4 >> (m == _HIDDEN).astype(np.int64)
-    odd = (m & np.uint64(1)).astype(bool)
-    top, bottom = quarters + hi4, quarters - lo4
-    least = d + (bottom >> s2) + ((bottom & unit != _ZERO) | odd)
-    most = d + (top >> s2) - ((top & unit == _ZERO) & odd)
-    return least, most
+    return d + ((quarters - lo4) >> s2) + _ONE, d + ((quarters + hi4) >> s2)
 
 
 def _layout(q: np.ndarray, nd: np.ndarray, e: np.ndarray, negative: np.ndarray) -> list[str]:

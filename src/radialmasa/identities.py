@@ -68,21 +68,19 @@ class JsonRecord:
     """A report dataclass written as one JSON object, one key per field.
 
     A field's key is its name and its value the attribute as it is, unless
-    the field's ``metadata`` gives a ``key``, a ``convert`` function for the
-    value, or ``columns``: the value is a map written one column per key (at
-    most one field of a record has columns).  ``json_fields`` reads that off
-    the fields; ``to_json_dict`` and the CLI's writer of a ``RecordTable``
-    both read it."""
+    the field's ``metadata`` gives a ``key`` or a ``convert`` function for
+    the value.  ``json_fields`` reads that off the fields; ``to_json_dict``
+    and the CLI's writer of a ``RecordTable`` both read it."""
 
     @classmethod
-    def json_fields(cls) -> list[tuple[str, str, Callable | None, bool]]:
-        """(key, attribute, convert, columns) for each field, in field order."""
-        return [(f.metadata.get("key", f.name), f.name, f.metadata.get("convert"),
-                 f.metadata.get("columns", False)) for f in fields(cls)]
+    def json_fields(cls) -> list[tuple[str, str, Callable | None]]:
+        """(key, attribute, convert) for each field, in field order."""
+        return [(f.metadata.get("key", f.name), f.name, f.metadata.get("convert"))
+                for f in fields(cls)]
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, attr) if convert is None else convert(getattr(self, attr))
-                for key, attr, convert, _ in self.json_fields()}
+                for key, attr, convert in self.json_fields()}
 
 
 @dataclass
@@ -90,7 +88,7 @@ class CheckReport(JsonRecord):
     """Outcome of one exact identity check."""
 
     lemma: str
-    params: dict = field(metadata={"columns": True})
+    params: dict
     lhs: str
     rhs: str
     passed: bool = field(metadata={"key": "pass"})

@@ -10,7 +10,7 @@ density
 derived from the classical moment generating function by Stieltjes
 inversion and validated here against exact walk counts, never assumed.
 The length-n word sums become orthogonal polynomials p_n(t) under this
-measure, evaluated by the three-term recurrence
+measure, evaluated by ``chi_table`` from the three-term recurrence
 
     p_0 = 1,  p_1 = t,  p_2 = t**2 - 2N,
     p_{k+1} = t * p_k - (2N-1) * p_{k-1}   (k >= 2).
@@ -62,35 +62,44 @@ class SpectralParams:
     def halfwidth(self) -> float:
         return 2.0 * math.sqrt(self.branching)
 
-    @property
-    def branching_ratio(self) -> float:
-        """branching / degree, strictly between 0 and 1."""
-        return self.branching / self.degree
-
     def outside(self, t):
         """Elementwise: |t| past the halfwidth beyond roundoff, or t is NaN."""
         return np.logical_not(np.abs(t) <= self.halfwidth * (1 + 1e-12))
 
 
+def chi_table(t, max_n: int, params: SpectralParams, normalized: bool = False) -> np.ndarray:
+    """p_n(t) for n = 0..max_n, shape (max_n+1,) + shape(t); with
+    ``normalized``, g_n(t) = p_n(t) / |p_n|^2 instead.
+
+    Each step is p_{k+1} = t p_k - beta_k p_{k-1} (beta_1 = 2N, then 2N-1),
+    divided for g by |p_{k+1}|^2 / |p_k|^2 (2N at k = 0, then 2N-1), which
+    turns each beta_k term of g into 1.  A factor or divisor of 1.0 is exact.
+    """
+    t = np.asarray(t, dtype=float)
+    d, b = float(params.degree), float(params.branching)
+    out = np.empty((max_n + 1,) + t.shape)
+    out[0] = 1.0
+    if max_n:
+        out[1] = t / (d if normalized else 1.0)
+    for k in range(1, max_n):
+        beta, ratio = (1.0, b) if normalized else (d if k == 1 else b, 1.0)
+        out[k + 1] = (t * out[k] - beta * out[k - 1]) / ratio
+    return out
+
+
 def chi_eval_recurrence(n: int, t, params: SpectralParams):
-    """Evaluate p_n(t) by the three-term recurrence; accepts scalars or arrays.
+    """p_n(t), the last row of ``chi_table``; accepts scalars or arrays.
 
     Values outside the spectrum are allowed for experimentation but grow
     exponentially, so they trigger a warning.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = np.array(t, dtype=float)  # a copy: p_1 is t itself
+    t = np.asarray(t, dtype=float)
     if np.any(params.outside(t)):
         warnings.warn("evaluating outside the spectral interval", stacklevel=2)
-    ones = np.ones_like(t)
-    if n == 0:
-        return ones if t.shape else float(ones)
-    prev, cur = ones, t
-    for k in range(1, n):
-        coeff = params.degree if k == 1 else params.branching
-        prev, cur = cur, t * cur - coeff * prev
-    return cur if t.shape else float(cur)
+    p_n = chi_table(t, n, params)[n].copy()  # not a view that keeps the table
+    return p_n if t.shape else float(p_n)
 
 
 def kesten_density(t, params: SpectralParams):

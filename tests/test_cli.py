@@ -131,6 +131,19 @@ def test_env_cap_not_integer_rejected(tmp_path, monkeypatch, capsys):
     assert payload["config"]["cap"] is None
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "0"])
+def test_env_cap_checked_only_by_commands_that_read_a_cap(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("RADIAL_MASA_CAP", value)
+    for argv in (["verify", "--max-total", "1"], ["pairing", "--max-total", "1"],
+                 ["moments", "--max-moment", "1"]):
+        assert main(argv + ["--rank", "2"]) == 2
+        assert one_stderr_line(capsys).startswith("configuration error: RADIAL_MASA_CAP")
+    # density and scan take no --cap and read no cap
+    for argv in (["density", "--grid", "4"], ["scan", "--grid", "16"]):
+        assert main(argv + ["--rank", "2", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "options, named",
     [
@@ -849,15 +862,14 @@ def pairing_report(value_quad):
 
 def record_table(blocks, cls=CheckReport):
     """A table of ``cls`` whose blocks hold the records of ``blocks`` by column;
-    the records of a block share their params keys."""
+    params, the field with columns, is a map of columns, and the records of a
+    block share its keys."""
     def columns(records):
-        block = {}
-        for _, attr, _, has_columns in cls.json_fields():
-            values = [getattr(record, attr) for record in records]
-            if has_columns:
-                keys = values[0] if values else {}
-                values = {key: [value[key] for value in values] for key in keys}
-            block[attr] = values
+        block = {attr: [getattr(record, attr) for record in records]
+                 for _, attr, _ in cls.json_fields()}
+        if "params" in block:
+            keys = records[0].params if records else {}
+            block["params"] = {key: [record.params[key] for record in records] for key in keys}
         return block
     return RecordTable(cls, [columns(records) for records in blocks])
 
@@ -897,7 +909,7 @@ def test_record_runs_follow_the_params_keys():
     # blocks with the same keys, in any order, make one
     checks = record_table([[check_report()], [check_report("pairing_cases", {"vec": 1})],
                            [check_report(params={"m": 3, "n": 4, "rank": 2})], [check_report()]])
-    assert len(list(cli._list_rows(checks))) == 3
+    assert len(list(cli._table_rows(checks))) == 3
 
 
 # JSON values for the params columns: maps inside the map, and strings json

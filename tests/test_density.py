@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from radialmasa.density import (
-    _normalized_chi_table,
     chi_pair_integral,
     density_closed_grid,
     density_normalization,
@@ -24,7 +23,7 @@ from radialmasa.algebra import GradedVector, chi, inner_product, multiply
 from radialmasa.cli import main
 from radialmasa.errors import QuadratureError
 from radialmasa.identities import degree_pairs, pairing_closed, pairing_exact
-from radialmasa.spectral import SpectralParams, lambda_rule
+from radialmasa.spectral import SpectralParams, chi_table, lambda_rule
 
 P2 = SpectralParams(2)
 P3 = SpectralParams(3)
@@ -210,8 +209,8 @@ def series_reference(t, s, truncation, params):
     """The series as one explicit loop over n, with its coefficients written
     out: the head 1 + g_1 g_1 - g_2 - g_2, then
     2 g_n g_n - (g_{n-1} g_{n+1} + g_{n+1} g_{n-1}) for each n >= 2."""
-    gt = _normalized_chi_table(t, truncation + 1, params)
-    gs = _normalized_chi_table(s, truncation + 1, params)
+    gt = chi_table(t, truncation + 1, params, normalized=True)
+    gs = chi_table(s, truncation + 1, params, normalized=True)
     total = 1.0 + gt[1] * gs[1] - (gt[2] + gs[2])
     for n in range(2, truncation + 1):
         total = total + (2.0 * gt[n] * gs[n] - (gt[n - 1] * gs[n + 1] + gt[n + 1] * gs[n - 1]))
@@ -591,6 +590,38 @@ def test_marginal_moments_match_cases():
         val = chi_pair_integral(j, 0, P2, 1e-7)
         expected = float(pairing_closed(-1, j, 0, Fraction(1)))
         assert abs(val - expected) <= 1e-6, j
+
+
+def p_loop(n, t, params):
+    """p_n(t) by the three-term recurrence as one loop of its own."""
+    prev, cur = np.ones_like(t), t
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, t * cur - (params.degree if k == 1 else params.branching) * prev
+    return cur
+
+
+def chi_pair_reference(j, k, params, tol):
+    """chi_pair_integral with p_j and p_k each from a loop of its own, over
+    the same ladder of orders."""
+    prev = None
+    for order in (32, 64, 128, 256, 512):
+        t, w = lambda_rule(order, params.rank)
+        grid, _ = density_closed_grid(t[:, None], t[None, :], params)
+        est = float((w * p_loop(j, t, params)) @ grid @ (w * p_loop(k, t, params)))
+        if prev is not None and abs(est - prev) <= tol:
+            return est
+        prev = est
+    raise QuadratureError("no convergence")
+
+
+@pytest.mark.parametrize("params", [P2, SpectralParams(4)], ids=["rank2", "rank4"])
+def test_chi_pair_integral_has_the_bits_of_a_per_pair_loop(params):
+    # pairing_sweep's default tolerance, halved as it passes it on
+    for j, k in degree_pairs(6):
+        value = chi_pair_integral(j, k, params, 5e-7)
+        assert value.hex() == chi_pair_reference(j, k, params, 5e-7).hex(), (j, k)
 
 
 def test_chi_pair_integral_doubles_to_its_last_order(monkeypatch):

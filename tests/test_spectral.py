@@ -12,6 +12,7 @@ from radialmasa.errors import QuadratureError
 from radialmasa.spectral import (
     SpectralParams,
     chi_eval_recurrence,
+    chi_table,
     kesten_density,
     lambda_rule,
     quad_lambda,
@@ -31,7 +32,7 @@ def test_derived_constants():
     assert P2.branching == 3
     assert P2.halfwidth == pytest.approx(2 * math.sqrt(3))
     assert P2.halfwidth**2 == pytest.approx(4 * P2.branching)
-    assert 0 < P2.branching_ratio < 1
+    assert 0 < P2.branching / P2.degree < 1
     with pytest.raises(ValueError):
         SpectralParams(1)
 
@@ -102,6 +103,50 @@ def test_out_of_spectrum_warns():
         chi_eval_recurrence(2, P2.halfwidth + 1.0, P2)
     with pytest.warns(UserWarning):
         chi_eval_recurrence(2, np.array([0.0, math.nan]), P2)
+
+
+def p_loop(n, t, params):
+    """p_n(t) by chi_eval_recurrence's own loop before chi_table."""
+    t = np.array(t, dtype=float)
+    ones = np.ones_like(t)
+    if n == 0:
+        return ones
+    prev, cur = ones, t
+    for k in range(1, n):
+        coeff = params.degree if k == 1 else params.branching
+        prev, cur = cur, t * cur - coeff * prev
+    return cur
+
+
+def g_loop(t, max_n, params):
+    """g_0..g_max_n by the density series' own loop before chi_table."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((max_n + 1,) + t.shape, dtype=float)
+    out[0] = 1.0
+    if max_n >= 1:
+        out[1] = t / params.degree
+    b = float(params.branching)
+    for k in range(1, max_n):
+        out[k + 1] = (t * out[k] - out[k - 1]) / b
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("max_n", [0, 1, 2, 61])
+def test_chi_table_has_the_bits_of_both_loops(rank, max_n):
+    params = SpectralParams(rank)
+    a = params.halfwidth
+    inputs = [lambda_rule(32, rank)[0],
+              -a + (np.arange(33) + 0.5) * (2.0 * a / 33),
+              np.array([a, -a, 0.0, -0.0]),
+              a, -a, 0.0, -0.0, np.array(0.3), np.float64(-1.25)]
+    for t in inputs:
+        p = chi_table(t, max_n, params)
+        g = chi_table(t, max_n, params, normalized=True)
+        p_ref = np.stack([p_loop(n, t, params) for n in range(max_n + 1)])
+        assert p.shape == g.shape == p_ref.shape == (max_n + 1,) + np.shape(t)
+        assert np.array_equal(p.view(np.int64), p_ref.view(np.int64))
+        assert np.array_equal(g.view(np.int64), g_loop(t, max_n, params).view(np.int64))
 
 
 class QuadraticInteger:

@@ -51,6 +51,14 @@ def active_cap(cap: int | None = None) -> int:
     return DEFAULT_CAP
 
 
+def _check_cap(size: int, cap: int | None, what: str) -> None:
+    """Raise ResourceCapError, its message ``what`` and the cap, when ``size``
+    exceeds the effective cap (``active_cap``)."""
+    limit = active_cap(cap)
+    if size > limit:
+        raise ResourceCapError(f"{what}, cap is {limit}")
+
+
 def _as_exact(value) -> int | Fraction:
     if isinstance(value, bool) or not isinstance(value, Rational):
         raise TypeError(f"coefficients must be exact rationals, got {value!r}")
@@ -163,11 +171,7 @@ class GroupAlgebraElement:
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        self._check_rank(other)
-        acc = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc[word] = acc.get(word, 0) - coeff
-        return GroupAlgebraElement._trusted(self.rank, acc)
+        return self + -other
 
     def __neg__(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement._trusted(self.rank, {w: -c for w, c in self.terms.items()})
@@ -219,11 +223,7 @@ def multiply(
     """Bilinear extension of word concatenation, exact coefficients throughout."""
     x._check_rank(y)
     pairs = len(x.terms) * len(y.terms)
-    limit = active_cap(cap)
-    if pairs > limit:
-        raise ResourceCapError(
-            f"product needs {pairs} word multiplications, cap is {limit}"
-        )
+    _check_cap(pairs, cap, f"product needs {pairs} word multiplications")
     acc: dict[Word, int | Fraction] = {}
     get = acc.get
     for wx, cx in x.terms.items():
@@ -261,9 +261,7 @@ def chi(n: int, rank: int, cap: int | None = None) -> GroupAlgebraElement:
     if n < 0:
         raise ValueError("n must be nonnegative")
     size = chi_support_size(n, rank)
-    limit = active_cap(cap)
-    if size > limit:
-        raise ResourceCapError(f"chi({n}) has {size} terms, cap is {limit}")
+    _check_cap(size, cap, f"chi({n}) has {size} terms")
     return GroupAlgebraElement._trusted(rank, {w: 1 for w in words_of_length(n, rank)})
 
 
@@ -272,6 +270,13 @@ def chi(n: int, rank: int, cap: int | None = None) -> GroupAlgebraElement:
 # ----------------------------------------------------------------------
 
 INT64_MAX = 2**63 - 1
+
+
+def _checked_part_size(length: int, rank: int, cap: int | None) -> int:
+    """The entries of a length-``length`` part, checked against the cap."""
+    size = chi_support_size(length, rank)
+    _check_cap(size, cap, f"a length-{length} vector has {size} entries")
+    return size
 
 
 def _exact_array(values: list) -> np.ndarray:
@@ -398,7 +403,6 @@ class GradedVector:
     def from_element(cls, x: GroupAlgebraElement, cap: int | None = None) -> "GradedVector":
         """The graded form of ``x``.  A part longer than the cap raises
         ResourceCapError, as a product with that many word pairs would."""
-        limit = active_cap(cap)
         words = list(x.terms)
         lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
         letters = np.fromiter(chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum()))
@@ -407,11 +411,7 @@ class GradedVector:
         coeffs = _exact_array(list(x.terms.values()))
         parts = {}
         for length in np.flatnonzero(np.bincount(lengths)).tolist():
-            size = chi_support_size(length, x.rank)
-            if size > limit:
-                raise ResourceCapError(
-                    f"a length-{length} vector has {size} entries, cap is {limit}"
-                )
+            size = _checked_part_size(length, x.rank, cap)
             rows = np.flatnonzero(lengths == length)
             word_digits = digits[starts[rows, None] + np.arange(length)]
             part = np.zeros(size, dtype=coeffs.dtype)
@@ -469,12 +469,7 @@ class GradedVector:
         """
         rank = self.rank
         if top and self.parts:
-            longest = max(self.parts) + top
-            size, limit = chi_support_size(longest, rank), active_cap(cap)
-            if size > limit:
-                raise ResourceCapError(
-                    f"a length-{longest} vector has {size} entries, cap is {limit}"
-                )
+            _checked_part_size(max(self.parts) + top, rank, cap)
         bounds = self.bounds.values()
         fits = None not in bounds and (
             max(bounds, default=0) * chi_support_size(top + 1, rank) <= INT64_MAX

@@ -209,17 +209,14 @@ def _spell(column: list, indent: str) -> list[str]:
     """Each value of ``column`` as ``_json_value`` spells it.
 
     A column of one scalar type is spelled in one pass: bools before ints,
-    the floats as one ``_block_texts`` block, each distinct int by str and
-    each distinct string by json.dumps once.
+    the floats as one ``_block_texts`` block, and each distinct int or
+    string by json.dumps once.
     """
     kinds = set(map(type, column))
-    if kinds == {str}:
-        escaped = {text: json.dumps(text) for text in set(column)}
-        return list(map(escaped.__getitem__, column))
     if kinds == {bool}:
         return ["true" if value else "false" for value in column]
-    if kinds == {int}:
-        spelled = {value: str(value) for value in set(column)}
+    if kinds == {int} or kinds == {str}:
+        spelled = {value: json.dumps(value) for value in set(column)}
         return list(map(spelled.__getitem__, column))
     if kinds == {float}:
         return next(_block_texts(column, len(column), "json"))

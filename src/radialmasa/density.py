@@ -131,17 +131,21 @@ def series_tail_bound(truncation: int, params: SpectralParams) -> float:
     )
 
 
-def _check_points(t, s, params: SpectralParams) -> None:
+def _points(t, s, params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` and ``s`` as float arrays, each point in the closed spectral square."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     if np.any(params.outside(t)) or np.any(params.outside(s)):
         raise ValueError("point outside the closed spectral square")
+    return t, s
 
 
-def _grid(t: np.ndarray, s: np.ndarray, kernel, table=np.asarray) -> np.ndarray:
-    """``kernel(table(t), table(s))`` on the broadcast shape of ``t`` and ``s``,
-    one block of about BLOCK_POINTS points (whole rows of the leading axis) at
-    a time into one preallocated output.  ``table`` maps an input to the
-    arrays the kernel reads, its last axes those of the input, and the
-    kernel gives (x, y) and (y, x) the same bits.
+def _grid(t: np.ndarray, s: np.ndarray, kernel, table=np.asarray):
+    """``kernel(table(t), table(s))`` on the broadcast shape of ``t`` and ``s``:
+    a NumPy scalar when that shape is (), else one block of about BLOCK_POINTS
+    points (whole rows of the leading axis) at a time into one preallocated
+    output.  ``table`` maps an input to the arrays the kernel reads, its last
+    axes those of the input, and the kernel gives (x, y) and (y, x) the same
+    bits.
 
     An input that spans the leading axis is tabled a block at a time, any
     other once.  When ``t`` is a column axis and ``s`` a row axis with the
@@ -150,10 +154,9 @@ def _grid(t: np.ndarray, s: np.ndarray, kernel, table=np.asarray) -> np.ndarray:
     module docstring).  Any other input is evaluated in full.
     """
     shape = np.broadcast_shapes(t.shape, s.shape)
-    values = np.empty(shape)
     if not shape:
-        values[()] = kernel(table(t), table(s))
-        return values
+        return np.float64(kernel(table(t), table(s)))
+    values = np.empty(shape)
     n = shape[0]
     mirror = t.shape == (n, 1) and s.shape == (1, n) and t.tobytes() == s.tobytes()
     spans = [x.ndim == len(shape) and x.shape[0] == n for x in (t, s)]
@@ -192,7 +195,8 @@ def _series_blocks(truncation: int) -> tuple:
 def density_series_grid(
     t, s, truncation: int, params: SpectralParams
 ) -> tuple[np.ndarray, float]:
-    """Truncated series on broadcastable arrays; returns (values, tail_bound).
+    """Truncated series on broadcastable arrays; returns (values, tail_bound),
+    the values a NumPy scalar for scalar inputs.
 
     On a grid, pass the axes ``t[:, None], s[None, :]``: each chi table then
     holds one axis, the s table is built once, and on one axis the grid is
@@ -200,13 +204,11 @@ def density_series_grid(
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_points(t, s, params)
+    t, s = _points(t, s, params)
     blocks = _series_blocks(truncation)
     values = _grid(t, s, lambda gt, gs: _series_sum(gt, gs, blocks),
                    lambda x: chi_table(x, truncation + 1, params, normalized=True))
-    return (values if values.ndim else values[()]), series_tail_bound(truncation, params)
+    return values, series_tail_bound(truncation, params)
 
 
 def _series_sum(gt: np.ndarray, gs: np.ndarray, blocks: tuple) -> np.ndarray:
@@ -234,16 +236,15 @@ def _series_sum(gt: np.ndarray, gs: np.ndarray, blocks: tuple) -> np.ndarray:
 
 
 def density_closed_grid(t, s, params: SpectralParams) -> tuple[np.ndarray, np.float64]:
-    """Closed form on broadcastable arrays; returns (values, tail), tail = 0.0.
+    """Closed form on broadcastable arrays; returns (values, tail), tail = 0.0,
+    the values a NumPy scalar for scalar inputs.
 
     The values are exact up to roundoff on the whole closed square.  On a
     grid, pass the axes ``t[:, None], s[None, :]``: the squares and
     4N^2 - t^2 are then computed on the axes, and on one axis the grid is
     mirrored (``_grid``).
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_points(t, s, params)
+    t, s = _points(t, s, params)
     n, b = params.rank, float(params.branching)
     d2, k = 4.0 * n * n, (b * b - 1.0) ** 2
 

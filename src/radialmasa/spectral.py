@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
@@ -67,28 +66,39 @@ class SpectralParams:
         return np.logical_not(np.abs(t) <= self.halfwidth * (1 + 1e-12))
 
 
-def chi_table(t, max_n: int, params: SpectralParams, normalized: bool = False) -> np.ndarray:
-    """p_n(t) for n = 0..max_n, shape (max_n+1,) + shape(t); with
-    ``normalized``, g_n(t) = p_n(t) / |p_n|^2 instead.
+def _chi_rows(t: np.ndarray, max_n: int, params: SpectralParams, normalized: bool):
+    """p_0(t), ..., p_max_n(t) one row at a time (g_n with ``normalized``),
+    each from the two rows before it.
 
     Each step is p_{k+1} = t p_k - beta_k p_{k-1} (beta_1 = 2N, then 2N-1),
     divided for g by |p_{k+1}|^2 / |p_k|^2 (2N at k = 0, then 2N-1), which
     turns each beta_k term of g into 1.  A factor or divisor of 1.0 is exact.
     """
-    t = np.asarray(t, dtype=float)
     d, b = float(params.degree), float(params.branching)
-    out = np.empty((max_n + 1,) + t.shape)
-    out[0] = 1.0
+    row = np.ones(t.shape)
+    yield row
     if max_n:
-        out[1] = t / (d if normalized else 1.0)
+        prev, row = row, t / (d if normalized else 1.0)
+        yield row
     for k in range(1, max_n):
         beta, ratio = (1.0, b) if normalized else (d if k == 1 else b, 1.0)
-        out[k + 1] = (t * out[k] - beta * out[k - 1]) / ratio
+        prev, row = row, (t * row - beta * prev) / ratio
+        yield row
+
+
+def chi_table(t, max_n: int, params: SpectralParams, normalized: bool = False) -> np.ndarray:
+    """p_n(t) for n = 0..max_n, shape (max_n+1,) + shape(t); with
+    ``normalized``, g_n(t) = p_n(t) / |p_n|^2 instead (``_chi_rows``)."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((max_n + 1,) + t.shape)
+    for n, row in enumerate(_chi_rows(t, max_n, params, normalized)):
+        out[n] = row
     return out
 
 
 def chi_eval_recurrence(n: int, t, params: SpectralParams):
-    """p_n(t), the last row of ``chi_table``; accepts scalars or arrays.
+    """p_n(t), the last row of ``chi_table`` with only two rows kept;
+    accepts scalars or arrays.
 
     Values outside the spectrum are allowed for experimentation but grow
     exponentially, so they trigger a warning.
@@ -98,7 +108,8 @@ def chi_eval_recurrence(n: int, t, params: SpectralParams):
     t = np.asarray(t, dtype=float)
     if np.any(params.outside(t)):
         warnings.warn("evaluating outside the spectral interval", stacklevel=2)
-    p_n = chi_table(t, n, params)[n].copy()  # not a view that keeps the table
+    for p_n in _chi_rows(t, n, params, normalized=False):
+        pass
     return p_n if t.shape else float(p_n)
 
 
@@ -122,6 +133,9 @@ def lambda_rule(order: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
     Returns nodes t_i and weights w_i with  integral g dlambda ~= sum w_i g(t_i);
     the weights sum to 1 exactly in the order -> infinity limit.
     """
+    # imported here, so that commands that build no rule never load numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
     params = SpectralParams(rank)
     x, glw = leggauss(order)
     theta = (x + 1.0) * (math.pi / 2.0)

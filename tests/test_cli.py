@@ -598,6 +598,21 @@ def test_density_runaway_grid_fails_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_import_leaves_out_numpy_polynomial():
+    # only lambda_rule needs leggauss; verify, density and scan build no rule
+    script = ("import sys, numpy\n"
+              "print('numpy.polynomial' in sys.modules)\n"
+              "import radialmasa.cli\n"
+              "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    by_numpy, by_cli = proc.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("this numpy loads numpy.polynomial on import")
+    assert by_cli == "False"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_density_export_peak_below_output_size(fmt, tmp_path):
     # the text is written one block of rows at a time, never held whole

@@ -124,6 +124,18 @@ GRIDS = {
 }
 
 
+@pytest.mark.parametrize("name", GRIDS)
+def test_grids_give_a_numpy_scalar_for_scalar_inputs(name):
+    grid = GRIDS[name]
+    for t, s in [(0.0, 0.0), (np.array(0.5), -1.0), (np.float64(-0.25), np.array(1.0))]:
+        value, _ = grid(t, s, P3)
+        assert type(value) is np.float64
+        assert value == grid([t], [s], P3)[0][0]
+    for t, s, shape in [([0.5], 0.0, (1,)), (np.zeros((2, 1)), np.zeros(3), (2, 3))]:
+        values, _ = grid(t, s, P3)
+        assert type(values) is np.ndarray and values.shape == shape
+
+
 def counted_points(monkeypatch):
     """A list that collects the number of points of each kernel call."""
     points, real = [], density._grid

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,28 @@ def test_chi_table_has_the_bits_of_both_loops(rank, max_n):
         assert p.shape == g.shape == p_ref.shape == (max_n + 1,) + np.shape(t)
         assert np.array_equal(p.view(np.int64), p_ref.view(np.int64))
         assert np.array_equal(g.view(np.int64), g_loop(t, max_n, params).view(np.int64))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 61])
+def test_recurrence_has_the_bits_of_the_table_row(rank, n):
+    params = SpectralParams(rank)
+    a = params.halfwidth
+    for t in [lambda_rule(32, rank)[0], np.array([a, -a, 0.0, -0.0]), a, -0.0, np.array(0.3)]:
+        p_n = np.asarray(chi_eval_recurrence(n, t, params))
+        assert np.array_equal(p_n.view(np.int64), chi_table(t, n, params)[n].view(np.int64))
+
+
+def test_recurrence_keeps_only_the_latest_rows():
+    # the whole 201-row table of 100,000 points would hold 160.8 MB
+    t = np.linspace(-P3.halfwidth, P3.halfwidth, 100_000)
+    tracemalloc.start()
+    try:
+        chi_eval_recurrence(200, t, P3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class QuadraticInteger:

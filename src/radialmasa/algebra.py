@@ -8,7 +8,8 @@ floats are rejected so every identity can be checked with equality.
 ``GradedVector`` holds the same data by word length, one exact coefficient
 array per length, so that inner products become array dot products, a
 right product by chi_m becomes row sums over spheres of the Cayley tree of
-reshaped parts, and the adjoint becomes one gather per length.
+reshaped parts, and a left product chi_n v of a length-one v becomes two
+gathers by last letter.
 """
 
 from __future__ import annotations
@@ -335,32 +336,6 @@ def _last_digits(rank: int, length: int) -> np.ndarray:
     return out
 
 
-@cache
-def _inverse_positions(rank: int, length: int) -> np.ndarray:
-    """Position of the inverse of each word of length ``length``, by position.
-
-    The inverse of w = u a is a^-1 u^-1: its leading digit is that of a^-1,
-    and its second letter, the leading letter of u^-1 (digit f), skips the
-    inverse of a^-1, which is a; the rest reads as in u^-1.  So each table is
-    built from the one before and the last-digit table, and, like those, is
-    read-only and kept for the process.  Inversion is an involution, so the
-    table is its own inverse permutation.
-    """
-    if length == 0:
-        out = np.zeros(1, dtype=np.int64)
-    elif length == 1:
-        out = np.arange(2 * rank, dtype=np.int64) ^ 1
-    else:
-        base = 2 * rank - 1
-        d = _last_digits(rank, length)
-        f, r = np.divmod(
-            np.repeat(_inverse_positions(rank, length - 1), base), base ** (length - 2)
-        )
-        out = ((d ^ 1) * base + f - (f > d)) * base ** (length - 2) + r
-    out.setflags(write=False)
-    return out
-
-
 def _exact_dot(a: np.ndarray, a_bound: int | None, b: np.ndarray, b_bound: int | None):
     # |sum a_i b_i| <= max|a| max|b| len, and so is every partial sum
     if a_bound is not None and b_bound is not None and a_bound * b_bound * len(a) <= INT64_MAX:
@@ -499,14 +474,31 @@ class GradedVector:
             out.append(GradedVector(rank, sums))
         return out
 
-    def adjoint(self) -> "GradedVector":
-        """Each word inverted, as ``GroupAlgebraElement.adjoint``: a gather of
-        every part through the inverse-position table, so coefficients only move
-        and every bound holds as it was."""
-        out = GradedVector(self.rank)
-        out.parts = {n: part[_inverse_positions(self.rank, n)] for n, part in self.parts.items()}
-        out.bounds = dict(self.bounds)
-        return out
+    def chi_times(self, n: int, cap: int | None = None) -> "GradedVector":
+        """chi_n x for an x supported on length one, read off x by last letter.
+
+        A word s of length n times a letter l is the word s l of length n + 1,
+        which ends in l, unless s ends in l^-1, when it is s less that letter,
+        a word of length n - 1 that does not end in l.  So chi_n x at a word u
+        is x at the last letter of u when |u| = n + 1, and the sum of x less x
+        at that letter when |u| = n - 1 (the whole sum at the empty word, for
+        n = 1): each part is one gather through the last-digit table.  The
+        first only moves entries; the sum adds up all 2N entries of x, so the
+        second runs in int64 only when 2N max|x| fits, and in object arrays
+        otherwise.  A length-(n + 1) part with more entries than the cap
+        raises ResourceCapError before it is built.
+        """
+        if self.parts.keys() - {1}:
+            raise ValueError("chi_times needs a vector supported on length one")
+        if n == 0 or not self.parts:
+            return self
+        rank, x, bound = self.rank, self.parts[1], self.bounds[1]
+        _checked_part_size(n + 1, rank, cap)
+        wide = x if bound is not None and 2 * rank * bound <= INT64_MAX else x.astype(object)
+        lower = wide.sum(keepdims=True)
+        if n > 1:
+            lower = lower - wide[_last_digits(rank, n - 1)]
+        return GradedVector(rank, {n + 1: x[_last_digits(rank, n + 1)], n - 1: lower})
 
     def project_length(self, length: int) -> "GradedVector":
         """The part of word length ``length``, sharing its array."""

@@ -17,24 +17,25 @@ vector (or ordered pair of them) for each family off those tables.  Each
 block returns its checks by column, as a ``RecordTable`` of ``CheckReport``.
 
 A table holds each triple product chi_n v chi_m as a ``GradedVector``: one
-exact coefficient array per word length, indexed by word position.  Row 0,
-every v chi_m, is one ``GradedVector.times_chi`` pass over v, which reads
-the coefficient of x chi_m at a word u as the sum of x over the sphere of
-radius m around u in the Cayley tree, by row sums of reshaped parts.
-chi_n v comes from v chi_n by inverting every word: chi_n is self-adjoint
-and v* = sign v, so chi_n v = sign (v chi_n)*, a permutation of positions
-(``GradedVector.adjoint``).  Row n is one more pass over chi_n v.
-``pairing_exact`` reads <chi_j v chi_k, v> off row 0 and the same adjoint.  The
+exact coefficient array per word length, indexed by word position.  chi_n v
+is read off v by last letter (``GradedVector.chi_times``): a word u of length
+n + 1 gets v at its last letter, and one of length n - 1 the sum of v less
+that, two gathers by last letter.  Row n, every chi_n v chi_m, is one
+``GradedVector.times_chi`` pass over chi_n v, which reads the coefficient of
+x chi_m at a word u as the sum of x over the sphere of radius m around u in
+the Cayley tree, by row sums of reshaped parts.  ``pairing_exact`` reads
+<chi_j v chi_k, v> = <v chi_k, chi_j v> off row 0 and the same chi_j v.  The
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
 the expansion check compares two graded vectors length by length.  This
 changes only how the brute-force values are built and stored, not what they
 are: x chi_m at u is the sum of the coefficients x(u s^-1) over the reduced
-words s of length m, that is over the words at distance m from u, and the
-adjoint only moves coefficients, so every coefficient is still a sum of word
-products, held as an int or a Fraction (int64 only where a bound rules out
-overflow).  No recurrence among the chi_n is used, so the oracle is still
-the group algebra and equality is still exact.
+words s of length m, that is over the words at distance m from u, and chi_n v
+at u the sum of v(l) over the letters l with u l^-1 of length n, so every
+coefficient is still a sum of word products, held as an int or a Fraction
+(int64 only where a bound rules out overflow).  No recurrence among the chi_n
+is used, so the oracle is still the group algebra and equality is still
+exact.
 """
 
 from __future__ import annotations
@@ -236,19 +237,15 @@ def sandwich_table(
 ) -> SandwichTable:
     """``table[n][m]`` = chi_n v chi_m by length, for every n + m <= max_total.
 
-    Row 0 is one ``times_chi`` pass over v, each v chi_m a sphere sum of v.
-    Row n is one pass over chi_n v = sign (v chi_n)*, since chi_n is
-    self-adjoint and v* = sign v.  The top length n + m + 1 of a cell is the
-    component v_{n,m}.  Each pass checks the cap once, against its longest
-    length, before it builds any array.
+    Row n is one ``times_chi`` pass over chi_n v (``GradedVector.chi_times``,
+    two gathers of v by last letter; chi_0 v is v), each chi_n v chi_m a
+    sphere sum of chi_n v.  The top length n + m + 1 of a cell is the
+    component v_{n,m}.  Each step checks the cap against its longest length
+    before it builds any array.
     """
-    rank = v.element.rank
-    right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)
-    table = [right]
-    for n in range(1, max_total + 1):
-        left = GradedVector.combination(rank, [(v.sign, right[n].adjoint())])
-        table.append(left.times_chi(max_total - n, cap))
-    return table
+    graded = GradedVector.from_element(v.element, cap)
+    return [graded.chi_times(n, cap).times_chi(max_total - n, cap)
+            for n in range(max_total + 1)]
 
 
 def component(table: SandwichTable, r: int, s: int) -> GradedVector:
@@ -258,15 +255,16 @@ def component(table: SandwichTable, r: int, s: int) -> GradedVector:
 
 def pairing_exact(v: InversionEigenvector, max_total: int,
                   cap: int | None = None) -> dict[tuple[int, int], Rational]:
-    """{(j, k): <chi_j v chi_k, v> = sign <v chi_k, (v chi_j)*>} for every
-    j + k <= max_total, exact: one ``times_chi`` pass over v and one adjoint per
-    j, as in ``sandwich_table``, with the sign applied to the scalar."""
+    """{(j, k): <chi_j v chi_k, v> = <v chi_k, chi_j v>} for every j + k <=
+    max_total, exact: the trace is cyclic and the coefficients are real, so
+    the pairing reads one ``times_chi`` pass over v against one
+    ``GradedVector.chi_times`` per j, as in ``sandwich_table``."""
     right = GradedVector.from_element(v.element, cap).times_chi(max_total, cap)
     values = {}
     for j in range(max_total + 1):
-        left = right[j].adjoint()
+        left = right[0].chi_times(j, cap)
         for k in range(max_total - j + 1):
-            values[j, k] = v.sign * right[k].inner(left)
+            values[j, k] = right[k].inner(left)
     return values
 
 

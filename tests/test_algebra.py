@@ -237,8 +237,8 @@ exact_coeffs = st.one_of(
 )
 
 
-def exact_elements(rank=2, max_len=4):
-    word_pool = [w for n in range(max_len + 1) for w in words_of_length(n, rank)]
+def exact_elements(rank=2, max_len=4, min_len=0):
+    word_pool = [w for n in range(min_len, max_len + 1) for w in words_of_length(n, rank)]
     return st.dictionaries(st.sampled_from(word_pool), exact_coeffs, max_size=8).map(
         lambda terms: GroupAlgebraElement(rank, terms)
     )
@@ -290,7 +290,13 @@ def test_graded_int64_extremes_match_object_arrays(entries):
     other = GradedVector(2, {1: np.array([1, -1, INT64_MAX, 2], dtype=np.int64)})
     assert narrow.norm_sq() == wide.norm_sq() == 2**126 + sum(e * e for e in entries)
     assert narrow.inner(other) == wide.inner(other)
-    assert narrow.adjoint() == wide.adjoint()
+    # chi_n times the length-one part: the lower part sums entries past INT64_MAX
+    with pytest.raises(ValueError):
+        narrow.chi_times(1)
+    x = element(2, dict(zip(words_of_length(1, 2), entries)))
+    for n in range(5):
+        assert (narrow.project_length(1).chi_times(n) == wide.project_length(1).chi_times(n)
+                == GradedVector.from_element(multiply(chi(n, 2), x)))
     for coeffs in ([1], [-1], [2, -1]):
         for extra in ([], [(1, other)]):
             narrow_sum, wide_sum = (
@@ -307,26 +313,34 @@ def test_graded_vector_cap():
 
 @given(
     st.integers(2, 4).flatmap(
-        lambda rank: st.tuples(st.just(rank), exact_elements(rank, max_len=3), exact_coeffs)
+        lambda rank: st.tuples(st.just(rank), exact_elements(rank, max_len=3), exact_coeffs,
+                               exact_elements(rank, max_len=1, min_len=1))
     ),
     st.integers(0, 3),
 )
-# x chi_1 has 2**63 at the empty word; x chi_3 sums entries near 2**63
-@example((2, element(2, {(1,): 2**62, (2,): 2**62}), 0), 1)
-@example((3, element(3, {(1, 2): INT64_MAX, (-3,): -INT64_MAX}), 2**62), 3)
+# x chi_1 has 2**63 at the empty word; x chi_3 sums entries near 2**63; chi_1 v has
+# the sum of v at the empty word, past INT64_MAX, and chi_n v for n > 1 sums v past
+# INT64_MAX before it subtracts; v is not mean zero, and may have Fraction entries
+@example((2, element(2, {(1,): 2**62, (2,): 2**62}), 0,
+          element(2, {(1,): 2**62, (2,): 2**62})), 1)
+@example((3, element(3, {(1, 2): INT64_MAX, (-3,): -INT64_MAX}), 2**62,
+          element(3, {(1,): INT64_MAX, (-2,): INT64_MAX, (3,): -INT64_MAX})), 3)
+@example((2, element(2, {}), 0,
+          element(2, {w: INT64_MAX // 3 for w in words_of_length(1, 2)})), 3)
+@example((4, element(4, {}), 1,
+          element(4, {(1,): Fraction(1, 3), (-1,): 2**62, (4,): 2**62 - 1, (-4,): -7})), 3)
 @settings(max_examples=200, deadline=None)
 def test_graded_letter_steps_match_element(case, top):
-    # the chi pass and the adjoint against the dict algebra, word by word
-    rank, x, empty = case
+    # the chi pass, and chi_n times a length-one v, against the dict algebra, word by word
+    rank, x, empty, v = case
     x = x + element(rank, {EMPTY: empty})
     g = GradedVector.from_element(x)
     dict_products = [multiply(x, chi(m, rank)) for m in range(top + 1)]
     passed = g.times_chi(top)
     assert passed == [GradedVector.from_element(p) for p in dict_products]
-    # parts up to length 6: x has words of length up to 3, times chi_3
-    for graded, p in zip(passed, dict_products):
-        assert graded.adjoint() == GradedVector.from_element(p.adjoint())
-        assert graded.adjoint().adjoint() == graded
+    graded_v = GradedVector.from_element(v)
+    for n in range(top + 2):
+        assert graded_v.chi_times(n) == GradedVector.from_element(multiply(chi(n, rank), v))
 
 
 def test_graded_letter_steps_cap(monkeypatch):
@@ -334,6 +348,7 @@ def test_graded_letter_steps_cap(monkeypatch):
     # must fit the cap, and the cap is checked against the longest length before
     # any array is built
     g = GradedVector.from_element(element(2, {(1, 2): 1, EMPTY: 1}))
+    letter = GradedVector.from_element(element(2, {(1,): 1}))
     built = []
     zeros = np.zeros
     monkeypatch.setattr(np, "zeros", lambda *args, **kw: built.append(args) or zeros(*args, **kw))
@@ -341,6 +356,9 @@ def test_graded_letter_steps_cap(monkeypatch):
         g.times_chi(1, cap=35)
     with pytest.raises(ResourceCapError, match="a length-5 vector has 324 entries, cap is 35"):
         g.times_chi(3, cap=35)
+    # chi_2 times a length-one vector reaches length 3
+    with pytest.raises(ResourceCapError, match="a length-3 vector has 36 entries, cap is 35"):
+        letter.chi_times(2, cap=35)
     assert built == []
     assert len(g.times_chi(1, cap=36)) == 2
     assert g.times_chi(0, cap=1) == [g]

@@ -556,7 +556,8 @@ def test_pairing_rows_match_recorded_digest(tmp_path, rank):
 
 
 def test_pairing_sweep_runs_one_letter_pass(monkeypatch):
-    # every v chi_k and chi_j v of the sweep comes from one times_chi pass over v
+    # every v chi_k of the sweep comes from one times_chi pass over v, and each chi_j v
+    # from two last-letter gathers of v, with no pass of its own
     real = GradedVector.times_chi
     calls = []
     monkeypatch.setattr(

@@ -259,6 +259,24 @@ def test_density_moments_scipy_vs_walk_counts():
             assert abs(val - exact) <= max(1e-8, 20 * err)
 
 
+@pytest.mark.parametrize("rank, top", [(2, 16), (3, 16), (4, 16), (5, 12)])
+def test_jacobi_moments_are_walk_counts(rank, top):
+    # the recurrence chi_1 chi_k = chi_{k+1} + beta_k chi_{k-1} of _chi_rows as an
+    # integer Jacobi matrix J, 1 below the diagonal and beta_k above it: e_0' J^k e_0
+    # is then the chi_0 coefficient of chi_1^k, the number of closed walks, exactly
+    params = SpectralParams(rank)
+    size = top // 2 + 1
+    jacobi = np.zeros((size, size), dtype=object)
+    for k in range(1, size):
+        jacobi[k, k - 1] = 1
+        jacobi[k - 1, k] = params.degree if k == 1 else params.branching
+    column = np.zeros(size, dtype=object)
+    column[0] = 1
+    for k in range(top + 1):
+        assert column[0] == radial_moment_exact(k, rank), k
+        column = jacobi.dot(column)
+
+
 # ---------------------------------------------------------------- quadrature
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from numbers import Rational
 from collections.abc import Iterable, Mapping
 
@@ -289,41 +288,20 @@ def _exact_array(values: list) -> np.ndarray:
     return out
 
 
-def _word_positions(digits: np.ndarray, rank: int) -> np.ndarray:
-    """Position in ``words_of_length`` order of each word, given one row of
-    letter digits per word.
-
-    A letter's digit is its index in the alphabet a1, a1^-1, a2, a2^-1, ...,
-    so ``d ^ 1`` is the digit of its inverse.  Every letter after the first
-    skips the inverse of the letter before it, so a word of length L reads as
-    a number with a leading digit below 2N and L - 1 digits in base 2N - 1.
-    """
-    base = 2 * rank - 1
-    pos = np.zeros(len(digits), dtype=np.int64)
-    for col in range(digits.shape[1]):
-        d = digits[:, col]
-        if col:
-            d = d - (d > (digits[:, col - 1] ^ 1))
-        pos = pos * base + d
-    return pos
-
-
-def _letter_digit(letter):
-    """Index of a signed letter (or of each in an array of them) in the
-    alphabet a1, a1^-1, a2, a2^-1, ..."""
-    return 2 * (abs(letter) - 1) + (letter < 0)
-
-
 @cache
 def _last_digits(rank: int, length: int) -> np.ndarray:
     """Digit of the last letter of each word of length ``length`` >= 1, by position.
 
-    A word of length two or more at position p is its prefix at p // (2N - 1)
-    followed by the digit p % (2N - 1), which skipped the inverse of the
-    prefix's last letter; undoing that skip needs the prefix's last digit,
-    hence one table per length, each built from the one before.  Tables are
-    read-only and kept for the process; each is as long as a part of its
-    length, which the cap already bounds.
+    A letter's digit is its index in ``words_of_length(1, rank)``, the alphabet
+    a1, a1^-1, a2, a2^-1, ..., so ``d ^ 1`` is the digit of its inverse.  In
+    ``words_of_length`` order each letter after the first skips the inverse of
+    the letter before it, so a word of length two or more at position p is its
+    prefix at p // (2N - 1) followed by the digit p % (2N - 1), which skipped
+    the inverse of the prefix's last letter; undoing that skip needs the
+    prefix's last digit, hence one table per length, each built from the one
+    before.  This is the one place outside ``words`` that encodes word order.
+    Tables are read-only and kept for the process; each is as long as a part
+    of its length, which the cap already bounds.
     """
     if length == 1:
         out = np.arange(2 * rank, dtype=np.int64)
@@ -348,7 +326,9 @@ class GradedVector:
 
     For each occupied length L, ``parts[L]`` is one coefficient array of
     ``chi_support_size(L, rank)`` entries indexed by word position, in
-    ``words_of_length`` order.  A part is int64 when its entries fit and an
+    ``words_of_length`` order, which defines positions.  ``from_element``
+    grades a length-one element; longer parts come from ``times_chi`` and
+    ``chi_times``.  A part is int64 when its entries fit and an
     object array of ints and Fractions otherwise; ``bounds[L]`` is the largest
     entry magnitude of an int64 part and None for an object part.  Sums and
     dot products run in int64 only when these bounds prove that nothing can
@@ -376,23 +356,14 @@ class GradedVector:
 
     @classmethod
     def from_element(cls, x: GroupAlgebraElement, cap: int | None = None) -> "GradedVector":
-        """The graded form of ``x``.  A part longer than the cap raises
-        ResourceCapError, as a product with that many word pairs would."""
-        words = list(x.terms)
-        lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-        letters = np.fromiter(chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum()))
-        digits = _letter_digit(letters)
-        starts = np.cumsum(lengths) - lengths
-        coeffs = _exact_array(list(x.terms.values()))
-        parts = {}
-        for length in np.flatnonzero(np.bincount(lengths)).tolist():
-            size = _checked_part_size(length, x.rank, cap)
-            rows = np.flatnonzero(lengths == length)
-            word_digits = digits[starts[rows, None] + np.arange(length)]
-            part = np.zeros(size, dtype=coeffs.dtype)
-            part[_word_positions(word_digits, x.rank)] = coeffs[rows]
-            parts[length] = part
-        return cls(x.rank, parts)
+        """The graded form of an ``x`` supported on length one, its part read
+        off ``words_of_length(1, rank)``.  Other support raises ValueError; a
+        length-one part longer than the cap raises ResourceCapError, as a
+        product with that many word pairs would."""
+        if x.support_lengths() - {1}:
+            raise ValueError("from_element needs an element supported on length one")
+        _checked_part_size(1, x.rank, cap)
+        return cls(x.rank, {1: _exact_array([x.coeff(w) for w in words_of_length(1, x.rank)])})
 
     @classmethod
     def combination(

@@ -608,17 +608,25 @@ COMMANDS = {
 # ----------------------------------------------------------------------
 
 
+def _flag_float(text: str, flag_value: str, expected: str) -> float:
+    """``text`` as a float, else a usage error that quotes the whole ``flag_value``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {flag_value!r}") from None
+
+
 def _parse_tol(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
-    return name, float(value)
+    return name, _flag_float(value, text, "name=number")
 
 
 def _parse_scan_tols(text: str) -> tuple[float, ...]:
     if not text.strip():
         return ()
-    return tuple(float(x) for x in text.split(","))
+    return tuple(_flag_float(x, text, "comma-separated numbers") for x in text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):

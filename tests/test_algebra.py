@@ -10,6 +10,7 @@ from radialmasa.algebra import (
     GradedVector,
     GroupAlgebraElement,
     InversionEigenvector,
+    _last_digits,
     chi,
     chi_support_size,
     inner_product,
@@ -19,6 +20,8 @@ from radialmasa.algebra import (
 from radialmasa.errors import RankMismatchError, ResourceCapError
 from radialmasa.identities import _element_digest, component, sandwich_table
 from radialmasa.words import EMPTY, words_of_length
+
+from conftest import graded
 
 
 def element(rank, terms):
@@ -189,7 +192,7 @@ def test_project_length_sandwich_norm():
     v = beta_minus()
     full = multiply(multiply(chi(2, 2), v.element), chi(1, 2))
     comp = full.project_length(4)
-    assert GradedVector.from_element(comp) == component(sandwich_table(v, 3), 2, 1)
+    assert graded(comp) == component(sandwich_table(v, 3), 2, 1)
     assert inner_product(comp, comp) == 27 * v.norm_sq()
 
 
@@ -218,13 +221,20 @@ def test_sandwich_shifted_inner_product():
 # ---------------------------------------------------------------- graded vectors
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank", [2, 3, 4])
 def test_graded_positions_follow_words_of_length(rank):
-    for length in range(5):
-        words = list(words_of_length(length, rank))
-        g = GradedVector.from_element(element(rank, {w: i + 1 for i, w in enumerate(words)}))
-        assert list(g.parts) == [length]
-        assert g.parts[length].tolist() == list(range(1, len(words) + 1))
+    # positions are words_of_length order: from_element reads the alphabet off it,
+    # and _last_digits, the one other encoding of word order, agrees with it
+    alphabet = list(words_of_length(1, rank))
+    g = GradedVector.from_element(element(rank, {w: i + 1 for i, w in enumerate(alphabet)}))
+    assert list(g.parts) == [1]
+    assert g.parts[1].tolist() == list(range(1, len(alphabet) + 1))
+    for length in range(1, 6):
+        last = [alphabet.index(w[-1:]) for w in words_of_length(length, rank)]
+        assert _last_digits(rank, length).tolist() == last
+    for word in [EMPTY, (1, 2)]:
+        with pytest.raises(ValueError):
+            GradedVector.from_element(element(rank, {word: 1, (1,): 1}))
 
 
 # small ints take the int64 path; the others need the exact fallback: ints past
@@ -247,26 +257,26 @@ def exact_elements(rank=2, max_len=4, min_len=0):
 @given(exact_elements(), exact_elements(), exact_coeffs, exact_coeffs)
 @settings(max_examples=300, deadline=None)
 def test_graded_matches_element(x, y, a, b):
-    gx, gy = GradedVector.from_element(x), GradedVector.from_element(y)
+    gx, gy = graded(x), graded(y)
     assert gx.inner(gy) == inner_product(x, y)
     assert gx.norm_sq() == x.norm_sq()
     assert (gx == gy) == (x == y)
     assert _element_digest(gx) == _element_digest(x)
     assert gx.is_zero() == x.is_zero()
     combined = GradedVector.combination(2, [(a, gx), (b, gy)])
-    assert combined == GradedVector.from_element(x.scale(a) + y.scale(b))
+    assert combined == graded(x.scale(a) + y.scale(b))
     # element arithmetic skips _as_exact but still stores integral values as ints
     terms = (x.scale(a) + y.scale(b)).terms.values()
     assert all(type(c) is int or c.denominator != 1 for c in terms)
     assert GradedVector.combination(2, [(1, gx), (1, gy), (-1, gy)]) == gx
     for length in range(5):
-        assert gx.project_length(length) == GradedVector.from_element(x.project_length(length))
+        assert gx.project_length(length) == graded(x.project_length(length))
 
 
 def test_graded_dot_falls_back_before_int64_overflow():
     # each entry fits int64, but the dot product does not
     x = element(2, {w: 2**62 for w in words_of_length(2, 2)})
-    g = GradedVector.from_element(x)
+    g = graded(x)
     assert g.bounds == {2: 2**62}
     assert g.norm_sq() == inner_product(x, x) == 12 * 2**124
 
@@ -281,11 +291,11 @@ INT64_MIN = -(2**63)
 ])
 def test_graded_int64_extremes_match_object_arrays(entries):
     # np.abs wraps INT64_MIN to itself; the bound must not, or the part is dropped
-    def graded(dtype):
+    def graded_as(dtype):
         return GradedVector(2, {0: np.array([INT64_MIN], dtype=dtype),
                                 1: np.array(entries, dtype=dtype)})
 
-    narrow, wide = graded(np.int64), graded(object)
+    narrow, wide = graded_as(np.int64), graded_as(object)
     assert narrow.bounds == {0: 2**63, 1: 2**63}
     other = GradedVector(2, {1: np.array([1, -1, INT64_MAX, 2], dtype=np.int64)})
     assert narrow.norm_sq() == wide.norm_sq() == 2**126 + sum(e * e for e in entries)
@@ -296,7 +306,7 @@ def test_graded_int64_extremes_match_object_arrays(entries):
     x = element(2, dict(zip(words_of_length(1, 2), entries)))
     for n in range(5):
         assert (narrow.project_length(1).chi_times(n) == wide.project_length(1).chi_times(n)
-                == GradedVector.from_element(multiply(chi(n, 2), x)))
+                == graded(multiply(chi(n, 2), x)))
     for coeffs in ([1], [-1], [2, -1]):
         for extra in ([], [(1, other)]):
             narrow_sum, wide_sum = (
@@ -306,9 +316,9 @@ def test_graded_int64_extremes_match_object_arrays(entries):
 
 
 def test_graded_vector_cap():
-    with pytest.raises(ResourceCapError):
-        GradedVector.from_element(chi(2, 2), cap=11)
-    assert len(GradedVector.from_element(chi(2, 2), cap=12)) == 12
+    with pytest.raises(ResourceCapError, match="a length-1 vector has 4 entries, cap is 3"):
+        GradedVector.from_element(chi(1, 2), cap=3)
+    assert len(GradedVector.from_element(chi(1, 2), cap=4)) == 4
 
 
 @given(
@@ -334,20 +344,20 @@ def test_graded_letter_steps_match_element(case, top):
     # the chi pass, and chi_n times a length-one v, against the dict algebra, word by word
     rank, x, empty, v = case
     x = x + element(rank, {EMPTY: empty})
-    g = GradedVector.from_element(x)
+    g = graded(x)
     dict_products = [multiply(x, chi(m, rank)) for m in range(top + 1)]
     passed = g.times_chi(top)
-    assert passed == [GradedVector.from_element(p) for p in dict_products]
+    assert passed == [graded(p) for p in dict_products]
     graded_v = GradedVector.from_element(v)
     for n in range(top + 2):
-        assert graded_v.chi_times(n) == GradedVector.from_element(multiply(chi(n, rank), v))
+        assert graded_v.chi_times(n) == graded(multiply(chi(n, rank), v))
 
 
 def test_graded_letter_steps_cap(monkeypatch):
     # a pass over a length-2 part reaches length 2 + top; at top = 1 its 36 entries
     # must fit the cap, and the cap is checked against the longest length before
     # any array is built
-    g = GradedVector.from_element(element(2, {(1, 2): 1, EMPTY: 1}))
+    g = graded(element(2, {(1, 2): 1, EMPTY: 1}))
     letter = GradedVector.from_element(element(2, {(1,): 1}))
     built = []
     zeros = np.zeros
@@ -377,11 +387,10 @@ def test_times_chi_int64_switch(rank, top):
              (INT64_MIN, False)]
     for entry, stays_int64 in cases:
         x = element(rank, {w: entry for n in range(top + 1) for w in words_of_length(n, rank)})
-        passed = GradedVector.from_element(x).times_chi(top)
-        assert passed == [GradedVector.from_element(multiply(x, chi(m, rank)))
-                          for m in range(top + 1)]
-        for graded in passed[1:]:
-            assert all((b is not None) == stays_int64 for b in graded.bounds.values())
+        passed = graded(x).times_chi(top)
+        assert passed == [graded(multiply(x, chi(m, rank))) for m in range(top + 1)]
+        for product in passed[1:]:
+            assert all((b is not None) == stays_int64 for b in product.bounds.values())
 
 
 # ---------------------------------------------------------------- test vectors

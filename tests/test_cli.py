@@ -175,6 +175,23 @@ def test_tolerance_must_be_finite_and_positive(value, capsys):
     assert "moment" in one_stderr_line(capsys)
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("density", "--tol", "tail=abc"),
+    ("density", "--tol", "tail="),
+    ("scan", "--scan-tols", "1e-1,,2"),
+    ("scan", "--scan-tols", "0.1,x"),
+])
+def test_flag_value_not_a_number(command, flag, text, capsys):
+    # the usage error names the flag and the text, not the parser's function
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--rank", "2", flag, text])
+    assert exit_info.value.code == 2
+    err = one_stderr_line(capsys)
+    assert f"argument {flag}: expected " in err
+    assert repr(text) in err
+    assert "_parse" not in err
+
+
 def test_output_into_missing_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     assert main(["moments", "--rank", "2", "--max-moment", "2", "--out", str(out)]) == 2

@@ -473,12 +473,26 @@ def bracket(rank: int) -> dict:
     return poly(((b * b - 1) ** 2, (0, 0)), (b, (2, 0)), (b, (0, 2)), (-(b * b + 1), (1, 1)))
 
 
-@pytest.mark.parametrize("rank", range(2, 9))
+# Both identities below compare t^i s^j coefficients that are polynomials in N.
+# Two polynomials of degree at most D that agree at more than D points are
+# equal, so checking an identity at these ranks proves it for every N >= 2 once
+# there are more of them than its degree.
+EVERY_RANK_AT_ONCE = range(2, 9)
+
+
+@pytest.mark.parametrize("rank", EVERY_RANK_AT_ONCE)
 def test_trig_denominators_give_the_bracket(rank):
-    # b^4 (1 - 2x cos(theta - phi) + x^2)(1 - 2x cos(theta + phi) + x^2) is the
-    # bracket once cos(theta - phi) + cos(theta + phi) = 2ts/a^2 and
-    # cos(theta - phi) cos(theta + phi) = (t^2 + s^2)/a^2 - 1, with a^2 = 4b and
-    # x = 1/b.  The product is expanded in (t, s, cos(theta - phi), cos(theta + phi)).
+    """b^4 (1 - 2x cos(theta - phi) + x^2)(1 - 2x cos(theta + phi) + x^2) is the
+    bracket once cos(theta - phi) + cos(theta + phi) = 2ts/a^2 and
+    cos(theta - phi) cos(theta + phi) = (t^2 + s^2)/a^2 - 1, with a^2 = 4b and
+    x = 1/b.  The product is expanded in (t, s, cos(theta - phi), cos(theta + phi)).
+
+    Times b^4, the product's constant term is (b^2 + 1)^2 - 4b^2, its ts term
+    -(b^2 + 1) and its t^2 and s^2 terms b; the bracket's are (b^2 - 1)^2,
+    -(b^2 + 1) and b.  With b = 2N - 1 each is a polynomial in N of degree at
+    most 4, so the seven ranks 2..8 prove the identity for every N >= 2.
+    """
+    assert len(EVERY_RANK_AT_ONCE) > 4
     b = 2 * rank - 1
     x, a2 = Fraction(1, b), 4 * b
     product = poly_mul(poly((1 + x * x, (0, 0, 0, 0)), (-2 * x, (0, 0, 1, 0))),
@@ -494,10 +508,17 @@ def test_trig_denominators_give_the_bracket(rank):
     assert poly_scale(substituted, b**4) == bracket(rank)
 
 
-@pytest.mark.parametrize("rank", range(2, 9))
+@pytest.mark.parametrize("rank", EVERY_RANK_AT_ONCE)
 def test_upper_bound_expansion(rank):
-    # N^2 bracket - (N - 1)^2 (4N^2 - t^2)(4N^2 - s^2)
-    #   = N^2 [(4N^2 - 6N + 3)(t^2 + s^2) - (b^2 + 1) ts] - (N - 1)^2 t^2 s^2
+    """N^2 bracket - (N - 1)^2 (4N^2 - t^2)(4N^2 - s^2)
+      = N^2 [(4N^2 - 6N + 3)(t^2 + s^2) - (b^2 + 1) ts] - (N - 1)^2 t^2 s^2
+
+    Each t, s coefficient of either side is a polynomial in N of degree at most
+    6, reached only by the left side's constant terms N^2 (b^2 - 1)^2 and
+    16N^4 (N - 1)^2.  So the seven ranks 2..8 prove the expansion for every
+    N >= 2.
+    """
+    assert len(EVERY_RANK_AT_ONCE) > 6
     n, b = rank, 2 * rank - 1
     d2 = 4 * n * n
     numerator = poly_mul(poly((d2, (0, 0)), (-1, (2, 0))), poly((d2, (0, 0)), (-1, (0, 2))))

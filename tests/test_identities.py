@@ -25,6 +25,8 @@ from radialmasa.identities import (
     standard_test_vectors,
 )
 
+from conftest import graded
+
 
 def vec(rank, sign, idx=0):
     return standard_test_vectors(rank)[sign][idx]
@@ -195,7 +197,7 @@ def test_sweep_multiplies_each_triple_once(monkeypatch):
     run_identity_sweep(2, max_total=3)
     vectors = [v.element for v in all_test_vectors(2)]
     lefts = {
-        (key, n): GradedVector.from_element(multiply(chi(n, 2), v))
+        (key, n): graded(multiply(chi(n, 2), v))
         for key, v in enumerate(vectors)
         for n in range(4)
     }
@@ -219,7 +221,7 @@ def test_sweep_triples_match_dict_product(monkeypatch, rank, max_total):
         assert [len(cells) for cells in table] == list(range(max_total + 1, 0, -1))
         for n, m in degree_pairs(max_total):
             whole = multiply(multiply(chi(n, rank), v.element), chi(m, rank))
-            assert table[n][m] == GradedVector.from_element(whole)
+            assert table[n][m] == graded(whole)
 
 
 def assert_lhs_are_fresh_dots(reports, fresh):

@@ -321,6 +321,50 @@ def _exact_dot(a: np.ndarray, a_bound: int | None, b: np.ndarray, b_bound: int |
     return np.dot(a.astype(object), b.astype(object))
 
 
+def _sign_plane(parts: list[np.ndarray], compare: np.ufunc) -> np.ndarray:
+    """One row of uint64 words per same-length part: bit i of a row is set
+    where ``compare(entry i, 0)`` holds; each row is zero-padded to whole words."""
+    nbytes = -(-len(parts[0]) // 8)
+    plane = np.zeros((len(parts), -(-nbytes // 8) * 8), dtype=np.uint8)
+    for row, part in zip(plane, parts):
+        row[:nbytes] = np.packbits(compare(part, 0))
+    return plane.view(np.uint64)
+
+
+def exact_gram(parts: list[np.ndarray], bounds: list[int | None]) -> np.ndarray:
+    """The Gram matrix of same-length exact parts, ``bounds`` their largest
+    entry magnitudes as ``GradedVector`` keeps them: entry (k, l) is the dot
+    of parts k and l.
+
+    When every bound is 1, every entry is -1, 0 or 1, so a dot is the number
+    of positions where both parts have the same sign less the number where
+    they have opposite signs.  Each part is packed into a bit plane of its
+    positive and one of its negative entries, and row k against rows k.. is
+    popcount(P & P') + popcount(N & N') - popcount(P & N') - popcount(N & P'),
+    summed in int64: an int64 matrix.  Otherwise each unordered pair is one
+    ``_exact_dot``, in int64 where the bounds allow and in Python arithmetic
+    where not: an object matrix of ints and Fractions.  No float is involved.
+    """
+    size = len(parts)
+    if not (parts and all(bound == 1 for bound in bounds)):
+        gram = np.empty((size, size), dtype=object)
+        for k in range(size):
+            for l in range(k, size):
+                gram[k, l] = gram[l, k] = _exact_dot(parts[k], bounds[k], parts[l], bounds[l])
+        return gram
+    pos, neg = _sign_plane(parts, np.greater), _sign_plane(parts, np.less)
+
+    def count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(a & b).sum(axis=1, dtype=np.int64)
+
+    gram = np.empty((size, size), dtype=np.int64)
+    for k in range(size):
+        p, n = pos[k], neg[k]
+        row = count(p, pos[k:]) + count(n, neg[k:]) - count(p, neg[k:]) - count(n, pos[k:])
+        gram[k, k:] = gram[k:, k] = row
+    return gram
+
+
 class GradedVector:
     """An element stored by word length, for exact inner products by array.
 

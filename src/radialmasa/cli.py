@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -263,13 +264,32 @@ def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
     return pieces
 
 
+def _column_texts(parts: list[list], indent: str, convert: Callable | None = None) -> list[str]:
+    """The values of the blocks' columns ``parts``, joined, each after
+    ``convert`` as ``_json_value`` spells it, in one ``_spell`` pass.
+
+    A part that repeats one object, as a block's column of a value its checks
+    share does, is converted and spelled once and its text repeated; one
+    object has one spelling, so 1 and True, or 0.0 and -0.0, never share a
+    text.  The other parts are converted and spelled value by value.
+    """
+    values, runs = [], []  # per part (start, size, times): texts[start:start + size], times over
+    for part in parts:
+        one = all(map(operator.is_, part, repeat(part[0])))
+        runs.append((len(values), 1, len(part)) if one else (len(values), len(part), 1))
+        values.extend(part[:1] if one else part)
+    texts = _spell(values if convert is None else list(map(convert, values)), indent)
+    return list(chain.from_iterable(texts[start:start + size] * times
+                                    for start, size, times in runs))
+
+
 def _table_rows(table: RecordTable) -> Iterator[list[str]]:
     """Yield the pieces of the records of ``table``, one list for each run of
     its nonempty blocks whose map with columns has the same keys.
 
     The template comes from the class's ``json_fields``, a map with columns
     spelled out one column per key (an empty map is a value of its own).
-    Each column is joined over the run's blocks and spelled in one pass.
+    Each column is joined over the run's blocks by ``_column_texts``.
     """
     json_fields = table.cls.json_fields()
     blocks = filter(RecordTable.block_len, table.blocks)
@@ -284,12 +304,12 @@ def _table_rows(table: RecordTable) -> Iterator[list[str]]:
         for key, attr, convert in json_fields:
             if skeleton[key]:
                 for name in skeleton[key]:
-                    columns[(key, name)] = _spell(run.column(attr, name), ROW_INDENT + "    ")
+                    columns[(key, name)] = _column_texts(
+                        [block[attr][name] for block in run.blocks], ROW_INDENT + "    ")
                 continue
-            values = run.column(attr) if skeleton[key] is None else [{}] * len(run)
-            if convert is not None:
-                values = list(map(convert, values))
-            columns[(key,)] = _spell(values, ROW_INDENT + "  ")
+            parts = [block[attr] for block in run.blocks] if skeleton[key] is None else [
+                [{}] * len(run)]
+            columns[(key,)] = _column_texts(parts, ROW_INDENT + "  ", convert)
         yield _rows_pieces(len(run), _row_template(skeleton), columns)
 
 

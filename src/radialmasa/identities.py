@@ -27,15 +27,20 @@ the Cayley tree, by row sums of reshaped parts.  ``pairing_exact`` reads
 <chi_j v chi_k, v> = <v chi_k, chi_j v> off row 0 and the same chi_j v.  The
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
-the expansion check compares two graded vectors length by length.  This
-changes only how the brute-force values are built and stored, not what they
-are: x chi_m at u is the sum of the coefficients x(u s^-1) over the reduced
-words s of length m, that is over the words at distance m from u, and chi_n v
-at u the sum of v(l) over the letters l with u l^-1 of length n, so every
-coefficient is still a sum of word products, held as an int or a Fraction
-(int64 only where a bound rules out overflow).  No recurrence among the chi_n
-is used, so the oracle is still the group algebra and equality is still
-exact.
+the expansion check compares two graded vectors length by length.  The inner
+checks of a sweep read their dots off one Gram matrix per total n + m, over
+every test vector's components of that total, built once by
+``algebra.exact_gram``.  A component holds v at each word's middle letter,
+so for the standard vectors every entry is -1, 0 or 1 and each dot is a
+count of packed sign bits, in int64; other parts are dotted pair by pair.
+Each block then compares its checks in one array pass.  This changes only
+how the brute-force values are built and stored, not what they are: x chi_m
+at u is the sum of the coefficients x(u s^-1) over the reduced words s of
+length m, that is over the words at distance m from u, and chi_n v at u the
+sum of v(l) over the letters l with u l^-1 of length n, so every coefficient
+is still a sum of word products, held as an int or a Fraction (int64 only
+where a bound rules out overflow).  No recurrence among the chi_n is used,
+so the oracle is still the group algebra and equality is still exact.
 """
 
 from __future__ import annotations
@@ -47,7 +52,10 @@ from fractions import Fraction
 from itertools import chain, product
 from numbers import Rational
 
-from .algebra import GradedVector, GroupAlgebraElement, InversionEigenvector, inner_product
+import numpy as np
+
+from .algebra import (GradedVector, GroupAlgebraElement, InversionEigenvector, exact_gram,
+                      inner_product)
 
 # table[n][m] = chi_n v chi_m by length, as ``sandwich_table`` builds it
 SandwichTable = list[list[GradedVector]]
@@ -127,11 +135,11 @@ class RecordTable:
                                         for block in self.blocks))
 
 
-def _check_table(lemma: str, params: dict, checks: list[tuple]) -> RecordTable:
-    """A one-block table of ``lemma`` from (lhs, rhs, passed, elapsed_ms) checks;
-    a ``params`` value that is not a list is the same for every check."""
-    size = len(checks)
-    lhs, rhs, passed, elapsed_ms = map(list, zip(*checks))
+def _check_table(lemma: str, params: dict, lhs: list, rhs: list, passed: list,
+                 elapsed_ms: list) -> RecordTable:
+    """A one-block table of ``lemma`` from its checks' columns; a ``params``
+    value that is not a list is the same for every check."""
+    size = len(lhs)
     params = {key: value if isinstance(value, list) else [value] * size
               for key, value in params.items()}
     return RecordTable(CheckReport, [{"lemma": [lemma] * size, "params": params, "lhs": lhs,
@@ -282,52 +290,67 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
     return [v for vs in standard_test_vectors(rank).values() for v in vs]
 
 
+def _total_gram(tested: list[TestedVector], total: int, grams: dict) -> np.ndarray:
+    """The Gram of every tested vector's components v_{n, total - n}, row
+    ``vec * (total + 1) + n``, built by ``exact_gram`` on the first read of
+    ``total`` and kept in ``grams``.  A component of a nonzero length-one v is
+    never zero: its top part holds v at each word's middle letter."""
+    if total not in grams:
+        tops = [table[n][total - n] for _, table in tested for n in range(total + 1)]
+        grams[total] = exact_gram([top.parts[total + 1] for top in tops],
+                                  [top.bounds[total + 1] for top in tops])
+    return grams[total]
+
+
 def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
                 dots: dict | None = None) -> RecordTable:
     """Brute-force <v_{n,m}, v'_{n2,m2}> against its closed form for one ordered
     pair of test vectors and every pair of degree pairs.
 
     ``tested[i]`` is the i-th test vector with its ``sandwich_table``; every
-    block checks the degree pairs its table holds.  ``dots`` holds the
-    brute-force value of each unordered pair of (vector index, n, m) keys:
-    the coefficients are real, so the pairing is symmetric and blocks that
-    share ``dots`` dot each pair once, mismatched totals included.  The closed
-    form depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated once
-    per such key, and kept as an int when it is one, so it compares with an
-    int dot without ``Fraction``'s slow path.  Each distinct value of either
-    side is spelled once.
+    block checks the degree pairs its table holds.  Components of different
+    totals lie on different word lengths, so their dot is 0, and the block's
+    dots of one total are a block of that total's Gram over every tested
+    vector (``_total_gram``).  ``dots`` keeps the Grams by total, so blocks
+    that share it dot each unordered pair of components once.  The closed form
+    depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated once per
+    such form, and kept as an int when it is one.  The sides are compared in
+    one array pass, and each distinct value is spelled once.  Each check's
+    ``elapsed_ms`` is the block's wall time over its number of checks.
     """
-    (v, table), (v2, table2) = tested[vec_i], tested[vec_j]
+    t0 = time.perf_counter()
+    (v, table), (v2, _) = tested[vec_i], tested[vec_j]
     dots = {} if dots is None else dots
     pairs = degree_pairs(len(table) - 1)
-    left = [((vec_i, n, m), component(table, n, m)) for n, m in pairs]
-    right = [((vec_j, n, m), component(table2, n, m)) for n, m in pairs]
-    closed: dict[tuple[int, int, int], tuple[Rational, str]] = {}  # form -> (value, text)
-    texts: dict[Rational, str] = {}  # value -> text: ints on int64 parts, cheap to hash
-    checks = []
-    for (key, x), (key2, y) in product(left, right):
-        t0 = time.perf_counter()
-        (_, n, m), (_, n2, m2) = key, key2
-        pair = (key, key2) if key <= key2 else (key2, key)
-        lhs = dots.get(pair)
-        if lhs is None:
-            lhs = dots[pair] = x.inner(y)
-        form = (n + m, n2 + m2, abs(n - n2))
-        if form not in closed:
-            rhs = sandwich_inner_closed(v, v2, n, m, n2, m2)
-            rhs = rhs.numerator if rhs.denominator == 1 else rhs
-            if rhs not in texts:
-                texts[rhs] = fraction_str(rhs)
-            closed[form] = rhs, texts[rhs]
-        rhs, rhs_text = closed[form]
-        if lhs not in texts:
-            texts[lhs] = fraction_str(lhs)
-        checks.append((texts[lhs], rhs_text, lhs == rhs, (time.perf_counter() - t0) * 1000.0))
+    size = len(pairs)
+    lhs = np.zeros((size, size), dtype=object)
+    start = 0
+    for total in range(len(table)):
+        gram, width = _total_gram(tested, total, dots), total + 1
+        lhs[start:start + width, start:start + width] = gram[
+            vec_i * width:(vec_i + 1) * width, vec_j * width:(vec_j + 1) * width]
+        start += width
     ns, ms = [n for n, _ in pairs], [m for _, m in pairs]
+    # the form (n + m, n2 + m2, |n - n2|) of each check as one number; each is below len(table)
+    n_col, totals = np.array(ns), np.array(ns) + ms
+    forms = (totals[:, None] * len(table) + totals) * len(table) + abs(n_col[:, None] - n_col)
+    _, first, inverse = np.unique(forms.ravel(), return_index=True, return_inverse=True)
+    closed = []
+    for index in first.tolist():
+        rhs = sandwich_inner_closed(v, v2, *pairs[index // size], *pairs[index % size])
+        closed.append(rhs.numerator if rhs.denominator == 1 else rhs)
+    rhs = np.empty(len(closed), dtype=object)
+    rhs[:] = closed
+    lhs, rhs = lhs.ravel(), rhs[inverse]
+    passed = (lhs == rhs).tolist()
+    lhs, rhs = lhs.tolist(), rhs.tolist()
+    texts = {value: fraction_str(value) for value in {*lhs, *closed}}
     params = {"rank": v.element.rank, "sign": v.sign, "sign2": v2.sign, "vec": vec_i,
               "vec2": vec_j, "n": [n for n in ns for _ in pairs],
-              "m": [m for m in ms for _ in pairs], "n2": ns * len(pairs), "m2": ms * len(pairs)}
-    return _check_table("sandwich_inner", params, checks)
+              "m": [m for m in ms for _ in pairs], "n2": ns * size, "m2": ms * size}
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / size**2
+    return _check_table("sandwich_inner", params, [texts[x] for x in lhs],
+                        [texts[x] for x in rhs], passed, [elapsed_ms] * size**2)
 
 
 def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Callable,
@@ -346,7 +369,7 @@ def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Cal
                        (time.perf_counter() - t0) * 1000.0))
     params = {"rank": v.element.rank, "sign": v.sign, "vec": vec_i,
               "n": [n for n, _ in pairs], "m": [m for _, m in pairs]}
-    return _check_table(lemma, params, checks)
+    return _check_table(lemma, params, *map(list, zip(*checks)))
 
 
 def expansion_block(tested: list[TestedVector], vec_i: int) -> RecordTable:

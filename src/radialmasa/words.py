@@ -38,11 +38,6 @@ def word_from_letters(letters: Iterable[tuple[int, int]], rank: int) -> Word:
     return word
 
 
-def word_letters(word: Word) -> list[tuple[int, int]]:
-    """The (generator-index, exponent) view of a word."""
-    return [(abs(x), 1 if x > 0 else -1) for x in word]
-
-
 def word_concat(u: Word, v: Word) -> Word:
     """Product of two reduced words, with cancellation at the junction."""
     i = len(u)

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radialmasa import algebra
 from radialmasa.algebra import (
     INT64_MAX,
     GradedVector,
@@ -13,6 +16,7 @@ from radialmasa.algebra import (
     _last_digits,
     chi,
     chi_support_size,
+    exact_gram,
     inner_product,
     multiply,
     radial_moment_exact,
@@ -279,6 +283,71 @@ def test_graded_dot_falls_back_before_int64_overflow():
     g = graded(x)
     assert g.bounds == {2: 2**62}
     assert g.norm_sq() == inner_product(x, x) == 12 * 2**124
+
+
+def int64_gram(parts):
+    return np.array([[int(np.dot(a, b)) for b in parts] for a in parts])
+
+
+def sign_parts(length):
+    """Random {-1, 0, 1} parts of ``length`` entries, with an all-zero part and
+    parts of one sign among them."""
+    rng = np.random.default_rng(length)
+    parts = [rng.integers(-1, 2, length, dtype=np.int64) for _ in range(5)]
+    return parts + [np.zeros(length, dtype=np.int64), np.ones(length, dtype=np.int64),
+                    -rng.integers(0, 2, length, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("length", [1, 5, 63, 65, 127, 130, 1003])
+def test_packed_gram_matches_int64_dots(monkeypatch, length):
+    # every bound 1: the bit-plane popcounts, no _exact_dot, every dot exact
+    def no_dot(*args):
+        raise AssertionError("the packed path calls _exact_dot")
+
+    monkeypatch.setattr(algebra, "_exact_dot", no_dot)
+    parts = sign_parts(length)
+    gram = exact_gram(parts, [1] * len(parts))
+    assert gram.dtype == np.int64
+    assert np.array_equal(gram, int64_gram(parts))
+
+
+def test_gram_of_wider_parts_dots_each_pair(monkeypatch):
+    # an entry of 2, or an object part, takes _exact_dot once per unordered pair
+    calls = []
+    monkeypatch.setattr(algebra, "_exact_dot",
+                        lambda *args, real=algebra._exact_dot: calls.append(args) or real(*args))
+    parts = [np.array([1, -1, 0, 1], dtype=np.int64), np.array([2, 1, -1, 0], dtype=np.int64),
+             np.array([0, 1, 1, -1], dtype=np.int64)]
+    gram = exact_gram(parts, [1, 2, 1])
+    assert len(calls) == 6
+    assert gram.dtype == object and gram.tolist() == int64_gram(parts).tolist()
+    third = np.array([Fraction(1, 3), 0, -1, 0], dtype=object)
+    calls.clear()
+    gram = exact_gram([parts[0], third], [1, None])
+    assert len(calls) == 3
+    assert gram.tolist() == [[3, Fraction(1, 3)], [Fraction(1, 3), Fraction(10, 9)]]
+
+
+POPCOUNT_TERMS = [("+", "count(p, pos[k:])"), ("+", "count(n, neg[k:])"),
+                  ("-", "count(p, neg[k:])"), ("-", "count(n, pos[k:])")]
+
+
+@pytest.mark.parametrize("dropped", range(len(POPCOUNT_TERMS)))
+def test_gram_needs_every_popcount_term(dropped):
+    # a copy of exact_gram with one of its four popcount terms dropped must
+    # fail the packed check above
+    def spelled(terms):
+        (sign, first), *rest = terms
+        return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+
+    source = textwrap.dedent(inspect.getsource(exact_gram))
+    row = spelled(POPCOUNT_TERMS)
+    assert source.count(row) == 1
+    namespace = dict(vars(algebra))
+    exec(source.replace(row, spelled(POPCOUNT_TERMS[:dropped] + POPCOUNT_TERMS[dropped + 1:])),
+         namespace)
+    parts = sign_parts(130)
+    assert not np.array_equal(namespace["exact_gram"](parts, [1] * len(parts)), int64_gram(parts))
 
 
 INT64_MIN = -(2**63)

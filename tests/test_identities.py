@@ -1,11 +1,12 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from radialmasa.algebra import GradedVector, InversionEigenvector, chi, inner_product, multiply
+from radialmasa.algebra import (GradedVector, InversionEigenvector, chi, exact_gram, inner_product,
+                               multiply)
 from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
@@ -248,11 +249,14 @@ def test_shared_dots_match_independent_dots(rank, max_total):
 
 
 def test_inner_blocks_dot_each_unordered_pair_once(monkeypatch):
-    built, calls, inside = [], [], []
+    # the sweep builds one Gram per total, over every vector's components of
+    # that total, and the inner blocks dot nothing else: each same-total
+    # unordered pair of components is in exactly one Gram
+    built, grams, calls, inside = [], [], [], []
     monkeypatch.setattr(
         identities, "sandwich_table", lambda *args: built.append(sandwich_table(*args)) or built[-1]
     )
-    real_block, real_inner = identities.inner_block, GradedVector.inner
+    real_block, real_inner, real_gram = identities.inner_block, GradedVector.inner, exact_gram
 
     def counted_block(*args):
         inside.append(True)
@@ -268,15 +272,21 @@ def test_inner_blocks_dot_each_unordered_pair_once(monkeypatch):
 
     monkeypatch.setattr(identities, "inner_block", counted_block)
     monkeypatch.setattr(GradedVector, "inner", counted_inner)
+    monkeypatch.setattr(identities, "exact_gram",
+                        lambda parts, bounds: grams.append(parts) or real_gram(parts, bounds))
     run_identity_sweep(2, max_total=3)
+    assert calls == []
     # a component shares the array of its table's top part, which names its key
     names = {id(component(table, n, m).parts[n + m + 1]): (vec, n, m)
              for vec, table in enumerate(built) for n, m in degree_pairs(3)}
     assert len(names) == len(built) * len(degree_pairs(3))
-    dotted = [tuple(sorted(names[id(part)] for x in pair for part in x.parts.values()))
-              for pair in calls]
-    keys = sorted(names.values())
-    assert sorted(dotted) == [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+    keys = [[names[id(part)] for part in parts] for parts in grams]
+    by_total = sorted(keys, key=lambda gram: sum(gram[0][1:]))
+    assert by_total == [[key for key in sorted(names.values()) if sum(key[1:]) == total]
+                        for total in range(4)]
+    in_grams = sorted(pair for gram in keys for pair in combinations_with_replacement(gram, 2))
+    assert in_grams == [(a, b) for a, b in combinations_with_replacement(sorted(names.values()), 2)
+                        if sum(a[1:]) == sum(b[1:])]
 
 
 def test_shared_dots_on_fraction_parts():
@@ -299,6 +309,7 @@ def test_shared_dots_on_fraction_parts():
 @pytest.mark.parametrize("rank, max_total, checks, sha256", [
     (4, 4, 3720, "304b2e76e2505bb841f252a2c86c301c94bb4a02abeaf1a1bfd8bc700f73f67b"),
     (2, 6, 7224, "21277df5fbcd2d5031121ddc31c82e6f64c5e85122f9dfb0b8ea43c5da9c9f33"),
+    (3, 7, 21024, "4269d52d508b6d169e18f4510b53a5be40ee98ff5efad6643c04a355e1abc286"),
 ])
 def test_sweep_rows_match_recorded_digest(rank, max_total, checks, sha256):
     rows = [[r.lemma, r.params, r.lhs, r.rhs] for r in run_identity_sweep(rank, max_total)]

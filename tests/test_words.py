@@ -9,7 +9,6 @@ from radialmasa.words import (
     word_from_letters,
     word_inverse,
     word_length,
-    word_letters,
     word_str,
     words_of_length,
 )
@@ -53,8 +52,9 @@ def test_from_letters_validates():
 
 
 def test_letters_roundtrip():
-    w = (1, -2, -1, 3)
-    assert word_from_letters(word_letters(w), rank=3) == w
+    assert word_from_letters([(1, 1), (2, -1), (1, -1), (3, 1)], rank=3) == (1, -2, -1, 3)
+    assert word_from_letters([(2, -1)], rank=2) == (-2,)
+    assert word_from_letters([], rank=2) == ()
 
 
 def test_words_of_length_counts():

@@ -427,9 +427,19 @@ class GradedVector:
             fits = all(type(c) is int and b is not None for c, _, b in items) and (
                 sum(abs(c) * b for c, _, b in items) <= INT64_MAX
             )
-            acc = np.zeros(chi_support_size(length, rank), dtype=np.int64 if fits else object)
+            acc = None
             for coeff, part, _ in items:
-                acc += coeff * (part if fits else part.astype(object))
+                part = part if fits else part.astype(object)
+                # the first term is copied and each ±1 term added in place; in
+                # int64 every partial sum is within the bound above
+                if acc is None:
+                    acc = part.copy() if coeff == 1 else coeff * part
+                elif coeff == 1:
+                    acc += part
+                elif coeff == -1:
+                    acc -= part
+                else:
+                    acc += coeff * part
             parts[length] = acc
         return cls(rank, parts)
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from itertools import chain, groupby, repeat
+from fractions import Fraction
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -264,53 +264,72 @@ def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
     return pieces
 
 
-def _column_texts(parts: list[list], indent: str, convert: Callable | None = None) -> list[str]:
-    """The values of the blocks' columns ``parts``, joined, each after
-    ``convert`` as ``_json_value`` spells it, in one ``_spell`` pass.
-
-    A part that repeats one object, as a block's column of a value its checks
-    share does, is converted and spelled once and its text repeated; one
-    object has one spelling, so 1 and True, or 0.0 and -0.0, never share a
-    text.  The other parts are converted and spelled value by value.
-    """
-    values, runs = [], []  # per part (start, size, times): texts[start:start + size], times over
-    for part in parts:
-        one = all(map(operator.is_, part, repeat(part[0])))
-        runs.append((len(values), 1, len(part)) if one else (len(values), len(part), 1))
-        values.extend(part[:1] if one else part)
+def _column_texts(parts: list, indent: str, convert: Callable | None = None) -> list:
+    """The texts of the blocks' columns ``parts``, each value after ``convert``
+    as ``_json_value`` spells it, in one ``_spell`` pass: for each part that
+    is a list, the list of its texts, and for each other part, one value its
+    block's records share, its one text.  A part that blocks share, such as
+    the degree columns of the inner blocks, is spelled once."""
+    distinct = {id(part): part for part in parts}
+    values = []
+    for part in distinct.values():
+        values += part if isinstance(part, list) else [part]
     texts = _spell(values if convert is None else list(map(convert, values)), indent)
-    return list(chain.from_iterable(texts[start:start + size] * times
-                                    for start, size, times in runs))
+    start = 0
+    for key, part in distinct.items():
+        size = len(part) if isinstance(part, list) else 1
+        distinct[key] = texts[start:start + size] if isinstance(part, list) else texts[start]
+        start += size
+    return [distinct[id(part)] for part in parts]
+
+
+def _fold(template: tuple, columns: dict) -> tuple[tuple, dict]:
+    """``template`` with each path whose text in ``columns`` is one string
+    joined, with the literals around it, into one literal; and the columns of
+    the paths left."""
+    folded, left = [""], {}
+    for part in template:
+        text = part if isinstance(part, str) else columns[part]
+        if isinstance(text, str):
+            folded[-1] += text
+        else:
+            folded += [part, ""]
+            left[part] = text
+    return tuple(folded), left
 
 
 def _table_rows(table: RecordTable) -> Iterator[list[str]]:
     """Yield the pieces of the records of ``table``, one list for each run of
     its nonempty blocks whose map with columns has the same keys.
 
-    The template comes from the class's ``json_fields``, a map with columns
-    spelled out one column per key (an empty map is a value of its own).
-    Each column is joined over the run's blocks by ``_column_texts``.
+    The run's template comes from the class's ``json_fields``, a map with
+    columns spelled out one column per key (an empty map is a value of its own).
+    Each column is spelled over the run's blocks by ``_column_texts``, and
+    each block folds the texts of the columns it holds as one value into the
+    literals of its template (``_fold``).
     """
     json_fields = table.cls.json_fields()
     blocks = filter(RecordTable.block_len, table.blocks)
     # dict key views compare as sets, and a template sorts its keys
     for _, group in groupby(blocks, key=lambda block: [
             column.keys() for column in block.values() if isinstance(column, dict)]):
-        run = RecordTable(table.cls, list(group))
-        first = run.blocks[0]
-        skeleton = {key: dict.fromkeys(first[attr]) if isinstance(first[attr], dict) else None
+        run = list(group)
+        skeleton = {key: dict.fromkeys(run[0][attr]) if isinstance(run[0][attr], dict) else None
                     for key, attr, _ in json_fields}
         columns = {}
         for key, attr, convert in json_fields:
             if skeleton[key]:
                 for name in skeleton[key]:
                     columns[(key, name)] = _column_texts(
-                        [block[attr][name] for block in run.blocks], ROW_INDENT + "    ")
+                        [block[attr][name] for block in run], ROW_INDENT + "    ")
                 continue
-            parts = [block[attr] for block in run.blocks] if skeleton[key] is None else [
-                [{}] * len(run)]
+            parts = [block[attr] for block in run] if skeleton[key] is None else [{}] * len(run)
             columns[(key,)] = _column_texts(parts, ROW_INDENT + "  ", convert)
-        yield _rows_pieces(len(run), _row_template(skeleton), columns)
+        template, pieces = _row_template(skeleton), []
+        for k, block in enumerate(run):
+            folded, left = _fold(template, {path: texts[k] for path, texts in columns.items()})
+            pieces += _rows_pieces(RecordTable.block_len(block), folded, left)
+        yield pieces
 
 
 def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
@@ -585,8 +604,16 @@ def cmd_scan(cfg: RunConfig) -> tuple[dict, bool]:
     tols = sorted(cfg.scan_tols, reverse=True)
     fracs = [report.fractions[t] for t in tols]
     monotone = all(fracs[i] >= fracs[i + 1] for i in range(len(fracs) - 1))
-    ok = monotone and report.max_abs >= 1.0
-    summary = {"monotone": monotone, "max_at_least_one": report.max_abs >= 1.0, "pass": ok}
+    # the proved bounds ((N - 1)/N)^5 <= f <= N/(N - 1) (see density), compared
+    # exactly, with the closed form's relative roundoff of 16 eps as slack
+    slack, rank = 16 * Fraction(sys.float_info.epsilon), cfg.rank
+    bounds = {"min_at_least_lower_bound":
+              Fraction(report.min_abs) >= Fraction(rank - 1, rank) ** 5 * (1 - slack),
+              "max_at_most_upper_bound":
+              Fraction(report.max_abs) <= Fraction(rank, rank - 1) * (1 + slack)}
+    ok = monotone and report.max_abs >= 1.0 and all(bounds.values())
+    summary = {"monotone": monotone, "max_at_least_one": report.max_abs >= 1.0, **bounds,
+               "pass": ok}
     return _report(cfg, t0, report=report.to_json_dict(), summary=summary), ok
 
 

@@ -297,7 +297,7 @@ def pairing_sweep(
               for e, c, q in zip(value_exact, value_case, value_quad)]
     return RecordTable(PairingReport, [{
         "j": [j for j, _ in pairs], "k": [k for _, k in pairs], "value_exact": value_exact,
-        "value_case": value_case, "value_quad": value_quad, "quad_tol": [tol] * len(pairs),
+        "value_case": value_case, "value_quad": value_quad, "quad_tol": tol,
         "passed": passed}])
 
 

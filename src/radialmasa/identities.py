@@ -14,7 +14,8 @@ The brute force side is always the oracle; the closed forms never feed
 back into it.  ``run_identity_sweep`` is the one driver: it builds one
 ``sandwich_table`` per test vector and runs one block of checks per test
 vector (or ordered pair of them) for each family off those tables.  Each
-block returns its checks by column, as a ``RecordTable`` of ``CheckReport``.
+block returns its checks by column, as a ``RecordTable`` of ``CheckReport``,
+with one value for a column all of its checks share.
 
 A table holds each triple product chi_n v chi_m as a ``GradedVector``: one
 exact coefficient array per word length, indexed by word position.  chi_n v
@@ -28,12 +29,16 @@ the Cayley tree, by row sums of reshaped parts.  ``pairing_exact`` reads
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
 the expansion check compares two graded vectors length by length.  The inner
-checks of a sweep read their dots off one Gram matrix per total n + m, over
-every test vector's components of that total, built once by
+checks of a sweep, every ordered pair of test vectors at once, are one
+family built in one array pass (``_inner_family``), which each inner block
+slices.  Its left-hand sides are read off one Gram matrix per total n + m,
+over every test vector's components of that total, built once by
 ``algebra.exact_gram``.  A component holds v at each word's middle letter,
 so for the standard vectors every entry is -1, 0 or 1 and each dot is a
 count of packed sign bits, in int64; other parts are dotted pair by pair.
-Each block then compares its checks in one array pass.  This changes only
+Its right-hand sides are one ``sandwich_inner_closed`` call per distinct
+(sign, sign', <v, v'>) and (n + m, n2 + m2, |n - n2|), gathered by index;
+the sides are compared in one array pass.  This changes only
 how the brute-force values are built and stored, not what they are: x chi_m
 at u is the sum of the coefficients x(u s^-1) over the reduced words s of
 length m, that is over the words at distance m from u, and chi_n v at u the
@@ -107,7 +112,9 @@ class CheckReport(JsonRecord):
 class RecordTable:
     """Records of one ``JsonRecord`` class, kept by column in blocks: each maps
     a field's attribute to a list of one value per record, or the field with
-    columns to a map of such lists.  Tables share the blocks they are built
+    columns to a map of such lists.  Any other value of a field, or of a key
+    of the map, is one value that every record of its block shares; each
+    block holds at least one list.  Tables share the blocks they are built
     from.  ``len`` counts the records; iterating builds each record only then.
     """
 
@@ -116,34 +123,37 @@ class RecordTable:
 
     @staticmethod
     def block_len(block: dict) -> int:
-        return next(len(column) for column in block.values() if isinstance(column, list))
+        columns = chain.from_iterable(column.values() if isinstance(column, dict) else (column,)
+                                      for column in block.values())
+        return next(len(column) for column in columns if isinstance(column, list))
 
     def __len__(self) -> int:
         return sum(map(self.block_len, self.blocks))
 
     def __iter__(self) -> Iterator[JsonRecord]:
+        pick = lambda column, i: column[i] if isinstance(column, list) else column
         for block in self.blocks:
             for i in range(self.block_len(block)):
-                yield self.cls(**{attr: {key: values[i] for key, values in column.items()}
-                                  if isinstance(column, dict) else column[i]
+                yield self.cls(**{attr: {key: pick(values, i) for key, values in column.items()}
+                                  if isinstance(column, dict) else pick(column, i)
                                   for attr, column in block.items()})
 
     def column(self, attr: str, key: str | None = None) -> list:
         """One column over every block, in order: the field ``attr``'s, or the
         ``key`` column of ``attr`` when that is the field with columns."""
-        return list(chain.from_iterable(block[attr] if key is None else block[attr][key]
-                                        for block in self.blocks))
+        out = []
+        for block in self.blocks:
+            column = block[attr] if key is None else block[attr][key]
+            out += column if isinstance(column, list) else [column] * self.block_len(block)
+        return out
 
 
 def _check_table(lemma: str, params: dict, lhs: list, rhs: list, passed: list,
-                 elapsed_ms: list) -> RecordTable:
-    """A one-block table of ``lemma`` from its checks' columns; a ``params``
-    value that is not a list is the same for every check."""
-    size = len(lhs)
-    params = {key: value if isinstance(value, list) else [value] * size
-              for key, value in params.items()}
-    return RecordTable(CheckReport, [{"lemma": [lemma] * size, "params": params, "lhs": lhs,
-                                      "rhs": rhs, "passed": passed, "elapsed_ms": elapsed_ms}])
+                 elapsed_ms: list | float) -> RecordTable:
+    """A one-block table of ``lemma`` from its checks' columns; ``elapsed_ms``,
+    or a ``params`` value, that is not a list is the same for every check."""
+    return RecordTable(CheckReport, [{"lemma": lemma, "params": params, "lhs": lhs, "rhs": rhs,
+                                      "passed": passed, "elapsed_ms": elapsed_ms}])
 
 
 def _element_digest(x: GroupAlgebraElement | GradedVector) -> str:
@@ -290,16 +300,64 @@ def all_test_vectors(rank: int) -> list[InversionEigenvector]:
     return [v for vs in standard_test_vectors(rank).values() for v in vs]
 
 
-def _total_gram(tested: list[TestedVector], total: int, grams: dict) -> np.ndarray:
-    """The Gram of every tested vector's components v_{n, total - n}, row
-    ``vec * (total + 1) + n``, built by ``exact_gram`` on the first read of
-    ``total`` and kept in ``grams``.  A component of a nonzero length-one v is
-    never zero: its top part holds v at each word's middle letter."""
-    if total not in grams:
-        tops = [table[n][total - n] for _, table in tested for n in range(total + 1)]
-        grams[total] = exact_gram([top.parts[total + 1] for top in tops],
-                                  [top.bounds[total + 1] for top in tops])
-    return grams[total]
+def _inner_family(tested: list[TestedVector], family: dict) -> dict:
+    """Every ordered pair of test vectors' ``sandwich_inner`` checks in one
+    pass, put in ``family`` by the first call, for ``inner_block`` to slice.
+
+    Components of different totals lie on different word lengths, so their
+    dot is 0, and the dots of one total are one ``exact_gram`` over every
+    tested vector's components of that total: one assignment per total fills
+    the family's left-hand sides, row and column ``vec * size + pair``.  The
+    closed form depends on v and v' only through (sign, sign', <v, v'>), and
+    on the degree pairs only through the form (n + m, n2 + m2, |n - n2|), so
+    it is evaluated once per key and form, for one ordered pair of that key,
+    kept as an int when it is one, and gathered by index.  The sides are
+    compared in one array pass, and each distinct value is spelled once.
+    """
+    if family:
+        return family
+    t0 = time.perf_counter()
+    top = len(tested[0][1])  # every table holds the totals 0 .. top - 1
+    pairs = degree_pairs(top - 1)
+    size, count = len(pairs), len(tested)
+    lhs = np.zeros((count * size, count * size), dtype=object)
+    start = 0
+    for total in range(top):
+        # the top part of v_{n, total - n}, which holds v at each word's middle
+        # letter, so it is never zero for a nonzero length-one v
+        cells = [table[n][total - n] for _, table in tested for n in range(total + 1)]
+        rows = (np.arange(count)[:, None] * size + np.arange(start, start + total + 1)).ravel()
+        lhs[np.ix_(rows, rows)] = exact_gram([cell.parts[total + 1] for cell in cells],
+                                             [cell.bounds[total + 1] for cell in cells])
+        start += total + 1
+    # [vec, vec2, pair, pair2], as the blocks read it
+    lhs = lhs.reshape(count, size, count, size).transpose(0, 2, 1, 3)
+    ns, ms = [n for n, _ in pairs], [m for _, m in pairs]
+    n_col, totals = np.array(ns), np.array(ns) + ms
+    # the form of each check as one number; each of its parts is below top
+    forms = (totals[:, None] * top + totals) * top + abs(n_col[:, None] - n_col)
+    _, first, form_index = np.unique(forms.ravel(), return_index=True, return_inverse=True)
+    ordered = [(v, v2) for (v, _), (v2, _) in product(tested, repeat=2)]
+    keys = [(v.sign, v2.sign, inner_product(v.element, v2.element)) for v, v2 in ordered]
+    chosen = dict(zip(keys, ordered))  # a pair of each key, the keys in order of first use
+    closed = []
+    for v, v2 in chosen.values():
+        for form in first.tolist():
+            value = sandwich_inner_closed(v, v2, *pairs[form // size], *pairs[form % size])
+            closed.append(value.numerator if value.denominator == 1 else value)
+    number = {key: k for k, key in enumerate(chosen)}
+    by_key = np.array([number[key] for key in keys]).reshape(count, count, 1, 1) * len(first)
+    index = by_key + form_index.reshape(size, size)
+    rhs = np.empty(len(closed), dtype=object)
+    rhs[:] = closed
+    passed = lhs == rhs[index]
+    texts = {value: fraction_str(value) for value in {*lhs.flat, *closed}}
+    spell = np.frompyfunc(texts.__getitem__, 1, 1)
+    family.update(
+        lhs=spell(lhs), rhs=spell(rhs)[index], passed=passed, rank=tested[0][0].element.rank,
+        n=[n for n in ns for _ in pairs], m=[m for m in ms for _ in pairs], n2=ns * size,
+        m2=ms * size, elapsed_ms=(time.perf_counter() - t0) * 1000.0 / lhs.size)
+    return family
 
 
 def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
@@ -308,49 +366,22 @@ def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
     pair of test vectors and every pair of degree pairs.
 
     ``tested[i]`` is the i-th test vector with its ``sandwich_table``; every
-    block checks the degree pairs its table holds.  Components of different
-    totals lie on different word lengths, so their dot is 0, and the block's
-    dots of one total are a block of that total's Gram over every tested
-    vector (``_total_gram``).  ``dots`` keeps the Grams by total, so blocks
-    that share it dot each unordered pair of components once.  The closed form
-    depends only on n + m, n2 + m2 and |n - n2|, so it is evaluated once per
-    such form, and kept as an int when it is one.  The sides are compared in
-    one array pass, and each distinct value is spelled once.  Each check's
-    ``elapsed_ms`` is the block's wall time over its number of checks.
+    block checks the degree pairs its table holds.  The block is the (vec_i,
+    vec_j) slice of the family of every ordered pair's checks
+    (``_inner_family``), built on the first call and kept in ``dots``, so
+    blocks that share ``dots`` share one family and dot each unordered pair
+    of components once; without ``dots`` the whole family is built for the
+    one block.  The params every check of the block shares, and its
+    ``elapsed_ms``, the family's wall time over the family's checks, are held
+    once.
     """
-    t0 = time.perf_counter()
-    (v, table), (v2, _) = tested[vec_i], tested[vec_j]
-    dots = {} if dots is None else dots
-    pairs = degree_pairs(len(table) - 1)
-    size = len(pairs)
-    lhs = np.zeros((size, size), dtype=object)
-    start = 0
-    for total in range(len(table)):
-        gram, width = _total_gram(tested, total, dots), total + 1
-        lhs[start:start + width, start:start + width] = gram[
-            vec_i * width:(vec_i + 1) * width, vec_j * width:(vec_j + 1) * width]
-        start += width
-    ns, ms = [n for n, _ in pairs], [m for _, m in pairs]
-    # the form (n + m, n2 + m2, |n - n2|) of each check as one number; each is below len(table)
-    n_col, totals = np.array(ns), np.array(ns) + ms
-    forms = (totals[:, None] * len(table) + totals) * len(table) + abs(n_col[:, None] - n_col)
-    _, first, inverse = np.unique(forms.ravel(), return_index=True, return_inverse=True)
-    closed = []
-    for index in first.tolist():
-        rhs = sandwich_inner_closed(v, v2, *pairs[index // size], *pairs[index % size])
-        closed.append(rhs.numerator if rhs.denominator == 1 else rhs)
-    rhs = np.empty(len(closed), dtype=object)
-    rhs[:] = closed
-    lhs, rhs = lhs.ravel(), rhs[inverse]
-    passed = (lhs == rhs).tolist()
-    lhs, rhs = lhs.tolist(), rhs.tolist()
-    texts = {value: fraction_str(value) for value in {*lhs, *closed}}
-    params = {"rank": v.element.rank, "sign": v.sign, "sign2": v2.sign, "vec": vec_i,
-              "vec2": vec_j, "n": [n for n in ns for _ in pairs],
-              "m": [m for m in ms for _ in pairs], "n2": ns * size, "m2": ms * size}
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / size**2
-    return _check_table("sandwich_inner", params, [texts[x] for x in lhs],
-                        [texts[x] for x in rhs], passed, [elapsed_ms] * size**2)
+    family = _inner_family(tested, {} if dots is None else dots)
+    (v, _), (v2, _) = tested[vec_i], tested[vec_j]
+    params = {"rank": family["rank"], "sign": v.sign, "sign2": v2.sign, "vec": vec_i,
+              "vec2": vec_j, **{key: family[key] for key in ("n", "m", "n2", "m2")}}
+    lhs, rhs, passed = (family[key][vec_i, vec_j].ravel().tolist()
+                        for key in ("lhs", "rhs", "passed"))
+    return _check_table("sandwich_inner", params, lhs, rhs, passed, family["elapsed_ms"])
 
 
 def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Callable,

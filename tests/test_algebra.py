@@ -384,6 +384,22 @@ def test_graded_int64_extremes_match_object_arrays(entries):
             assert narrow_sum == wide_sum
 
 
+@pytest.mark.parametrize("half, dtype", [(INT64_MAX // 2 + 1, object), (INT64_MAX // 2, np.int64)])
+def test_combination_unit_terms_near_int64_max(half, dtype):
+    # two ±1 terms whose bounds sum past INT64_MAX take the object path, where
+    # an int64 sum in place would wrap; at INT64_MAX - 1 they stay in int64.
+    # Either way the values are Python's sums, and no input part changes
+    a = np.array([half, -half, 1, 0], dtype=np.int64)
+    b = np.array([half, half, -1, 5], dtype=np.int64)
+    ga, gb = GradedVector(2, {1: a.copy()}), GradedVector(2, {1: b.copy()})
+    for coeffs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        out = GradedVector.combination(2, zip(coeffs, (ga, gb)))
+        assert out.parts[1].dtype == dtype
+        assert out.parts[1].tolist() == [coeffs[0] * int(x) + coeffs[1] * int(y)
+                                         for x, y in zip(a, b)]
+    assert np.array_equal(ga.parts[1], a) and np.array_equal(gb.parts[1], b)
+
+
 def test_graded_vector_cap():
     with pytest.raises(ResourceCapError, match="a length-1 vector has 4 entries, cap is 3"):
         GradedVector.from_element(chi(1, 2), cap=3)

@@ -766,6 +766,33 @@ def test_scan_command(tmp_path):
     assert payload["summary"]["monotone"] is True
 
 
+@pytest.mark.parametrize("bound, factor", [("min_at_least_lower_bound", 1 - 2.0**-46),
+                                           ("max_at_most_upper_bound", 1 + 2.0**-46)])
+def test_scan_fails_past_a_proved_bound(tmp_path, monkeypatch, bound, factor):
+    # ((N - 1)/N)^5 <= f <= N/(N - 1) within 16 eps: one grid value moved
+    # past a bound by 64 eps fails that bound alone, and the scan exits 1
+    code, payload = run_json(tmp_path, ["scan", "--rank", "3", "--grid", "32"])
+    assert code == 0
+    assert payload["summary"]["min_at_least_lower_bound"] is True
+    assert payload["summary"]["max_at_most_upper_bound"] is True
+    rank = 3
+    edge = ((rank - 1) / rank) ** 5 if bound.startswith("min") else rank / (rank - 1)
+    real = density.density_closed_grid
+
+    def moved(*args):
+        values, tail = real(*args)
+        values[5, 7] = edge * factor
+        return values, tail
+
+    monkeypatch.setattr(density, "density_closed_grid", moved)
+    code, payload = run_json(tmp_path, ["scan", "--rank", "3", "--grid", "32"])
+    assert code == 1
+    summary = payload["summary"]
+    assert summary[bound] is False and summary["pass"] is False
+    assert summary["monotone"] and summary["max_at_least_one"]
+    assert [key for key, value in summary.items() if value is False] == [bound, "pass"]
+
+
 def test_scan_tiny_grid_rejected(capsys):
     assert main(["scan", "--rank", "2", "--grid", "8"]) == 2
 
@@ -961,22 +988,70 @@ def test_record_table_writes_as_json_does(data):
     # small pool, so consecutive blocks share a layout or do not; empty blocks
     layouts = data.draw(st.lists(st.lists(st.text(max_size=3), unique=True, max_size=4),
                                  min_size=1, max_size=3))
+    # every column but lhs is drawn as a list or as one value its block
+    # shares, which is anything but a list
     blocks = []
     for _ in range(data.draw(st.integers(0, 5))):
         layout = data.draw(st.sampled_from(layouts))
         size = data.draw(st.integers(0, 3))
-        texts = st.lists(st.text(), min_size=size, max_size=size)
+        column = lambda values: st.lists(values, min_size=size, max_size=size) | values.filter(
+            lambda value: not isinstance(value, list))
         blocks.append({
-            "lemma": data.draw(texts),
-            "params": {key: data.draw(st.lists(JSON_VALUES, min_size=size, max_size=size))
-                       for key in layout},
-            "lhs": data.draw(texts),
-            "rhs": data.draw(texts),
-            "passed": data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
-            "elapsed_ms": data.draw(st.lists(ELAPSED_MS, min_size=size, max_size=size)),
+            "lemma": data.draw(column(st.text())),
+            "params": {key: data.draw(column(JSON_VALUES)) for key in layout},
+            "lhs": data.draw(st.lists(st.text(), min_size=size, max_size=size)),
+            "rhs": data.draw(column(st.text())),
+            "passed": data.draw(column(st.booleans())),
+            "elapsed_ms": data.draw(column(ELAPSED_MS)),
         })
     payload = {"checks": RecordTable(CheckReport, blocks)}
     assert json_report(payload) == json_oracle(payload)
+
+
+def test_single_value_columns_expand():
+    # a block may hold a column its records share as one value, at the top
+    # level or in the map with columns; len, column() and iteration expand it
+    table = RecordTable(CheckReport, [
+        {"lemma": "a", "params": {"rank": 2, "n": [0, 1]}, "lhs": ["1/1", "2/1"],
+         "rhs": "1/1", "passed": [True, False], "elapsed_ms": 0.5},
+        {"lemma": ["b"], "params": {"rank": [3], "n": 4}, "lhs": "0/1", "rhs": ["0/1"],
+         "passed": [True], "elapsed_ms": [1.5]},
+        {"lemma": "c", "params": {"rank": [], "n": 7}, "lhs": "x", "rhs": "x", "passed": [],
+         "elapsed_ms": 0.0},
+    ])
+    assert len(table) == 3
+    assert table.column("lemma") == ["a", "a", "b"]
+    assert table.column("rhs") == ["1/1", "1/1", "0/1"]
+    assert table.column("params", "n") == [0, 1, 4]
+    assert table.column("params", "rank") == [2, 2, 3]
+    assert table.column("elapsed_ms") == [0.5, 0.5, 1.5]
+    assert list(table) == [CheckReport("a", {"rank": 2, "n": 0}, "1/1", "1/1", True, 0.5),
+                           CheckReport("a", {"rank": 2, "n": 1}, "2/1", "1/1", False, 0.5),
+                           CheckReport("b", {"rank": 3, "n": 4}, "0/1", "0/1", True, 1.5)]
+
+
+def test_single_value_columns_write_as_json_does():
+    # the same columns once as one value and once as a list, in one run of
+    # blocks; values equal under == but spelled apart (1 and True, 0.0 and
+    # -0.0) in either form; an empty map shared by a block's records
+    shared = {"lemma": "s", "params": {"rank": True, "n": [1, 2]}, "lhs": ["1/2", "1/3"],
+              "rhs": "1/2", "passed": [True, False], "elapsed_ms": -0.0}
+    listed = {"lemma": ["s", "t"], "params": {"rank": [1, 1], "n": [3, 4]}, "lhs": ["1/2", "1/3"],
+              "rhs": ["1/2", "1/2"], "passed": [True, False], "elapsed_ms": [0.0, 0.0015]}
+    blocks = [shared, listed, dict(shared, params={"rank": 1, "n": 2.5}, lhs=["x"], passed=[1]),
+              dict(listed, params={}, elapsed_ms=1e300)]
+    payload = {"checks": RecordTable(CheckReport, blocks), "summary": {"total": 7}}
+    assert json_report(payload) == json_oracle(payload)
+
+
+def test_inject_error_marks_only_the_first_check(tmp_path):
+    code, payload = run_json(tmp_path, ["verify", "--rank", "2", "--max-total", "2",
+                                        "--inject-error"])
+    assert code == 1
+    assert [n for n, check in enumerate(payload["checks"]) if not check["pass"]] == [0]
+    first = payload["checks"][0]
+    assert first["rhs"] == first["lhs"] + " (perturbed)"
+    assert payload["summary"]["failed"] == 1
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -5,8 +5,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from radialmasa.algebra import (GradedVector, InversionEigenvector, chi, exact_gram, inner_product,
-                               multiply)
+from radialmasa.algebra import (GradedVector, InversionEigenvector, chi, chi_support_size,
+                               exact_gram, inner_product, multiply)
 from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
@@ -341,3 +341,60 @@ def test_report_serialization():
     assert parsed["pass"] is True
     assert parsed["lhs"] == "1/3"
     assert set(parsed) == {"lemma", "params", "lhs", "rhs", "pass", "elapsed_ms"}
+
+
+# ------------------------------------------------------- negative controls
+
+
+def inner_reports(rank, max_total):
+    return [r for r in run_identity_sweep(rank, max_total) if r.lemma == "sandwich_inner"]
+
+
+def closed_key(v, v2, n, m, n2, m2):
+    """The (sign, sign', <v, v'>) key and the (n + m, n2 + m2, |n - n2|) form
+    that ``sandwich_inner_closed`` depends on."""
+    return (v.sign, v2.sign, inner_product(v.element, v2.element)), (n + m, n2 + m2, abs(n - n2))
+
+
+def test_wrong_closed_form_fails_exactly_its_key_and_form(monkeypatch, tmp_path):
+    # one (key, form) off by one fails the checks of that key and form in every
+    # block that shares them, and no other check; verify exits 1
+    vectors = all_test_vectors(3)
+    target = ((1, 1, -2), (3, 3, 1))  # the two sign +1 vectors, either order
+    real = identities.sandwich_inner_closed
+
+    def wrong(v, v2, n, m, n2, m2):
+        value = real(v, v2, n, m, n2, m2)
+        return value + 1 if closed_key(v, v2, n, m, n2, m2) == target else value
+
+    monkeypatch.setattr(identities, "sandwich_inner_closed", wrong)
+    reports = inner_reports(3, 5)
+    failed = [r for r in reports if not r.passed]
+    key = lambda p: closed_key(vectors[p["vec"]], vectors[p["vec2"]], p["n"], p["m"], p["n2"],
+                               p["m2"])
+    assert failed == [r for r in reports if key(r.params) == target]
+    # the forms (3, 3, 1) of the ordered pairs (2, 3) and (3, 2)
+    assert len(failed) == 2 * 6
+    assert {(r.params["vec"], r.params["vec2"]) for r in failed} == {(2, 3), (3, 2)}
+    out = str(tmp_path / "v.json")
+    assert main(["verify", "--rank", "3", "--max-total", "5", "--out", out]) == 1
+
+
+def test_wrong_gram_entry_fails_exactly_the_check_that_reads_it(monkeypatch, tmp_path):
+    # one off-diagonal entry of the total-2 Gram, vector 0's v_{1,1} against
+    # vector 1's v_{2,0} (rows vec * 3 + n), is read by one check only
+    real = identities.exact_gram
+
+    def wrong(parts, bounds):
+        gram = real(parts, bounds)
+        if len(parts[0]) == chi_support_size(3, 2):  # the components of total 2
+            gram[1, 5] += 1
+        return gram
+
+    monkeypatch.setattr(identities, "exact_gram", wrong)
+    failed = [r for r in inner_reports(2, 3) if not r.passed]
+    assert len(failed) == 1
+    read = {"vec": 0, "vec2": 1, "n": 1, "m": 1, "n2": 2, "m2": 0}
+    assert failed[0].params.items() >= read.items()
+    out = str(tmp_path / "v.json")
+    assert main(["verify", "--rank", "2", "--max-total", "3", "--out", out]) == 1

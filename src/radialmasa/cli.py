@@ -252,7 +252,8 @@ def _row_template(row) -> tuple:
 
 def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
     """The pieces of ``n`` rows laid out by ``template``, with ``columns``
-    mapping each of its paths to a column of texts; joining them gives the rows.
+    mapping each of its paths to a column of ``n`` texts, a list or an
+    iterator; joining them gives the rows.
 
     Columns and literals are interleaved by slice assignment, so no per-row
     string is built.
@@ -332,13 +333,28 @@ def _table_rows(table: RecordTable) -> Iterator[list[str]]:
         yield pieces
 
 
+# The most pieces joined into one chunk of written text: a few hundred KB of
+# report rows.  A string of several MB, and its encoded copy, comes back from
+# the allocator as fresh pages on every block.
+CHUNK_PIECES = 1 << 14
+
+
+def _joined(pieces: list[str]) -> Iterator[str]:
+    """``pieces`` joined in order, at most ``CHUNK_PIECES`` of them a chunk."""
+    for start in range(0, len(pieces), CHUNK_PIECES):
+        yield "".join(pieces[start:start + CHUNK_PIECES])
+
+
 def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
     """Yield, in chunks, the text json.dumps(indent=2, sort_keys=True) gives
     ``head`` with the lists of ``lists`` added, and a newline.
 
     Each value of ``head``, plain lists included, goes through json.dumps.
-    Each list of ``lists`` is an iterable of the pieces of its rows, one
-    nonempty list of pieces per chunk, each row starting with the separator.
+    Each list of ``lists`` is an iterable of nonempty lists of pieces, one
+    list per block of rows: joined in order, the lists give the list's rows,
+    each starting with the separator, so the first piece starts with it.
+    A list of pieces may end inside a row and the next list go on with it.
+    Each list is written by ``_joined`` and dropped before the next is built.
     """
     opening = "{"
     for key in sorted([*head, *lists]):
@@ -347,15 +363,14 @@ def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
         if key in head:
             yield _json_value(head[key], "  ")
             continue
-        separator = "["
+        empty = True
         for pieces in lists[key]:
-            # the first row's separator is the list's opening bracket
-            pieces[0] = separator + pieces[0][1:]
-            separator = ","
-            text = "".join(pieces)
-            del pieces  # so the row pieces are freed before the text is written
-            yield text
-        yield "[]" if separator == "[" else "\n  ]"
+            if empty:  # the first row's separator is the list's opening bracket
+                pieces[0] = "[" + pieces[0][1:]
+                empty = False
+            yield from _joined(pieces)
+            del pieces  # so it is freed before the next block is built
+        yield "[]" if empty else "\n  ]"
     yield "{}\n" if opening == "{" else "\n}\n"
 
 
@@ -410,13 +425,6 @@ def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]
         texts[ids[block][last[block]]] = None
 
 
-def _run_texts(run: tuple, axis: list[str], texts: dict) -> list[str]:
-    """The text of the template parts ``run`` for each s text of ``axis``,
-    with its other columns spelled by ``texts``."""
-    return ["".join([part if isinstance(part, str) else row[part] for part in run])
-            for row in ({**texts, ("s",): s} for s in axis)]
-
-
 class DensityRows:
     """The rows of a density export as column arrays, spelled one block of
     grid rows at a time; ``len`` is the number of rows.
@@ -438,6 +446,17 @@ class DensityRows:
     67 bytes each (about 4.5 MB), next to 6 bytes a point for the group ids
     and the first and last marks and 8 bytes a distinct value for the text
     slots (about 2.3 MB).
+
+    A row is laid out by ``_rows_pieces`` as three pieces: its f text and
+    the two fragments of the text between one f and the next.  That text is
+    the format's row template after f and then before it.  A grid's tail
+    and label are fixed, so it is one fragment keyed by t and one keyed by
+    s, each spelled once per grid.  A CSV row holds its coordinates before
+    f, so its fragments come before its f and the first begins with the
+    previous row's suffix; the grid's first block drops that suffix and its
+    last block appends it.  A JSON row holds them after f, so its fragments
+    come after its f and the last ends with the next row's opening; the
+    grid's first block prepends that opening and its last block drops it.
     """
 
     def __init__(self, pts: np.ndarray, grids: tuple):
@@ -451,44 +470,38 @@ class DensityRows:
         each block of about ``density.BLOCK_POINTS`` rows: as csv.writer
         writes the rows t, s, f, tail_bound, method, or as ``json_chunks``
         writes them as dicts.  Each coordinate and tail is spelled once, and
-        each distinct value once per grid.
-
-        The row template is folded: each run of it between the t and f
-        columns is one part, a literal or a column whose text depends only
-        on s, spelled once per grid.
+        each distinct value once per grid.  Joined in order, the lists give
+        the rows; a list may begin or end inside a row (see the class).
         """
         axis = _float_texts(self.pts, fmt)
         n = len(axis)
         step = max(1, density_mod.BLOCK_POINTS // n)
-        label_text = json.dumps if fmt == "json" else str
         if fmt == "json":
-            template = _row_template(dict.fromkeys(DENSITY_COLUMNS))
+            template, label_text = _row_template(dict.fromkeys(DENSITY_COLUMNS)), json.dumps
         else:
-            template = DENSITY_CSV_ROW
-        folded, runs = [], []
-        # t and f vary along a grid row; the text between them does not
-        for per_point, run in groupby(template, key=(("t",), ("f",)).__contains__):
-            run = tuple(run)
-            if per_point:
-                folded.extend(run)
-            elif all(isinstance(part, str) for part in run):
-                folded.append("".join(run))
-            else:
-                folded.append(run)
-                runs.append(run)
+            template, label_text = DENSITY_CSV_ROW, str
+        cut = template.index(("f",))
+        before = ("t",) in template[:cut]
         for values, tail, label in self.grids:
-            texts = {("tail_bound",): _float_texts([tail], fmt)[0], ("method",): label_text(label)}
-            fragments = {run: _run_texts(run, axis, texts) for run in runs}
+            texts = {("tail_bound",): _float_texts([tail], fmt)[0], ("method",): label_text(label),
+                     ("t",): axis, ("s",): axis}
+            (lead, first, mid, second, end), _ = _fold(template[cut + 1:] + template[:cut], texts)
+            fragments = {first: [lead + x + mid for x in axis], second: [x + end for x in axis]}
+            # the text of the side of f that holds no coordinate: all of lead
+            # in CSV, whose row starts with t
+            edge = lead if before else "".join(template[:cut])
+            layout = (first, second, ("f",)) if before else (("f",), first, second)
             blocks = _block_texts(values, step * n, fmt)
             for start, f_texts in zip(range(0, n, step), blocks):
-                t_axis = axis[start:start + step]
-                t_column = []
-                for t in t_axis:
-                    t_column += [t] * n
-                columns = {("t",): t_column, ("f",): f_texts}
-                for run, fragment in fragments.items():
-                    columns[run] = fragment * len(t_axis)
-                yield _rows_pieces(len(t_axis) * n, folded, columns)
+                t_texts = fragments[("t",)][start:start + step]
+                columns = {("t",): chain.from_iterable([t] * n for t in t_texts),
+                           ("s",): fragments[("s",)] * len(t_texts), ("f",): f_texts}
+                pieces = _rows_pieces(len(f_texts), layout, columns)
+                if start == 0:
+                    pieces[0] = pieces[0][len(edge):] if before else edge + pieces[0]
+                if start + step >= n:
+                    pieces[-1:] = [pieces[-1], edge] if before else [pieces[-1][:-len(edge)]]
+                yield pieces
 
 
 def json_chunks(report: dict) -> Iterator[str]:
@@ -517,7 +530,7 @@ def json_report(payload: dict) -> str:
 def csv_chunks(report: dict) -> Iterator[str]:
     """A density export's CSV text: the header, then its rows block by block."""
     return chain([",".join(DENSITY_COLUMNS) + "\r\n"],
-                 map("".join, report["rows"].pieces("csv")))
+                 chain.from_iterable(map(_joined, report["rows"].pieces("csv"))))
 
 
 # the writer of each --format; only density takes csv

@@ -594,6 +594,67 @@ def test_density_memory_error_mid_stream(fmt, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # neither the output nor the temp file
 
 
+def joined_chunks(monkeypatch, chunk):
+    """Set the chunk bound to ``chunk`` pieces, and return the list that
+    collects every chunk ``cli._joined`` yields, each checked to be the join
+    of at most ``chunk`` consecutive pieces of its list."""
+    monkeypatch.setattr(cli, "CHUNK_PIECES", chunk)
+    real, joined = cli._joined, []
+
+    def checked(pieces):
+        start = 0
+        for text in real(pieces):
+            end = start
+            while len("".join(pieces[start:end])) < len(text):
+                end += 1
+            assert "".join(pieces[start:end]) == text
+            assert 1 <= end - start <= chunk
+            start = end
+            joined.append(text)
+            yield text
+        assert start == len(pieces)
+
+    monkeypatch.setattr(cli, "_joined", checked)
+    return joined
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("argv", [["verify", "--rank", "2", "--max-total", "2"],
+                                  ["pairing", "--rank", "2"]])
+def test_report_chunk_edges(argv, chunk, capsys, monkeypatch):
+    # every row of the checks list is written in chunks of at most `chunk`
+    # pieces, the first one opening the list with its bracket
+    joined = joined_chunks(monkeypatch, chunk)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    rows = "".join(joined)
+    assert joined[0].startswith("[\n    {") and '"checks": ' + rows + "\n  ]" in text
+    assert all(not chunk.startswith("[") for chunk in joined[1:])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("block_points", [1, 5 * 33])
+def test_density_chunk_edges(block_points, chunk, capsys, monkeypatch):
+    # chunk edges fall inside rows, inside blocks and at the edges of grids
+    for grid in (1, 2, 33):
+        for fmt in ("csv", "json"):
+            argv = ["density", "--rank", "3", "--grid", str(grid), "--method", "both",
+                    "--format", fmt]
+            want = row_encoder_output(argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(density, "BLOCK_POINTS", block_points)
+                joined = joined_chunks(patch, chunk)
+                assert main(argv) == 0
+            text = capsys.readouterr().out
+            assert text == want
+            rows = "".join(joined)
+            if fmt == "csv":
+                assert text == ",".join(HEADER) + "\r\n" + rows
+            else:
+                assert rows.startswith("[\n    {") and '"rows": ' + rows + "\n  ]" in text
+
+
 def test_density_runaway_grid_fails_before_writing(tmp_path):
     # the float grids are allocated whole before the first byte is written, so
     # a grid past the address-space limit fails with nothing written

@@ -7,9 +7,9 @@ floats are rejected so every identity can be checked with equality.
 
 ``GradedVector`` holds the same data by word length, one exact coefficient
 array per length, so that inner products become array dot products, a
-right product by chi_m becomes row sums over spheres of the Cayley tree of
-reshaped parts, and a left product chi_n v of a length-one v becomes two
-gathers by last letter.
+right product by chi_m becomes sphere sums in the Cayley tree, built by row
+sums of reshaped parts going down the tree and repeats going back up, and a
+left product chi_n v of a length-one v becomes two gathers by last letter.
 """
 
 from __future__ import annotations
@@ -450,16 +450,24 @@ class GradedVector:
         at distance m from u in the Cayley tree.  Those are, for each c up to
         min(|u|, m), the words m - c letters below the prefix of u that is c
         letters up, less, when 0 < c < m, the words m - c - 1 letters below
-        the prefix c - 1 letters up, which lie nearer u.  In ``words_of_length``
-        order the words k letters below each word of length j fill one row of
-        the length-(j + k) part reshaped to (chi_support_size(j), -1), so each
-        such sum is a row sum of one part of x, and it is added to the row of
-        the same reshape of the output part.  No recurrence among the chi_n is
-        used: every coefficient is a sum of coefficients of x, as the group
-        algebra has it.
+        the prefix c - 1 letters up, which lie nearer u.  No recurrence among
+        the chi_n is used: every coefficient is a sum of coefficients of x, as
+        the group algebra has it.
 
-        The m + 1 sums added and m - 1 subtracted cover blocks of at most
-        chi_support_size(k) words each, for distinct k <= m on each side, so
+        In ``words_of_length`` order the words one letter below each word of
+        length j fill one row of the length-(j + 1) part reshaped to
+        (chi_support_size(j), -1).  So the pass goes down the tree once: the
+        sum of x over the words k letters below each word of length j is the
+        row sum of the same sums k - 1 below the words of length j + 1, each
+        level summed from the one under it.  It then builds each length l of
+        x chi_m once up the tree, Horner-style: from the shortest prefix level
+        max(0, l - m), at each level it adds the sums that level's prefixes
+        index, and repeats each entry once per child word to reach the next
+        level, so each part is written about b / (b - 1) times, b = 2N - 1.
+
+        Each partial sum, at any level, is a partial sum of the m + 1 sums
+        added and m - 1 subtracted, which cover blocks of at most
+        chi_support_size(k) words each, for distinct k <= m on each side; so
         every partial sum is at most max|x| times 2 sum_{k <= m}
         chi_support_size(k) <= chi_support_size(m + 1).  The pass runs in int64
         only when that bound at m = top fits, and in object arrays otherwise.
@@ -480,21 +488,30 @@ class GradedVector:
         @cache
         def below(k: int, j: int) -> np.ndarray:
             # by position of each word of length j, the sum of x over the words k below it
-            return parts[j + k].reshape(chi_support_size(j, rank), -1).sum(axis=1)
+            if k == 0:
+                return parts[j]
+            return below(k - 1, j + 1).reshape(chi_support_size(j, rank), -1).sum(axis=1)
 
         out = [self]
         for m in range(1, top + 1):
             sums = {}
             for length in sorted({n + m - 2 * c for n in parts for c in range(min(n, m) + 1)}):
-                acc = np.zeros(chi_support_size(length, rank), dtype=dtype)
-                for c in range(min(length, m) + 1):
-                    if length + m - 2 * c in parts:
-                        j = length - c
-                        acc.reshape(chi_support_size(j, rank), -1)[:] += below(m - c, j)[:, None]
-                        if 0 < c < m:
-                            acc.reshape(chi_support_size(j + 1, rank), -1)[:] -= (
-                                below(m - c - 1, j + 1)[:, None]
-                            )
+                acc = None
+                for level in range(max(0, length - m), length + 1):
+                    if acc is not None:
+                        acc = np.repeat(acc, 2 * rank if level == 1 else 2 * rank - 1)
+                    # this level's prefix is c letters up from the output word: add
+                    # the words m - c below it, and subtract those m - c - 2 below
+                    # it, the nearer words for the prefix c + 1 up, if there is one
+                    c = length - level
+                    terms = [(m - c, np.add)]
+                    if level:
+                        terms.append((m - c - 2, np.subtract))
+                    for k, op in terms:
+                        if k >= 0 and level + k in parts:
+                            if acc is None:
+                                acc = np.zeros(chi_support_size(level, rank), dtype=dtype)
+                            op(acc, below(k, level), out=acc)
                 sums[length] = acc
             out.append(GradedVector(rank, sums))
         return out

@@ -703,14 +703,18 @@ FLAG_PARSING = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  When ``argv`` starts with a command, only that
+    command's subparser is built: parsing never reaches the others, and
+    building them is a fixed cost of every run.  Otherwise, for the top-level
+    help and its usage errors, all are built."""
     parser = _Parser(
         prog="radialmasa",
         description="Exact and numerical checks for the radial subalgebra toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, run in COMMANDS.items():
-        p = sub.add_parser(command, help=run.__doc__)
+    for command in [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS:
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__)
         for key, opt in command_options(command).items():
             bound = "" if opt.low is None else f" (at least {opt.low})"
             p.add_argument(opt.flag, dest=key, choices=opt.choices, help=opt.help + bound,
@@ -784,8 +788,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = resolve_config(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

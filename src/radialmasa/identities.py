@@ -24,7 +24,10 @@ n + 1 gets v at its last letter, and one of length n - 1 the sum of v less
 that, two gathers by last letter.  Row n, every chi_n v chi_m, is one
 ``GradedVector.times_chi`` pass over chi_n v, which reads the coefficient of
 x chi_m at a word u as the sum of x over the sphere of radius m around u in
-the Cayley tree, by row sums of reshaped parts.  ``pairing_exact`` reads
+the Cayley tree: one pass down the tree sums x below each word level by level,
+by row sums of reshaped parts, and one pass up builds each part of x chi_m
+from its shortest prefixes, repeating each level's entries once per child
+word.  ``pairing_exact`` reads
 <chi_j v chi_k, v> = <v chi_k, chi_j v> off row 0 and the same chi_j v.  The
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
@@ -197,13 +200,14 @@ def sandwich_inner_closed(
     m2: int,
 ) -> Fraction:
     """Closed form for <v_{n,m}, v'_{n2,m2}>: nonzero only for matching sign
-    and matching total degree, with a geometric factor in |n - n2|."""
-    rank = v.element.rank
+    and matching total degree, b^(n+m) (-sign b)^-d <v, v'> with d = |n - n2|
+    and b = 2N - 1.  The sign is its own inverse, and d <= n + m since the
+    totals match, so this is the integer (-sign)^d b^(n+m-d) times <v, v'>."""
     if v.sign != v2.sign or n + m != n2 + m2:
         return Fraction(0)
-    b = 2 * rank - 1
-    base = Fraction(inner_product(v.element, v2.element))
-    return Fraction(b) ** (n + m) * Fraction(1, -v.sign * b) ** abs(n - n2) * base
+    d = abs(n - n2)
+    scale = (-v.sign) ** d * (2 * v.element.rank - 1) ** (n + m - d)
+    return Fraction(scale * inner_product(v.element, v2.element))
 
 
 def pairing_closed(sign: int, n: int, m: int, norm_sq: Rational) -> Fraction:

@@ -478,6 +478,33 @@ def test_times_chi_int64_switch(rank, top):
             assert all((b is not None) == stays_int64 for b in product.bounds.values())
 
 
+@pytest.mark.parametrize("rank, top", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("lengths", [{0}, {0, 3}, {1, 2}, {2, 4}, {0, 2, 4}])
+def test_times_chi_matches_dict_products(rank, top, lengths):
+    # the down and up passes against the dict algebra, on supports with the empty
+    # word, with two lengths of one parity, and with a gap.  A pass that also
+    # subtracts at the empty word's level, one letter past the output word, fails
+    # {0, 2, 4} from m = 2 and {2, 4} from m = 4
+    rng = np.random.default_rng([rank, *sorted(lengths)])
+    x = element(rank, {w: int(rng.integers(-9, 10)) for n in lengths
+                       for w in words_of_length(n, rank)})
+    passed = graded(x).times_chi(top)
+    assert passed == [graded(multiply(x, chi(m, rank))) for m in range(top + 1)]
+    for shorter in range(top):
+        assert graded(x).times_chi(shorter) == passed[:shorter + 1]
+
+
+def test_times_chi_fraction_entries():
+    # an object pass, Fractions and ints mixed, against the dict algebra
+    rank = 3
+    rng = np.random.default_rng(7)
+    x = element(rank, {w: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+                       for n in (0, 2, 4) for w in words_of_length(n, rank)})
+    passed = graded(x).times_chi(3)
+    assert all(b is None for product in passed[1:] for b in product.bounds.values())
+    assert passed == [graded(multiply(x, chi(m, rank))) for m in range(4)]
+
+
 # ---------------------------------------------------------------- test vectors
 
 

@@ -226,6 +226,42 @@ def test_each_command_takes_its_flags():
     assert sum(map(len, taken.values())) == 31
 
 
+def parsed_commands(argv):
+    return list(next(action.choices for action in build_parser(argv)._actions
+                     if isinstance(action, argparse._SubParsersAction)))
+
+
+def test_parser_builds_only_the_named_command():
+    assert parsed_commands(["pairing", "--rank", "3"]) == ["pairing"]
+    for argv in ([], ["-h"], ["--rank", "3", "verify"], ["pair"]):
+        assert parsed_commands(argv) == list(COMMANDS)
+    assert parsed_commands(None) == list(COMMANDS)
+
+
+def run_main(argv, capsys):
+    """main's exit code, stdout and stderr for ``argv``, a SystemExit's code included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["verify", "-h"], ["density", "--help"], [], ["bogus"], ["verify", "--bogus"],
+    ["verify", "--rank", "x"], ["--rank", "2", "verify"],
+])
+def test_one_command_parser_matches_full_parser(argv, capsys, monkeypatch):
+    # help, usage errors and their exit codes are the same when only the named
+    # command's subparser is built as when all five are
+    alone = run_main(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert alone == run_main(argv, capsys)
+    assert alone[0] in (0, 2) and alone[1] + alone[2]
+
+
 def sample_flag_value(opt):
     """A value the flag parses."""
     if opt.choices:

@@ -106,6 +106,25 @@ def test_inner_alternates_for_plus_sign():
     assert report.passed
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_inner_closed_integer_form_matches_fraction_powers(rank):
+    # the integer scale (-sign)^d b^(n+m-d), d = |n - n2|, is the Fraction power
+    # form b^(n+m) (-sign b)^-d at every pair of forms up to total 6, for both
+    # signs and with a base <v, v'> that is not an integer
+    b = 2 * rank - 1
+    for sign in (-1, 1):
+        v = vec(rank, sign)
+        third = InversionEigenvector(v.element.scale(Fraction(1, 3)), sign)
+        for x, y in [(v, v), (v, third), (third, third)]:
+            base = Fraction(inner_product(x.element, y.element))
+            for (n, m), (n2, m2) in product(degree_pairs(6), repeat=2):
+                got = sandwich_inner_closed(x, y, n, m, n2, m2)
+                old = Fraction(b) ** (n + m) * Fraction(1, -sign * b) ** abs(n - n2) * base
+                assert type(got) is Fraction and got == (old if n + m == n2 + m2 else 0)
+        assert base.denominator > 1
+        assert sandwich_inner_closed(v, vec(rank, -sign), 1, 1, 1, 1) == 0
+
+
 # ------------------------------------------------------- expansion
 
 

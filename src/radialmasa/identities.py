@@ -31,7 +31,8 @@ word.  ``pairing_exact`` reads
 <chi_j v chi_k, v> = <v chi_k, chi_j v> off row 0 and the same chi_j v.  The
 component v_{r,s} is the top-length array of its triple, an inner product is
 a dot of same-length arrays (words of different lengths are orthogonal), and
-the expansion check compares two graded vectors length by length.  The inner
+the expansion check compares two graded vectors length by length, below the
+top length, where the one term is the cell's own top part.  The inner
 checks of a sweep, every ordered pair of test vectors at once, are one
 family built in one array pass (``_inner_family``), which each inner block
 slices.  Its left-hand sides are read off one Gram matrix per total n + m,
@@ -391,15 +392,16 @@ def inner_block(tested: list[TestedVector], vec_i: int, vec_j: int,
 def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Callable,
                   spell: Callable = fraction_str) -> RecordTable:
     """One check of ``lemma`` per degree pair (n, m) of test vector ``vec_i``:
-    ``check(n, m)`` gives the brute-force and closed-form sides, for ``spell``."""
+    ``check(n, m)`` gives the brute-force and closed-form sides, for ``spell``;
+    a check that has shown them equal may give one object for both."""
     v, table = tested[vec_i]
     pairs = degree_pairs(len(table) - 1)
     checks = []
     for n, m in pairs:
         t0 = time.perf_counter()
         lhs, rhs = check(n, m)
-        passed = lhs == rhs  # equal sides spell alike, so a passing check spells one
-        text = spell(lhs)
+        passed = lhs is rhs or lhs == rhs
+        text = spell(lhs)  # equal sides spell alike, so a passing check spells one
         checks.append((text, text if passed else spell(rhs), passed,
                        (time.perf_counter() - t0) * 1000.0))
     params = {"rank": v.element.rank, "sign": v.sign, "vec": vec_i,
@@ -409,13 +411,33 @@ def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Cal
 
 def expansion_block(tested: list[TestedVector], vec_i: int) -> RecordTable:
     """Brute-force chi_n v chi_m against its expansion over sandwich components,
-    for one test vector."""
+    for one test vector.
+
+    The expansion's term (1, n, m) is v_{n,m}, which ``component`` reads as the
+    top part of chi_n v chi_m itself, at the top length n + m + 1, sharing its
+    array; every other term has r + s <= n + m - 2.  So equality at the top
+    length is a = a, and the check removes (1, n, m) from the term list and
+    compares the combination of the rest with the cell below the top length.
+    A second term at the top length puts that length into the rest, and the
+    lengths then differ; without (1, n, m) every length is compared.  A
+    failing check builds the whole combination for its ``rhs``.
+    """
     v, table = tested[vec_i]
 
+    expand = lambda terms: GradedVector.combination(
+        v.element.rank, [(coeff, component(table, r, s)) for coeff, r, s in terms])
+
     def check(n: int, m: int) -> tuple[GradedVector, GradedVector]:
-        terms = sandwich_expansion_indices(v.sign, n, m)
-        return table[n][m], GradedVector.combination(
-            v.element.rank, [(coeff, component(table, r, s)) for coeff, r, s in terms])
+        cell, terms = table[n][m], sandwich_expansion_indices(v.sign, n, m)
+        rest, lengths = list(terms), cell.parts.keys()
+        if (1, n, m) in rest:
+            rest.remove((1, n, m))
+            lengths = lengths - {n + m + 1}
+        lower = expand(rest).parts
+        if lower.keys() == lengths and all(
+                np.array_equal(part, cell.parts[length]) for length, part in lower.items()):
+            return cell, cell
+        return cell, expand(terms)
 
     return _degree_block("sandwich_expansion", tested, vec_i, check, _element_digest)
 

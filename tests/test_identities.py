@@ -11,6 +11,7 @@ from radialmasa import identities
 from radialmasa.cli import main
 from radialmasa.identities import (
     CheckReport,
+    _element_digest,
     all_test_vectors,
     component,
     degree_pairs,
@@ -19,6 +20,7 @@ from radialmasa.identities import (
     inner_block,
     pairing_block,
     pairing_closed,
+    pairing_exact,
     run_identity_sweep,
     sandwich_expansion_indices,
     sandwich_inner_closed,
@@ -154,6 +156,74 @@ def test_expansion_direct_small_cases():
             for n, m in [(1, 1), (3, 2), (0, 4)]:
                 report = row(block, n=n, m=m)
                 assert report.passed, report.params
+
+
+def expansion_reports(rank, max_total):
+    return [r for r in run_identity_sweep(rank, max_total) if r.lemma == "sandwich_expansion"]
+
+
+def assert_rhs_is_whole_expansion(reports, terms, rank, max_total):
+    """Each report's rhs against the digest of its whole expansion under ``terms``."""
+    tables = with_tables(rank, max_total)
+    for r in reports:
+        p, table = r.params, tables[r.params["vec"]][1]
+        whole = GradedVector.combination(rank, [(coeff, component(table, a, b))
+                                                for coeff, a, b in terms(p["sign"], p["n"], p["m"])])
+        assert r.rhs == _element_digest(whole) != r.lhs, p
+
+
+def test_flipped_lower_term_fails_exactly_the_expansions_that_hold_it(monkeypatch, tmp_path):
+    # the term at v_{1,1} lies below the top length of every expansion but
+    # chi_1 v chi_1's own, so flipping it fails the checks of (3, 1), (1, 3)
+    # and (2, 2) of every vector in a sweep to total 5, and no other
+    real = identities.sandwich_expansion_indices
+
+    def flipped(sign, n, m):
+        return [(-coeff if (r, s) == (1, 1) != (n, m) else coeff, r, s)
+                for coeff, r, s in real(sign, n, m)]
+
+    monkeypatch.setattr(identities, "sandwich_expansion_indices", flipped)
+    reports = expansion_reports(3, 5)
+    failed = [r for r in reports if not r.passed]
+    holds = lambda p: (1, 1) != (p["n"], p["m"]) and any(
+        (r, s) == (1, 1) for _, r, s in real(p["sign"], p["n"], p["m"]))
+    assert failed == [r for r in reports if holds(r.params)]
+    assert sorted({(r.params["n"], r.params["m"]) for r in failed}) == [(1, 3), (2, 2), (3, 1)]
+    assert len(failed) == 3 * len(all_test_vectors(3))
+    assert_rhs_is_whole_expansion(failed, flipped, 3, 5)
+    out = str(tmp_path / "v.json")
+    assert main(["verify", "--rank", "3", "--max-total", "5", "--out", out]) == 1
+
+
+def test_dropped_top_term_fails_every_expansion(monkeypatch):
+    # without (1, n, m) no term is at the top length, so every check compares
+    # there, the empty combination of (0, 0) included
+    real = identities.sandwich_expansion_indices
+
+    def dropped(sign, n, m):
+        return [term for term in real(sign, n, m) if term != (1, n, m)]
+
+    monkeypatch.setattr(identities, "sandwich_expansion_indices", dropped)
+    reports = expansion_reports(2, 4)
+    assert len(reports) == len(all_test_vectors(2)) * len(degree_pairs(4))
+    assert not any(r.passed for r in reports)
+    assert_rhs_is_whole_expansion(reports, dropped, 2, 4)
+
+
+def test_second_top_term_is_compared_at_the_top(monkeypatch):
+    # v_{1,2} added to chi_2 v chi_1's expansion is a second term at its top
+    # length 4, where it is nonzero; the lower lengths still match, so only a
+    # comparison at the top fails it
+    real = identities.sandwich_expansion_indices
+
+    def added(sign, n, m):
+        return real(sign, n, m) + [(1, 1, 2)] * ((n, m) == (2, 1))
+
+    monkeypatch.setattr(identities, "sandwich_expansion_indices", added)
+    reports = expansion_reports(3, 4)
+    failed = [r for r in reports if not r.passed]
+    assert [(r.params["n"], r.params["m"]) for r in failed] == [(2, 1)] * len(all_test_vectors(3))
+    assert_rhs_is_whole_expansion(failed, added, 3, 4)
 
 
 # ------------------------------------------------------- six-case pairing
@@ -321,6 +391,34 @@ def test_shared_dots_on_fraction_parts():
     assert any(r.lhs.endswith("/9") for r in reports)
     assert all(r.passed for r in reports)
     assert_lhs_are_fresh_dots(reports, fresh)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_every_built_part_has_its_exact_bound(monkeypatch, rank):
+    # every part built by a sweep and by pairing_exact, the tables included,
+    # must hold its exact largest magnitude, None for an object part, and no
+    # part be all zero, however a producer comes by the bound
+    built = []
+    real = GradedVector.__init__
+
+    def recorded(self, *args):
+        real(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(GradedVector, "__init__", recorded)
+    assert all(r.passed for r in run_identity_sweep(rank, 4))
+    for v in all_test_vectors(rank):
+        pairing_exact(v, 4)
+    # per vector, the five cells of total 4 and pairing_exact's v chi_4 and chi_4 v
+    longest = [g for g in built if 5 in g.parts]
+    assert len(longest) >= 7 * len(all_test_vectors(rank))
+    for g in built:
+        assert g.bounds.keys() == g.parts.keys()
+        for length, part in g.parts.items():
+            entries = part.tolist()
+            assert any(entries), length
+            assert g.bounds[length] == (None if part.dtype == object else
+                                        max(map(abs, entries))), length
 
 
 # the exact columns of verify at sizes the benchmark does not run, hashed as

@@ -25,7 +25,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -202,6 +202,8 @@ def _float_texts(values, fmt: str) -> list[str]:
 
 def _json_value(value, indent: str) -> str:
     """``value`` as json.dumps(indent=2, sort_keys=True) spells it at ``indent``."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a scalar's bytes, by the faster encoder
     # a JSON string holds no raw newline, so every newline starts a line
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
@@ -209,51 +211,57 @@ def _json_value(value, indent: str) -> str:
 def _spell(column: list, indent: str) -> list[str]:
     """Each value of ``column`` as ``_json_value`` spells it.
 
-    A column of one scalar type is spelled in one pass: bools before ints,
-    the floats as one ``_block_texts`` block, and each distinct int or
-    string by json.dumps once.
+    A column of one type, bool, int or str, is spelled once per distinct
+    value.
     """
     kinds = set(map(type, column))
-    if kinds == {bool}:
-        return ["true" if value else "false" for value in column]
-    if kinds == {int} or kinds == {str}:
+    if kinds in ({bool}, {int}, {str}):
         spelled = {value: json.dumps(value) for value in set(column)}
         return list(map(spelled.__getitem__, column))
-    if kinds == {float}:
-        return next(_block_texts(column, len(column), "json"))
     return [_json_value(value, indent) for value in column]
 
 
-def _layout(value, indent: str, path: tuple, parts: list) -> None:
+def _layout(value, indent: str, parts: list) -> None:
     """Append the text of ``value`` at ``indent`` to ``parts``: each nonempty
-    dict spelled out with its keys sorted, each other value its path of keys."""
+    dict spelled out with its keys sorted, each other value as it is, a
+    literal text or a column's list of texts."""
     if not (isinstance(value, dict) and value):
-        parts.append(path)
+        parts.append(value)
         return
     parts.append("{")
     for n, key in enumerate(sorted(value)):
         parts.append(f'{"," if n else ""}\n{indent}  {json.dumps(key)}: ')
-        _layout(value[key], indent + "  ", path + (key,), parts)
+        _layout(value[key], indent + "  ", parts)
     parts.append(f"\n{indent}}}")
 
 
-def _row_template(row) -> tuple:
-    """The template of a list item shaped like ``row``: literal text and the
-    paths of its columns, alternating.  Each row starts with the list
+def _merged(parts) -> tuple:
+    """``parts`` with each run of literal texts joined into one literal: a
+    template whose literals and columns alternate, starting and ending with
+    a literal, which may be empty."""
+    merged = [""]
+    for part in parts:
+        if isinstance(part, str):
+            merged[-1] += part
+        else:
+            merged += [part, ""]
+    return tuple(merged)
+
+
+def _row_template(row: dict) -> tuple:
+    """The template of a list item laid out as ``row``, a map of literal texts,
+    columns' lists of texts and maps of them.  Each row starts with the list
     separator, which ``_report_chunks`` makes the opening bracket on a list's
     first row."""
     parts = [",\n" + ROW_INDENT]
-    _layout(row, ROW_INDENT, (), parts)
-    template = []
-    for is_text, run in groupby(parts, key=lambda part: isinstance(part, str)):
-        template.extend(["".join(run)] if is_text else run)
-    return tuple(template)
+    _layout(row, ROW_INDENT, parts)
+    return _merged(parts)
 
 
-def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
-    """The pieces of ``n`` rows laid out by ``template``, with ``columns``
-    mapping each of its paths to a column of ``n`` texts, a list or an
-    iterator; joining them gives the rows.
+def _rows_pieces(n: int, template: tuple) -> list[str]:
+    """The pieces of ``n`` rows laid out by ``template``, each part a literal
+    text or a column of ``n`` texts, a list or an iterator; joining them gives
+    the rows.
 
     Columns and literals are interleaved by slice assignment, so no per-row
     string is built.
@@ -261,76 +269,41 @@ def _rows_pieces(n: int, template: tuple, columns: dict) -> list[str]:
     step = len(template)
     pieces = [""] * (step * n)
     for k, part in enumerate(template):
-        pieces[k::step] = [part] * n if isinstance(part, str) else columns[part]
+        pieces[k::step] = [part] * n if isinstance(part, str) else part
     return pieces
 
 
-def _column_texts(parts: list, indent: str, convert: Callable | None = None) -> list:
-    """The texts of the blocks' columns ``parts``, each value after ``convert``
-    as ``_json_value`` spells it, in one ``_spell`` pass: for each part that
-    is a list, the list of its texts, and for each other part, one value its
-    block's records share, its one text.  A part that blocks share, such as
-    the degree columns of the inner blocks, is spelled once."""
-    distinct = {id(part): part for part in parts}
-    values = []
-    for part in distinct.values():
-        values += part if isinstance(part, list) else [part]
-    texts = _spell(values if convert is None else list(map(convert, values)), indent)
-    start = 0
-    for key, part in distinct.items():
-        size = len(part) if isinstance(part, list) else 1
-        distinct[key] = texts[start:start + size] if isinstance(part, list) else texts[start]
-        start += size
-    return [distinct[id(part)] for part in parts]
-
-
-def _fold(template: tuple, columns: dict) -> tuple[tuple, dict]:
-    """``template`` with each path whose text in ``columns`` is one string
-    joined, with the literals around it, into one literal; and the columns of
-    the paths left."""
-    folded, left = [""], {}
-    for part in template:
-        text = part if isinstance(part, str) else columns[part]
-        if isinstance(text, str):
-            folded[-1] += text
-        else:
-            folded += [part, ""]
-            left[part] = text
-    return tuple(folded), left
-
-
 def _table_rows(table: RecordTable) -> Iterator[list[str]]:
-    """Yield the pieces of the records of ``table``, one list for each run of
-    its nonempty blocks whose map with columns has the same keys.
+    """Yield the pieces of the records of ``table``, one list for each of its
+    nonempty blocks, laid out from the block's own template.
 
-    The run's template comes from the class's ``json_fields``, a map with
-    columns spelled out one column per key (an empty map is a value of its own).
-    Each column is spelled over the run's blocks by ``_column_texts``, and
-    each block folds the texts of the columns it holds as one value into the
-    literals of its template (``_fold``).
+    The template comes from the class's ``json_fields``, the map with columns
+    spelled out one column per key (an empty map is a value of its own).  A
+    value that the block's records share is spelled into the template's
+    literal text.  A list column is spelled by ``_spell`` once per table,
+    however many blocks share it, such as the degree columns of the inner
+    blocks: the memo holds each column with its texts, so its ``id`` stays
+    its own.
     """
-    json_fields = table.cls.json_fields()
-    blocks = filter(RecordTable.block_len, table.blocks)
-    # dict key views compare as sets, and a template sorts its keys
-    for _, group in groupby(blocks, key=lambda block: [
-            column.keys() for column in block.values() if isinstance(column, dict)]):
-        run = list(group)
-        skeleton = {key: dict.fromkeys(run[0][attr]) if isinstance(run[0][attr], dict) else None
-                    for key, attr, _ in json_fields}
-        columns = {}
-        for key, attr, convert in json_fields:
-            if skeleton[key]:
-                for name in skeleton[key]:
-                    columns[(key, name)] = _column_texts(
-                        [block[attr][name] for block in run], ROW_INDENT + "    ")
-                continue
-            parts = [block[attr] for block in run] if skeleton[key] is None else [{}] * len(run)
-            columns[(key,)] = _column_texts(parts, ROW_INDENT + "  ", convert)
-        template, pieces = _row_template(skeleton), []
-        for k, block in enumerate(run):
-            folded, left = _fold(template, {path: texts[k] for path, texts in columns.items()})
-            pieces += _rows_pieces(RecordTable.block_len(block), folded, left)
-        yield pieces
+    memo = {}
+
+    def texts(value, indent: str, convert: Callable | None = None):
+        if not isinstance(value, list):
+            return _json_value(value if convert is None else convert(value), indent)
+        key = (id(value), indent, convert)
+        if key not in memo:
+            memo[key] = value, _spell(value if convert is None else list(map(convert, value)),
+                                      indent)
+        return memo[key][1]
+
+    for block in filter(RecordTable.block_len, table.blocks):
+        row = {}
+        for key, attr, convert in table.cls.json_fields():
+            value = block[attr]
+            row[key] = ({name: texts(column, ROW_INDENT + "    ") for name, column in value.items()}
+                        if isinstance(value, dict) and value
+                        else texts(value, ROW_INDENT + "  ", convert))
+        yield _rows_pieces(RecordTable.block_len(block), _row_template(row))
 
 
 # The most pieces joined into one chunk of written text: a few hundred KB of
@@ -374,10 +347,8 @@ def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
     yield "{}\n" if opening == "{" else "\n}\n"
 
 
-# The density columns, and a CSV density row as csv.writer (lineterminator
-# "\r\n") writes it: the spelled columns around literal text.
+# the density columns, in the order of a CSV row
 DENSITY_COLUMNS = ("t", "s", "f", "tail_bound", "method")
-DENSITY_CSV_ROW = (("t",), ",", ("s",), ",", ("f",), ",", ("tail_bound",), ",", ("method",), "\r\n")
 
 
 def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]:
@@ -447,11 +418,12 @@ class DensityRows:
     and the first and last marks and 8 bytes a distinct value for the text
     slots (about 2.3 MB).
 
-    A row is laid out by ``_rows_pieces`` as three pieces: its f text and
-    the two fragments of the text between one f and the next.  That text is
-    the format's row template after f and then before it.  A grid's tail
-    and label are fixed, so it is one fragment keyed by t and one keyed by
-    s, each spelled once per grid.  A CSV row holds its coordinates before
+    Each grid's row template is built as a report block's is, its tail and
+    label spelled into the literal text and t, s and f its columns.  A row
+    is laid out by ``_rows_pieces`` as three pieces: its f text and the two
+    fragments of the text between one f and the next, the template after f
+    and then before it, so one fragment keyed by t and one keyed by s, each
+    spelled once per grid.  A CSV row holds its coordinates before
     f, so its fragments come before its f and the first begins with the
     previous row's suffix; the grid's first block drops that suffix and its
     last block appends it.  A JSON row holds them after f, so its fragments
@@ -476,27 +448,31 @@ class DensityRows:
         axis = _float_texts(self.pts, fmt)
         n = len(axis)
         step = max(1, density_mod.BLOCK_POINTS // n)
-        if fmt == "json":
-            template, label_text = _row_template(dict.fromkeys(DENSITY_COLUMNS)), json.dumps
-        else:
-            template, label_text = DENSITY_CSV_ROW, str
-        cut = template.index(("f",))
-        before = ("t",) in template[:cut]
+        t_col, s_col, f_col = axis, axis[:], []  # the columns, told apart by identity
         for values, tail, label in self.grids:
-            texts = {("tail_bound",): _float_texts([tail], fmt)[0], ("method",): label_text(label),
-                     ("t",): axis, ("s",): axis}
-            (lead, first, mid, second, end), _ = _fold(template[cut + 1:] + template[:cut], texts)
-            fragments = {first: [lead + x + mid for x in axis], second: [x + end for x in axis]}
+            tail_text = _float_texts([tail], fmt)[0]
+            if fmt == "json":
+                template = _row_template({"t": t_col, "s": s_col, "f": f_col,
+                                          "tail_bound": tail_text, "method": json.dumps(label)})
+            else:  # as csv.writer, lineterminator "\r\n", writes the row
+                template = _merged([t_col, ",", s_col, ",", f_col, ",", tail_text, ",",
+                                    str(label), "\r\n"])
+            cut = next(k for k, part in enumerate(template) if part is f_col)
+            before = any(part is t_col for part in template[:cut])
+            lead, first, mid, second, end = _merged(template[cut + 1:] + template[:cut])
+            fragments = [lead + x + mid for x in first], [x + end for x in second]
+            t_first = first is t_col
+            t_fragments, s_fragments = fragments if t_first else fragments[::-1]
             # the text of the side of f that holds no coordinate: all of lead
             # in CSV, whose row starts with t
             edge = lead if before else "".join(template[:cut])
-            layout = (first, second, ("f",)) if before else (("f",), first, second)
             blocks = _block_texts(values, step * n, fmt)
             for start, f_texts in zip(range(0, n, step), blocks):
-                t_texts = fragments[("t",)][start:start + step]
-                columns = {("t",): chain.from_iterable([t] * n for t in t_texts),
-                           ("s",): fragments[("s",)] * len(t_texts), ("f",): f_texts}
-                pieces = _rows_pieces(len(f_texts), layout, columns)
+                t_texts = t_fragments[start:start + step]
+                pair = [chain.from_iterable([t] * n for t in t_texts), s_fragments * len(t_texts)]
+                pair = pair if t_first else pair[::-1]
+                pieces = _rows_pieces(len(f_texts),
+                                      (*pair, f_texts) if before else (f_texts, *pair))
                 if start == 0:
                     pieces[0] = pieces[0][len(edge):] if before else edge + pieces[0]
                 if start + step >= n:
@@ -507,12 +483,12 @@ class DensityRows:
 def json_chunks(report: dict) -> Iterator[str]:
     """``json_report``'s text of ``report``, in chunks.
 
-    A top-level ``RecordTable``, such as verify's checks, is written from
-    row templates filled from its columns, each spelled in one pass: one
-    template for each run of blocks whose map-valued column (the map with
-    columns) has the same keys.  A ``DensityRows`` is written one block of
-    rows at a time.  Every other value, such as the moments checks, a plain
-    list, goes through json.dumps.  Every key is a string.
+    A top-level ``RecordTable``, such as verify's checks, is written one
+    nonempty block at a time, each laid out from its own template, with the
+    values its records share in the literal text (``_table_rows``).  A
+    ``DensityRows`` is written one block of rows at a time.  Every other
+    value, such as the moments checks, a plain list, goes through
+    json.dumps.  Every key is a string.
     """
     lists = {key: value.pieces("json") if isinstance(value, DensityRows) else _table_rows(value)
              for key, value in report.items() if isinstance(value, (DensityRows, RecordTable))}

@@ -120,6 +120,9 @@ class RecordTable:
     of the map, is one value that every record of its block shares; each
     block holds at least one list.  Tables share the blocks they are built
     from.  ``len`` counts the records; iterating builds each record only then.
+    The CLI writes each block from its own row template, with the values its
+    records share in the literal text, and spells each list once per table,
+    however many blocks hold it.
     """
 
     def __init__(self, cls: type, blocks: list[dict]):
@@ -153,9 +156,10 @@ class RecordTable:
 
 
 def _check_table(lemma: str, params: dict, lhs: list, rhs: list, passed: list,
-                 elapsed_ms: list | float) -> RecordTable:
-    """A one-block table of ``lemma`` from its checks' columns; ``elapsed_ms``,
-    or a ``params`` value, that is not a list is the same for every check."""
+                 elapsed_ms: float) -> RecordTable:
+    """A one-block table of ``lemma`` from its checks' columns.  ``elapsed_ms``,
+    the block's wall time over its checks, and a ``params`` value that is not
+    a list are the same for every check."""
     return RecordTable(CheckReport, [{"lemma": lemma, "params": params, "lhs": lhs, "rhs": rhs,
                                       "passed": passed, "elapsed_ms": elapsed_ms}])
 
@@ -393,20 +397,22 @@ def _degree_block(lemma: str, tested: list[TestedVector], vec_i: int, check: Cal
                   spell: Callable = fraction_str) -> RecordTable:
     """One check of ``lemma`` per degree pair (n, m) of test vector ``vec_i``:
     ``check(n, m)`` gives the brute-force and closed-form sides, for ``spell``;
-    a check that has shown them equal may give one object for both."""
+    a check that has shown them equal may give one object for both.  Each
+    check's ``elapsed_ms`` is the block's wall time over its checks, as in
+    ``inner_block``."""
+    t0 = time.perf_counter()
     v, table = tested[vec_i]
     pairs = degree_pairs(len(table) - 1)
     checks = []
     for n, m in pairs:
-        t0 = time.perf_counter()
         lhs, rhs = check(n, m)
         passed = lhs is rhs or lhs == rhs
         text = spell(lhs)  # equal sides spell alike, so a passing check spells one
-        checks.append((text, text if passed else spell(rhs), passed,
-                       (time.perf_counter() - t0) * 1000.0))
+        checks.append((text, text if passed else spell(rhs), passed))
     params = {"rank": v.element.rank, "sign": v.sign, "vec": vec_i,
               "n": [n for n, _ in pairs], "m": [m for _, m in pairs]}
-    return _check_table(lemma, params, *map(list, zip(*checks)))
+    return _check_table(lemma, params, *map(list, zip(*checks)),
+                        (time.perf_counter() - t0) * 1000.0 / len(pairs))
 
 
 def expansion_block(tested: list[TestedVector], vec_i: int) -> RecordTable:

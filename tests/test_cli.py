@@ -1060,12 +1060,40 @@ def test_json_report_writes_report_objects_as_json_does(tables):
     assert json_report(payload) == json_oracle(payload)
 
 
-def test_record_runs_follow_the_params_keys():
-    # keys that change and change back make three runs, not two; consecutive
-    # blocks with the same keys, in any order, make one
-    checks = record_table([[check_report()], [check_report("pairing_cases", {"vec": 1})],
-                           [check_report(params={"m": 3, "n": 4, "rank": 2})], [check_report()]])
-    assert len(list(cli._table_rows(checks))) == 3
+def test_shared_columns_are_spelled_once(monkeypatch):
+    # every inner block holds the family's one list for each degree column;
+    # the writer spells each list column once a table, however many blocks
+    # hold it
+    argv = ["verify", "--rank", "2", "--max-total", "3"]
+    payload, _ = COMMANDS["verify"](resolve_config(build_parser().parse_args(argv)))
+    real, spelled = cli._spell, []  # holds each column, so no id is reused
+    monkeypatch.setattr(cli, "_spell",
+                        lambda column, indent: spelled.append(column) or real(column, indent))
+    json_report(payload)
+    assert len({id(column) for column in spelled}) == len(spelled)
+    inner = [block for block in payload["checks"].blocks if block["lemma"] == "sandwich_inner"]
+    assert len(inner) == len(all_test_vectors(2)) ** 2
+    for key in ("n", "m", "n2", "m2"):
+        column = inner[0]["params"][key]
+        assert all(block["params"][key] is column for block in inner)
+        assert sum(spelled_column is column for spelled_column in spelled) == 1
+
+
+def test_elapsed_ms_is_one_value_per_block(tmp_path):
+    tested = [(v, identities.sandwich_table(v, 3)) for v in all_test_vectors(2)]
+    for table in (identities.inner_block(tested, 0, 1), identities.expansion_block(tested, 1),
+                  identities.pairing_block(tested, 2)):
+        [block] = table.blocks
+        assert type(block["elapsed_ms"]) is float
+    code, payload = run_json(tmp_path, ["verify", "--rank", "2", "--max-total", "3"])
+    assert code == 0
+    times = {}
+    for check in payload["checks"]:
+        block = check["lemma"], check["params"]["vec"], check["params"].get("vec2")
+        times.setdefault(block, set()).add(check["elapsed_ms"])
+    vectors = len(all_test_vectors(2))
+    assert len(times) == vectors * vectors + 2 * vectors
+    assert all(len(values) == 1 for values in times.values())
 
 
 # JSON values for the params columns: maps inside the map, and strings json

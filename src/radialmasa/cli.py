@@ -355,45 +355,20 @@ def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]
     """Yield the texts of ``values``, flattened, ``size`` values at a time, as
     ``_float_texts`` spells them, spelling each distinct bit pattern once.
 
-    A block's new values are spelled together, so ``floatrepr.repr_texts``
-    gives their repr texts in whole-array passes rather than one repr call
-    per value.
-
-    The values are grouped by their int64 bits with one unstable sort, so
-    -0.0 and 0.0 stay apart.  The sort leaves a group's points in any order,
-    so a group's first and last points are the least and the greatest index
-    among them (``np.minimum.reduceat`` and ``np.maximum.reduceat`` over the
-    groups' runs of the sort order).  A group is spelled at its first point
-    and its text dropped after the block that holds its last point, so
-    between blocks only the texts of groups seen both before and after are
-    held.  The sort order (8 bytes a point) is freed before the first block;
-    the blocks keep an int32 group id and a first and a last mark per point
-    (6 bytes) and one text slot per group (8 bytes).
+    The values are grouped by their int64 bits with ``np.unique``, so -0.0
+    and 0.0, and NaNs of different payloads, stay apart.  The distinct
+    values are spelled in ascending bit order, ``size`` at a time, so
+    ``floatrepr.repr_texts`` works in whole-array passes whose temporaries
+    are no larger than a block's.  Every distinct text of the grid is held
+    until its last block is yielded, with an int64 group id per point.
     """
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    bits = flat.view(np.int64)
-    order = np.argsort(bits)
-    sorted_bits = bits[order]
-    # new[k]: sorted point k starts a group
-    new = np.empty(len(flat), dtype=bool)
-    new[:1] = True
-    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=new[1:])
-    del sorted_bits
-    ids = np.empty(len(flat), dtype=np.int32)
-    ids[order] = np.cumsum(new, dtype=np.int32) - 1
-    starts = np.flatnonzero(new)
-    del new
-    texts = np.empty(len(starts), dtype=object)
-    first, last = np.zeros(len(flat), dtype=bool), np.zeros(len(flat), dtype=bool)
-    first[np.minimum.reduceat(order, starts)] = True
-    last[np.maximum.reduceat(order, starts)] = True
-    del order, starts
-    for start in range(0, len(flat), size):
-        block = slice(start, start + size)
-        spell = first[block]
-        texts[ids[block][spell]] = _float_texts(flat[block][spell], fmt)
-        yield texts[ids[block]].tolist()
-        texts[ids[block][last[block]]] = None
+    bits, ids = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.empty(len(bits), dtype=object)
+    for start in range(0, len(bits), size):
+        texts[start:start + size] = _float_texts(bits[start:start + size].view(float), fmt)
+    for start in range(0, len(ids), size):
+        yield texts[ids[start:start + size]].tolist()
 
 
 class DensityRows:
@@ -404,19 +379,17 @@ class DensityRows:
     ``values`` is the len(pts) x len(pts) grid f(pts[i], pts[j]) and the rows
     run over i, then j.  Every row of a grid takes its ``tail`` and ``label``.
 
-    The axis and each block's new values are spelled by ``_float_texts``,
-    a whole array at a time, as is each grid's one tail.  Each
-    distinct value of a grid (by its bits) is spelled once, at the
-    first block of rows that holds it, and its text is kept until the last
-    such block is written.  The grid functions evaluate one triangle of a
-    symmetric grid and mirror it bit for bit, so about half of a grid's
-    values repeat: at rank 3, grid 512, 31.5% of the closed grid's values
-    are distinct (82,472) and 34.4% of the series grid's (90,165).  A value
-    at (i, j) is held until row j is written, so at most about a quarter of
-    a grid's points have a live text (65.6k and 67.5k at grid 512), some
-    67 bytes each (about 4.5 MB), next to 6 bytes a point for the group ids
-    and the first and last marks and 8 bytes a distinct value for the text
-    slots (about 2.3 MB).
+    The axis is spelled by ``_float_texts`` a whole array at a time, as is
+    each grid's one tail, and each distinct value of a grid (by its bits)
+    is spelled once, before the grid's first block (``_block_texts``).  The
+    grid functions evaluate one triangle of a symmetric grid and mirror it
+    bit for bit, so about half of a grid's values repeat: at rank 3, grid
+    512, 31.5% of the closed grid's values are distinct (82,472) and 34.4%
+    of the series grid's (90,165).  Every distinct text of the grid being
+    written is held until its last block: some 67 bytes a text (5.5 and
+    6.0 MB at grid 512), next to 16 bytes a distinct value for the text
+    slots and the sorted bits and 8 bytes a point for the group ids (about
+    3.5 MB).
 
     Each grid's row template is built as a report block's is, its tail and
     label spelled into the literal text and t, s and f its columns.  A row

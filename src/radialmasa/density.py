@@ -75,7 +75,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,7 +173,6 @@ def _grid(t: np.ndarray, s: np.ndarray, kernel, table=np.asarray):
     return values
 
 
-@lru_cache(maxsize=None)
 def _series_blocks(truncation: int) -> tuple:
     """The nonzero c(j, k) with j + k <= 2*truncation as the summation blocks
     of the module docstring: (positive, negative) terms (|c|, j, k) by j.

@@ -10,7 +10,9 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -776,6 +778,42 @@ def test_density_text_spells_repeated_values(fmt, block_rows, monkeypatch):
     grids = ((values, 0.0, "closed"), (values.T, 2.5e-17, "series"))
     head = {"command": "density", "config": {"rank": 3}}
     text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids)}))
+    rows = [(float(pts[i]), float(pts[j]), float(grid[i, j]), tail, label)
+            for grid, tail, label in grids for i in range(n) for j in range(n)]
+    assert text == encode_rows(fmt, head["config"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_text_spells_each_bit_pattern_once(fmt, monkeypatch):
+    # 7 rows of 2-row blocks: blocks of 14 points split the grid, the last one
+    # 7 points; the grid repeats values far apart and holds both zeros and two
+    # NaN payloads, and its distinct values outnumber a block's points
+    n, block_rows = 7, 2
+    size = block_rows * n
+    monkeypatch.setattr(density, "BLOCK_POINTS", size)
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.int64).view(float)
+    rng = np.random.default_rng(34)
+    values = rng.standard_normal((n, n))
+    values[0, :4] = values[n - 1, -4:] = [0.0, -0.0, nans[0], nans[1]]
+    values[n - 1, :2] = values[0, -2:]
+    pts = np.linspace(-1.0, 1.0, n)
+    grids = ((values, 7.5, "closed"), (values.T, 2.5e-17, "series"))
+    real, spelled = cli._float_texts, []
+
+    def recorded(values, fmt):
+        spelled.append(np.asarray(values, dtype=float).ravel().view(np.int64).tolist())
+        return real(values, fmt)
+
+    monkeypatch.setattr(cli, "_float_texts", recorded)
+    head = {"command": "density", "config": {"rank": 3}}
+    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids)}))
+    want = Counter(pts.view(np.int64).tolist())
+    for grid, tail, _ in grids:
+        want.update([np.float64(tail).view(np.int64).item()])
+        want.update(np.unique(grid.ravel().view(np.int64)).tolist())
+    assert len(np.unique(values.view(np.int64))) > size
+    assert Counter(chain.from_iterable(spelled)) == want
+    assert all(len(call) <= size for call in spelled)
     rows = [(float(pts[i]), float(pts[j]), float(grid[i, j]), tail, label)
             for grid, tail, label in grids for i in range(n) for j in range(n)]
     assert text == encode_rows(fmt, head["config"], rows)

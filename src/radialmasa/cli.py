@@ -351,24 +351,32 @@ def _report_chunks(head: dict, lists: dict) -> Iterator[str]:
 DENSITY_COLUMNS = ("t", "s", "f", "tail_bound", "method")
 
 
-def _block_texts(values: np.ndarray, size: int, fmt: str) -> Iterator[list[str]]:
-    """Yield the texts of ``values``, flattened, ``size`` values at a time, as
-    ``_float_texts`` spells them, spelling each distinct bit pattern once.
+def _block_texts(values: np.ndarray, step: int, fmt: str) -> Iterator[list[str]]:
+    """Yield the texts of the square grid ``values``, ``step`` rows at a time,
+    each block flattened, as ``_float_texts`` spells them.
 
-    The values are grouped by their int64 bits with ``np.unique``, so -0.0
-    and 0.0, and NaNs of different payloads, stay apart.  The distinct
-    values are spelled in ascending bit order, ``size`` at a time, so
-    ``floatrepr.repr_texts`` works in whole-array passes whose temporaries
-    are no larger than a block's.  Every distinct text of the grid is held
-    until its last block is yielded, with an int64 group id per point.
+    A grid whose bits are symmetric under (i, j) -> (j, i) is spelled only
+    on the blocks of ``density.symmetric_blocks``, folded when its bits are
+    also symmetric under (i, j) -> (n - 1 - i, n - 1 - j), into a grid of
+    texts that the same copies as the values fill, before its first block
+    is yielded.  Any other grid is spelled a block at a time.  The checks
+    compare bits, so -0.0 and 0.0, and NaNs of different payloads, stay
+    apart, and no call spells more than one block.
     """
-    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    bits, ids = np.unique(flat.view(np.int64), return_inverse=True)
-    texts = np.empty(len(bits), dtype=object)
-    for start in range(0, len(bits), size):
-        texts[start:start + size] = _float_texts(bits[start:start + size].view(float), fmt)
-    for start in range(0, len(ids), size):
-        yield texts[ids[start:start + size]].tolist()
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    bits = values.view(np.int64)
+    if not np.array_equal(bits, bits.T):
+        for start in range(0, n, step):
+            yield _float_texts(values[start:start + step], fmt)
+        return
+    texts = np.empty((n, n), dtype=object)
+    fold = np.array_equal(bits, bits[::-1, ::-1])
+    for rows, cols in density_mod.symmetric_blocks(texts, step, fold):
+        block = values[rows, cols]
+        texts[rows, cols] = np.array(_float_texts(block, fmt), dtype=object).reshape(block.shape)
+    for start in range(0, n, step):
+        yield texts[start:start + step].ravel().tolist()
 
 
 class DensityRows:
@@ -380,16 +388,14 @@ class DensityRows:
     run over i, then j.  Every row of a grid takes its ``tail`` and ``label``.
 
     The axis is spelled by ``_float_texts`` a whole array at a time, as is
-    each grid's one tail, and each distinct value of a grid (by its bits)
-    is spelled once, before the grid's first block (``_block_texts``).  The
-    grid functions evaluate one triangle of a symmetric grid and mirror it
-    bit for bit, so about half of a grid's values repeat: at rank 3, grid
-    512, 31.5% of the closed grid's values are distinct (82,472) and 34.4%
-    of the series grid's (90,165).  Every distinct text of the grid being
-    written is held until its last block: some 67 bytes a text (5.5 and
-    6.0 MB at grid 512), next to 16 bytes a distinct value for the text
-    slots and the sorted bits and 8 bytes a point for the group ids (about
-    3.5 MB).
+    each grid's one tail, and each grid by ``_block_texts``.  The grid
+    functions give an export's grid both symmetries of f bit for bit, so
+    only about a quarter of it is spelled, one block at a time, into a
+    grid of texts that the values' own copies fill, before the grid's
+    first block is written: at rank 3, grid 512, 73,728 of the 262,144
+    values.  That grid of texts is held until the grid's last block: 8
+    bytes a point (2 MB at grid 512) and some 67 bytes a spelled text
+    (4.9 MB).
 
     Each grid's row template is built as a report block's is, its tail and
     label spelled into the literal text and t, s and f its columns.  A row
@@ -415,8 +421,9 @@ class DensityRows:
         each block of about ``density.BLOCK_POINTS`` rows: as csv.writer
         writes the rows t, s, f, tail_bound, method, or as ``json_chunks``
         writes them as dicts.  Each coordinate and tail is spelled once, and
-        each distinct value once per grid.  Joined in order, the lists give
-        the rows; a list may begin or end inside a row (see the class).
+        each grid at the points that ``_block_texts`` spells.  Joined in
+        order, the lists give the rows; a list may begin or end inside a row
+        (see the class).
         """
         axis = _float_texts(self.pts, fmt)
         n = len(axis)
@@ -439,7 +446,7 @@ class DensityRows:
             # the text of the side of f that holds no coordinate: all of lead
             # in CSV, whose row starts with t
             edge = lead if before else "".join(template[:cut])
-            blocks = _block_texts(values, step * n, fmt)
+            blocks = _block_texts(values, step, fmt)
             for start, f_texts in zip(range(0, n, step), blocks):
                 t_texts = t_fragments[start:start + step]
                 pair = [chain.from_iterable([t] * n for t in t_texts), s_fragments * len(t_texts)]
@@ -530,7 +537,7 @@ def cmd_density(cfg: RunConfig) -> tuple[dict, bool]:
                 "raise the truncation order"
             )
     # one axis, not broadcast grids: each chi table holds one axis, and the
-    # grid functions evaluate one triangle of the symmetric grid
+    # grid functions evaluate about a quarter of the symmetric grid
     tt, ss = pts[:, None], pts[None, :]
     grids = []
     for method in methods:

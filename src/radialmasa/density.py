@@ -24,16 +24,30 @@ Both grid functions evaluate one block of about ``BLOCK_POINTS`` points
 so each block's temporaries stay in cache.  Every operation is
 elementwise, so the blocking leaves each value's bits unchanged.  On one
 axis, passed as the column ``t[:, None]`` and the row ``s[None, :]`` with
-the same bits, the grid is symmetric and only one triangle is evaluated:
-each block of rows [r0, r1) on the columns from r0 on, about n(n + 1)/2
-points in all, and its columns past r1 are copied into rows past r1 as
-its transpose.  That copy is bitwise exact.  Both kernels give f(t, s)
-and f(s, t) the same bits (the series by its summation order above, the
-closed form by its pairing of t and s terms below), so the copied value
-f(t_i, s_j) has the bits of f(s_j, t_i), which is the value f(t_j, s_i)
-it stands for, since t_j is s_j and s_i is t_i bit for bit.  Any other
-input, such as axes that differ only in the sign of a zero, is evaluated
-in full.
+the same bits, the grid is symmetric and only part of it is evaluated
+(``symmetric_blocks``): each block of rows [r0, r1) on the columns from
+r0 on, about n(n + 1)/2 points in all, and its columns past r1 are copied
+into rows past r1 as its transpose.  When the axis is also antisymmetric
+bit for bit (each t_{n-1-i} is -t_i), the grid is folded as well: only
+the rows r0 < ceil(n/2) are evaluated, each block on the columns
+[r0, n - r0), the domain {i <= j, i + j <= n - 1} of about n^2/4 points,
+and before the transpose each row i is copied, reversed, into column
+n - 1 - i.  No float is its own negative bit for bit, so an odd axis,
+whose centre would have to be, is never folded.
+
+Each copy is bitwise exact.  Both kernels give f(t, s) and f(s, t) the
+same bits (the series by its summation order above, the closed form by
+its pairing of t and s terms below), so the transposed value f(t_i, s_j)
+has the bits of f(s_j, t_i), which is the value f(t_j, s_i) it stands
+for, since t_j is s_j and s_i is t_i bit for bit.  Both kernels also give
+f(-t, -s) the same bits as f(t, s), for three reasons: the recurrence of
+``spectral.chi_table`` negates exactly, so g_n(-t) is (-1)^n g_n(t) bit
+for bit; every nonzero c(j, k) has j + k even, so each series term
+g_j(-t) g_k(-s) is g_j(t) g_k(s); and the closed form reads only t^2, s^2
+and t*s.  So the reversed copy f(t_i, s_j), with t_i = -s_{n-1-i} and
+s_j = -t_{n-1-j}, has by both identities the bits of the value
+f(t_{n-1-j}, s_{n-1-i}) it stands for.  Any other input, such as axes
+that differ only in the sign of a zero, is evaluated in full.
 
 Closed form.  With N the rank, b = 2N - 1, x = 1/b, t = a*cos(theta) and
 s = a*cos(phi), past j + k = 2 the only nonzero coefficients are
@@ -138,38 +152,61 @@ def _points(t, s, params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
     return t, s
 
 
+def symmetric_blocks(values: np.ndarray, step: int, fold: bool):
+    """Yield the rows and columns of each block of the symmetric square grid
+    ``values`` to evaluate, ``step`` rows at a time, and once the caller has
+    written a block, copy it to the points it stands for (see the module
+    docstring).
+
+    Without ``fold``, the block of rows [r0, r1) spans the columns from r0
+    on.  With ``fold``, only the rows r0 < ceil(n/2) are blocked, each block
+    on the columns [r0, n - r0), and each of its rows i is then copied,
+    reversed, into column n - 1 - i.  Either way ``values[r1:, r0:r1]`` is
+    then copied from ``values[r0:r1, r1:].T``.  Any array works, so the CLI
+    fills a grid of texts with the copies that fill a grid of values.
+    """
+    n = len(values)
+    stop = (n + 1) // 2 if fold else n
+    for r0 in range(0, stop, step):
+        r1 = min(r0 + step, stop)
+        yield slice(r0, r1), slice(r0, n - r0 if fold else n)
+        if fold:
+            values[:, n - r1:n - r0] = values[r0:r1, ::-1][::-1].T
+        values[r1:, r0:r1] = values[r0:r1, r1:].T
+
+
 def _grid(t: np.ndarray, s: np.ndarray, kernel, table=np.asarray):
     """``kernel(table(t), table(s))`` on the broadcast shape of ``t`` and ``s``:
     a NumPy scalar when that shape is (), else one block of about BLOCK_POINTS
     points (whole rows of the leading axis) at a time into one preallocated
     output.  ``table`` maps an input to the arrays the kernel reads, its last
-    axes those of the input, and the kernel gives (x, y) and (y, x) the same
-    bits.
+    axes those of the input, and the kernel gives (x, y), (y, x) and
+    (-x, -y) the same bits.
 
     An input that spans the leading axis is tabled a block at a time, any
     other once.  When ``t`` is a column axis and ``s`` a row axis with the
-    same bits, rows [r0, r1) are evaluated only on columns >= r0 and
-    ``values[r1:, r0:r1]`` is copied from ``values[r0:r1, r1:].T`` (see the
-    module docstring).  Any other input is evaluated in full.
+    same bits, only the blocks of ``symmetric_blocks`` are evaluated, folded
+    when the axis is antisymmetric bit for bit (see the module docstring).
+    Any other input is evaluated in full.
     """
     shape = np.broadcast_shapes(t.shape, s.shape)
     if not shape:
         return np.float64(kernel(table(t), table(s)))
     values = np.empty(shape)
     n = shape[0]
-    mirror = t.shape == (n, 1) and s.shape == (1, n) and t.tobytes() == s.tobytes()
+    step = max(1, BLOCK_POINTS // max(1, math.prod(shape[1:])))
+    if t.shape == (n, 1) and s.shape == (1, n) and t.tobytes() == s.tobytes():
+        fold = t.tobytes() == (-t[::-1]).tobytes()
+        whole = table(s)
+        for rows, cols in symmetric_blocks(values, step, fold):
+            values[rows, cols] = kernel(table(t[rows]), whole[..., cols])
+        return values
     spans = [x.ndim == len(shape) and x.shape[0] == n for x in (t, s)]
     tables = [None if span else table(x) for x, span in zip((t, s), spans)]
-    step = max(1, BLOCK_POINTS // max(1, math.prod(shape[1:])))
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
-        tb, sb = (table(x[rows]) if span else whole
-                  for x, span, whole in zip((t, s), spans, tables))
-        if mirror:
-            values[rows, r0:] = kernel(tb, sb[..., r0:])
-            values[r0 + step:, rows] = values[rows, r0 + step:].T
-        else:
-            values[rows] = kernel(tb, sb)
+        values[rows] = kernel(*(table(x[rows]) if span else whole
+                                for x, span, whole in zip((t, s), spans, tables)))
     return values
 
 
@@ -327,9 +364,12 @@ class ZeroScanReport(JsonRecord):
 
 
 def interior_grid(grid_n: int, params: SpectralParams) -> np.ndarray:
-    """Midpoints of a uniform grid_n-cell split of the spectrum interval."""
+    """Midpoints of a uniform grid_n-cell split of the spectrum interval,
+    a (2k + 1 - grid_n) / grid_n: exactly antisymmetric, each midpoint the
+    negative of its mirror image bit for bit, apart from an odd grid's
+    centre, which is 0.0."""
     a = params.halfwidth
-    return -a + (np.arange(grid_n) + 0.5) * (2.0 * a / grid_n)
+    return a * (2 * np.arange(grid_n) + 1 - grid_n) / grid_n
 
 
 def zero_scan(

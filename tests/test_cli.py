@@ -714,6 +714,28 @@ def test_density_runaway_grid_fails_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("exc, shown", [("MemoryError()", "out of memory"),
+                                         ("MemoryError('no room')", "no room")])
+def test_main_module_reports_memory_error_on_import(exc, shown):
+    # python -m radialmasa that runs out of memory while importing the CLI
+    # prints one line and exits 2, as a MemoryError inside cli.main does
+    script = (
+        "import runpy, sys\n"
+        "class Exhausted:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'radialmasa.cli':\n"
+        f"            raise {exc}\n"
+        "sys.meta_path.insert(0, Exhausted())\n"
+        "sys.argv = ['radialmasa', 'density', '--grid', '4']\n"
+        "runpy.run_module('radialmasa', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"aborted: MemoryError: {shown}\n"
+
+
 def test_cli_import_leaves_out_numpy_polynomial():
     # only lambda_rule needs leggauss; verify, density and scan build no rule
     script = ("import sys, numpy\n"
@@ -783,21 +805,24 @@ def test_density_text_spells_repeated_values(fmt, block_rows, monkeypatch):
     assert text == encode_rows(fmt, head["config"], rows)
 
 
+def spelled_points(n, block_rows, fold):
+    """The points at which a symmetric grid's texts are spelled, ``block_rows``
+    rows a block: rows [r0, r0 + block_rows) on the columns [r0, n - r0) for
+    r0 < n/2 when it is folded, else on the columns from r0 on."""
+    stop = (n + 1) // 2 if fold else n
+    return [(i, j) for r0 in range(0, stop, block_rows)
+            for i in range(r0, min(r0 + block_rows, stop))
+            for j in range(r0, n - r0 if fold else n)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_density_text_spells_each_bit_pattern_once(fmt, monkeypatch):
-    # 7 rows of 2-row blocks: blocks of 14 points split the grid, the last one
-    # 7 points; the grid repeats values far apart and holds both zeros and two
-    # NaN payloads, and its distinct values outnumber a block's points
-    n, block_rows = 7, 2
-    size = block_rows * n
-    monkeypatch.setattr(density, "BLOCK_POINTS", size)
+def test_density_text_spells_each_domain_point_once(fmt, monkeypatch):
+    # a grid with both symmetries by its bits is spelled on {i <= j, i + j <= n - 1},
+    # one with only (i, j) -> (j, i) on {i <= j}, and one with neither at every
+    # point, each one block of rows at a time; the grids hold both zeros and
+    # two NaN payloads, and the third is symmetric as floats, not as bits
     nans = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.int64).view(float)
-    rng = np.random.default_rng(34)
-    values = rng.standard_normal((n, n))
-    values[0, :4] = values[n - 1, -4:] = [0.0, -0.0, nans[0], nans[1]]
-    values[n - 1, :2] = values[0, -2:]
-    pts = np.linspace(-1.0, 1.0, n)
-    grids = ((values, 7.5, "closed"), (values.T, 2.5e-17, "series"))
+    rng = np.random.default_rng(35)
     real, spelled = cli._float_texts, []
 
     def recorded(values, fmt):
@@ -806,17 +831,37 @@ def test_density_text_spells_each_bit_pattern_once(fmt, monkeypatch):
 
     monkeypatch.setattr(cli, "_float_texts", recorded)
     head = {"command": "density", "config": {"rank": 3}}
-    text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids)}))
-    want = Counter(pts.view(np.int64).tolist())
-    for grid, tail, _ in grids:
-        want.update([np.float64(tail).view(np.int64).item()])
-        want.update(np.unique(grid.ravel().view(np.int64)).tolist())
-    assert len(np.unique(values.view(np.int64))) > size
-    assert Counter(chain.from_iterable(spelled)) == want
-    assert all(len(call) <= size for call in spelled)
-    rows = [(float(pts[i]), float(pts[j]), float(grid[i, j]), tail, label)
-            for grid, tail, label in grids for i in range(n) for j in range(n)]
-    assert text == encode_rows(fmt, head["config"], rows)
+    for n, block_rows in [(7, 1), (7, 2), (8, 1), (8, 3)]:
+        size = block_rows * n
+        monkeypatch.setattr(density, "BLOCK_POINTS", size)
+        values = rng.standard_normal((n, n))
+        values[0, :4] = values[1, 2:6] = [0.0, -0.0, nans[0], nans[1]]
+        i, j = np.indices((n, n))
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        mirrored = values[i, j]
+        outer = i + j > n - 1
+        i[outer], j[outer] = n - 1 - j[outer], n - 1 - i[outer]
+        folded = values[i, j]
+        unpaired = mirrored.copy()
+        unpaired[0, 1], unpaired[1, 0] = 0.0, -0.0
+        pts = np.linspace(-1.0, 1.0, n)
+        grids = ((folded, 7.5, "closed"), (mirrored, 2.5e-17, "series"),
+                 (unpaired, 0.0, "series"))
+        spelled.clear()
+        text = "".join(WRITERS[fmt]({**head, "rows": DensityRows(pts, grids)}))
+        quarter, triangle = spelled_points(n, block_rows, True), spelled_points(n, block_rows, False)
+        if block_rows == 1:
+            assert quarter == [(i, j) for i in range(n) for j in range(i, n - i)]
+            assert triangle == [(i, j) for i in range(n) for j in range(i, n)]
+        want = Counter(pts.view(np.int64).tolist())
+        for grid, points in zip(grids, (quarter, triangle, np.ndindex(n, n))):
+            want.update([np.float64(grid[1]).view(np.int64).item()])
+            want.update(grid[0].view(np.int64)[i, j] for i, j in points)
+        assert Counter(chain.from_iterable(spelled)) == want
+        assert all(len(call) <= size for call in spelled)
+        rows = [(float(pts[i]), float(pts[j]), float(grid[i, j]), tail, label)
+                for grid, tail, label in grids for i in range(n) for j in range(n)]
+        assert text == encode_rows(fmt, head["config"], rows)
 
 
 # a small pool, so bit patterns repeat across far-apart rows: both zeros,

@@ -153,13 +153,15 @@ def counted_points(monkeypatch):
 
 def symmetric_axes(params):
     a = params.halfwidth
-    return [interior_grid(33, params), lambda_rule(32, params.rank)[0],
-            np.array([-a, -0.0, 0.0, 0.25 * a, a]), np.array([0.5])]
+    return [interior_grid(33, params), interior_grid(32, params), lambda_rule(32, params.rank)[0],
+            np.array([-a, -0.0, 0.0, 0.25 * a, a]), np.array([-a, -0.25 * a, 0.25 * a, a]),
+            np.array([0.5])]
 
 
 @pytest.mark.parametrize("block_points", [1, 7, 5 * 33, 1 << 30])
 def test_mirrored_grids_equal_full_evaluation(block_points, monkeypatch):
-    # the triangle and its transposed copy against every point evaluated
+    # the evaluated blocks and their copies against every point evaluated; the
+    # even interior grid and the four-point axis are antisymmetric, so folded
     monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
     for params in (P2, P3, SpectralParams(5)):
         for axis in symmetric_axes(params):
@@ -169,22 +171,75 @@ def test_mirrored_grids_equal_full_evaluation(block_points, monkeypatch):
                 assert np.array_equal(bits(mirrored), bits(grid(*full, params)[0]))
 
 
+def one_bit_off(axis):
+    """``axis`` with the last bit of its first value flipped."""
+    off = axis.copy()
+    off.view(np.int64)[0] ^= 1
+    return off
+
+
 @pytest.mark.parametrize("block_points", [1, 5 * 33, 1 << 30])
 def test_mirrored_grid_evaluates_one_triangle(block_points, monkeypatch):
+    # axes that are not antisymmetric bit for bit: an odd interior grid, whose
+    # centre 0.0 is not -0.0 (so odd axes never fold), an even one with one
+    # bit flipped, and a lambda_rule axis
     monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
     points = counted_points(monkeypatch)
-    n = 33
-    axis = interior_grid(n, P3)
-    step = max(1, block_points // n)
-    # rows [r0, r0 + step) on the columns from r0 on
-    want = sum(min(step, n - r0) * (n - r0) for r0 in range(0, n, step))
-    assert n * (n + 1) // 2 <= want < n * (n + 1) // 2 + step * n
-    for name, grid in GRIDS.items():
-        points.clear()
-        grid(axis[:, None], axis[None, :], P3)
-        assert sum(points) == want, name
-    if step == 1:
-        assert want == n * (n + 1) // 2
+    for axis in (interior_grid(33, P3), one_bit_off(interior_grid(32, P3)), lambda_rule(32, 3)[0]):
+        n = len(axis)
+        step = max(1, block_points // n)
+        # rows [r0, r0 + step) on the columns from r0 on
+        want = sum(min(step, n - r0) * (n - r0) for r0 in range(0, n, step))
+        assert n * (n + 1) // 2 <= want < n * (n + 1) // 2 + step * n
+        for name, grid in GRIDS.items():
+            points.clear()
+            grid(axis[:, None], axis[None, :], P3)
+            assert sum(points) == want, name
+        if step == 1:
+            assert want == n * (n + 1) // 2
+
+
+def test_interior_grid_is_antisymmetric():
+    for params in (P2, P3, SpectralParams(5)):
+        for n in (2, 4, 32, 512, 1024):
+            axis = interior_grid(n, params)
+            assert np.array_equal(bits(axis[::-1]), bits(-axis))
+        for n in (1, 33, 513):
+            axis = interior_grid(n, params)
+            centre = n // 2
+            assert bits(axis[centre]) == bits(0.0)
+            assert np.array_equal(np.delete(bits(axis[::-1]), centre),
+                                  np.delete(bits(-axis), centre))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_kernels_give_the_negated_point_the_same_bits(rank):
+    # f(t, s) and f(-t, -s), every point evaluated, not folded
+    params = SpectralParams(rank)
+    for n in (2, 33, 512, 513):
+        axis = interior_grid(n, params)
+        tt, ss = np.broadcast_arrays(axis[:, None], axis[None, :])
+        for grid in GRIDS.values():
+            assert np.array_equal(bits(grid(tt, ss, params)[0]), bits(grid(-tt, -ss, params)[0]))
+
+
+@pytest.mark.parametrize("block_points", [1, 5 * 32, 1 << 30])
+def test_folded_grid_evaluates_one_quarter(block_points, monkeypatch):
+    # rows [r0, r0 + step) with r0 < n/2 on the columns [r0, n - r0)
+    monkeypatch.setattr(density, "BLOCK_POINTS", block_points)
+    points = counted_points(monkeypatch)
+    for n in (2, 32, 512):
+        axis = interior_grid(n, P3)
+        step = max(1, block_points // n)
+        half = n // 2
+        want = sum(min(step, half - r0) * (n - 2 * r0) for r0 in range(0, half, step))
+        for name, grid in GRIDS.items():
+            points.clear()
+            grid(axis[:, None], axis[None, :], P3)
+            assert sum(points) == want, name
+        if step == 1:
+            # the points with i <= j and i + j <= n - 1: 65,792 at n = 512
+            assert want == half * (half + 1)
 
 
 def test_axes_differing_in_any_bit_evaluated_in_full(monkeypatch):
@@ -208,10 +263,12 @@ def test_axes_differing_in_any_bit_evaluated_in_full(monkeypatch):
 
 
 def test_scan_and_pairing_grids_are_mirrored(monkeypatch):
+    # the scan's even interior grid is folded; lambda_rule's nodes are not
+    # antisymmetric bit for bit, so the quadrature grids are one triangle
     monkeypatch.setattr(density, "BLOCK_POINTS", 1)
     points = counted_points(monkeypatch)
     zero_scan(64, [1e-3], P3)
-    assert sum(points) == 64 * 65 // 2
+    assert sum(points) == 32 * 33
     points.clear()
     chi_pair_integral(0, 0, P3, 1.0)  # orders 32 and 64 agree within 1
     assert sum(points) == 32 * 33 // 2 + 64 * 65 // 2
